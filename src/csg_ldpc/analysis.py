@@ -18,7 +18,7 @@ from .codes import (
 )
 from .graphs import Graph, girth, load_edge_list, parse_lcf
 
-__all__ = ["AnalysisReport", "analyze_graph", "load_graph_file"]
+__all__ = ["AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
 
 
 @dataclass
@@ -97,6 +97,29 @@ def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = 28) -> AnalysisRepor
             f"girth {g_girth} < 6: bit pairs may share several checks, "
             "structural bound arguments do not apply"
         )
+    return code_report(
+        code,
+        graph_id,
+        g_girth,
+        bounds=compute_bounds(g, code),
+        warnings=warnings,
+        k_ceiling=k_ceiling,
+    )
+
+
+def code_report(
+    code: LinearCode,
+    graph_id: str,
+    code_girth: int,
+    bounds: BoundsReport | None,
+    warnings: list[str],
+    k_ceiling: int,
+) -> AnalysisReport:
+    """Minimum distance and duality flags of ``code``, gathered into a report.
+
+    A dimension above ``k_ceiling`` leaves ``d`` as None and appends a
+    warning to ``warnings``, which becomes the report's list.
+    """
     try:
         d = minimum_distance(code, ceiling=k_ceiling)
     except EnumerationLimitExceeded:
@@ -104,19 +127,18 @@ def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = 28) -> AnalysisRepor
         warnings.append(
             f"minimum distance not computed: k={code.k} exceeds ceiling {k_ceiling}"
         )
-    report = AnalysisReport(
+    return AnalysisReport(
         graph_id=graph_id,
         n=code.n,
         k=code.k,
         d=d,
-        girth=g_girth,
+        girth=code_girth,
         even=is_even_code(code),
         self_orthogonal=is_self_orthogonal(code),
         lcd=is_lcd(code),
-        bounds=compute_bounds(g, code),
+        bounds=bounds,
         warnings=warnings,
     )
-    return report
 
 
 def load_graph_file(path: str | Path) -> Graph:

@@ -66,12 +66,11 @@ def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
     Holds exactly when no two columns of H share more than one row, i.e.
     when the Tanner graph is 4-cycle free.
     """
-    ht = code.H.transpose()
-    product = ht.multiply_integer(code.H)
+    h = code.H.to_numpy().astype(np.int64)
     expected = 3 * np.eye(code.n, dtype=np.int64) + adjacency_array(
         gamma.graph
     ).astype(np.int64)
-    return bool(np.array_equal(product, expected))
+    return bool(np.array_equal(h.T @ h, expected))
 
 
 def _degeneracy_order(g: Graph) -> list[int]:

@@ -1,5 +1,11 @@
 """Binary symmetric and BPSK/AWGN channels plus syndrome statistics.
 
+This module holds the package's only noise generator, ``transmit``, and
+its only syndrome routine, ``syndrome``.  Both take one word of shape (n,)
+or a block of words of shape (B, n): the decoders test their estimates
+with ``syndrome``, ``run_experiment`` draws each trial through
+``transmit``, and ``syndrome_statistics`` pushes whole blocks through both.
+
 The closed-form syndrome moments use f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
 the probability that t independent flips have odd parity.  The variance
 formula assumes every pair of checks shares at most one bit (Tanner girth
@@ -58,31 +64,35 @@ ChannelModel = Union[BscChannel, AwgnChannel]
 
 
 def transmit(word: np.ndarray, channel: ChannelModel, rng: np.random.Generator) -> np.ndarray:
-    """Send a codeword through the channel.
+    """Send a codeword, or a (B, n) block of them, through the channel.
 
-    BSC returns a bit vector with i.i.d. flips; AWGN returns the real
-    received vector after BPSK mapping and Gaussian noise.
+    BSC returns bits with i.i.d. flips; AWGN returns the real received
+    values after BPSK mapping and Gaussian noise.  Noise has the shape of
+    ``word`` and is drawn in row-major order, so a block receives the same
+    noise as its rows sent one after another from the same generator.
     """
     word = np.asarray(word, dtype=np.uint8)
     if isinstance(channel, BscChannel):
-        flips = rng.random(word.shape[0]) < channel.rho
-        return (word ^ flips.astype(np.uint8)).astype(np.uint8)
-    symbols = 1.0 - 2.0 * word.astype(np.float64)
-    return symbols + channel.sigma * rng.standard_normal(word.shape[0])
+        return word ^ (rng.random(word.shape) < channel.rho)
+    return 1.0 - 2.0 * word + channel.sigma * rng.standard_normal(word.shape)
 
 
-def syndrome(h: BitMatrix, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Syndrome bits y H^T and the syndrome weight."""
+def syndrome(h: BitMatrix | np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+    """Syndrome bits y H^T and their weight, for one word or a block of words.
+
+    ``h`` is a BitMatrix or its dense uint8 array.  A word of shape (n,)
+    gives (m,) bits and an int weight; a block of shape (B, n) gives (B, m)
+    bits and int64 weights per row.  The uint8 product may wrap, but a
+    wrapped sum keeps its parity, so no wider copy of the block is made.
+    """
+    dense = h.to_numpy() if isinstance(h, BitMatrix) else h
     y = np.asarray(y, dtype=np.uint8)
-    if y.shape[0] != h.ncols:
-        raise ValueError(f"word length {y.shape[0]} does not match {h.ncols} columns")
-    packed = 0
-    for j in np.flatnonzero(y):
-        packed |= 1 << int(j)
-    bits = np.fromiter(
-        ((r & packed).bit_count() & 1 for r in h.rows), dtype=np.uint8, count=h.nrows
-    )
-    return bits, int(bits.sum())
+    if y.shape[-1] != dense.shape[1]:
+        raise ValueError(f"word length {y.shape[-1]} does not match {dense.shape[1]} columns")
+    bits = (y @ dense.T) & 1
+    if y.ndim == 1:
+        return bits, int(bits.sum())
+    return bits, bits.sum(axis=1, dtype=np.int64)
 
 
 def f_t(t: int, rho: float) -> float:

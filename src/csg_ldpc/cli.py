@@ -14,17 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .alist import export_alist
-from .analysis import AnalysisReport, analyze_graph, load_graph_file
-from .codes import (
-    EnumerationLimitExceeded,
-    build_code,
-    extend_parity_check,
-    is_even_code,
-    is_lcd,
-    is_self_orthogonal,
-    minimum_distance,
-    tanner_graph,
-)
+from .analysis import analyze_graph, code_report, load_graph_file
+from .codes import build_code, extend_parity_check, tanner_graph
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     RNG_FAMILY,
@@ -203,32 +194,18 @@ def cmd_extend(args: argparse.Namespace) -> int:
         return _fail(
             f"girth changed from {base_girth} to {new_girth}, extension is broken"
         )
-    warnings = [
-        "rate-boosted code: spectral and clique bounds describe the base graph only"
-    ]
-    try:
-        d = minimum_distance(extended, ceiling=args.k_ceiling)
-    except EnumerationLimitExceeded:
-        d = None
-        warnings.append(
-            f"minimum distance not computed: k={extended.k} exceeds ceiling {args.k_ceiling}"
-        )
-    report = AnalysisReport(
-        graph_id=f"{Path(args.path).stem}+{args.bits}",
-        n=extended.n,
-        k=extended.k,
-        d=d,
-        girth=new_girth if new_girth is not None else 0,
-        even=is_even_code(extended),
-        self_orthogonal=is_self_orthogonal(extended),
-        lcd=is_lcd(extended),
+    report = code_report(
+        extended,
+        f"{Path(args.path).stem}+{args.bits}",
+        new_girth if new_girth is not None else 0,
         bounds=None,
-        warnings=warnings,
+        warnings=["rate-boosted code: spectral and clique bounds describe the base graph only"],
+        k_ceiling=args.k_ceiling,
     )
     print(report.to_json() if args.format == "json" else report.to_text())
     if args.alist_out:
         Path(args.alist_out).write_text(export_alist(extended.H))
-    if d is None:
+    if report.d is None:
         return 2
     return 0
 
@@ -308,3 +285,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -3,7 +3,9 @@
 Both decoders share a padded edge structure derived from the parity-check
 matrix: messages live on edges, with per-check and per-bit views built
 through index arrays so one iteration is a handful of numpy operations.
-Construct a decoder once per matrix when decoding many words.
+Stopping tests go through ``channel.syndrome`` on the dense matrix kept
+by that structure, the same routine the experiments use for syndrome
+weights.  Construct a decoder once per matrix when decoding many words.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP
+from .channel import LLR_CLAMP, syndrome
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -59,9 +61,8 @@ class _EdgeStructure:
         self.h = h
         self.m = h.nrows
         self.n = h.ncols
-        dense = h.to_numpy()
-        self.h_int = dense.astype(np.int64)
-        rows_idx, cols_idx = np.nonzero(dense)
+        self.dense = h.to_numpy()
+        rows_idx, cols_idx = np.nonzero(self.dense)
         self.rows_idx = rows_idx
         self.cols_idx = cols_idx
         self.n_edges = len(rows_idx)
@@ -69,7 +70,7 @@ class _EdgeStructure:
         self.bit_slots, self.bit_mask, self.bit_deg = _padded_slots(cols_idx, self.n)
 
     def syndrome_is_zero(self, est: np.ndarray) -> bool:
-        return not ((self.h_int @ est) & 1).any()
+        return syndrome(self.dense, est)[1] == 0
 
     def _result(self, est, iterations, sent):
         ok = self.syndrome_is_zero(est)

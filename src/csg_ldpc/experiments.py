@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AwgnChannel, BscChannel, ChannelModel, llr_from_awgn, llr_from_bsc
+from .channel import BscChannel, ChannelModel, llr_from_awgn, llr_from_bsc, syndrome, transmit
 from .decoders import GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
@@ -88,21 +88,17 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, int, 
         decoder = GallagerADecoder(cfg.h)
     else:
         decoder = SumProductDecoder(cfg.h)
-    n = cfg.h.ncols
-    h_int = decoder.h_int
+    dense = cfg.h.to_numpy()
+    zero_word = np.zeros(cfg.h.ncols, dtype=np.uint8)
     bit_errors = 0
     word_errors = 0
     syn_sum = 0
     syn_sq = 0
     bsc = isinstance(cfg.channel, BscChannel)
     for trial in range(start, stop):
-        rng = trial_rng(cfg.master_seed, trial)
-        if bsc:
-            hard = (rng.random(n) < cfg.channel.rho).astype(np.uint8)
-        else:
-            received = 1.0 + cfg.channel.sigma * rng.standard_normal(n)
-            hard = (received < 0).astype(np.uint8)
-        w = int(((h_int @ hard) & 1).sum())
+        received = transmit(zero_word, cfg.channel, trial_rng(cfg.master_seed, trial))
+        hard = received if bsc else (received < 0).astype(np.uint8)
+        _, w = syndrome(dense, hard)
         syn_sum += w
         syn_sq += w * w
         if cfg.decoder == "gallager-a":
@@ -179,26 +175,25 @@ def syndrome_statistics(
 ) -> SyndromeStats:
     """Sample syndrome weights of BSC noise in bulk and summarize them.
 
-    Noise is generated in batches from one stream per (master_seed,
-    stream_index) pair, which keeps a million trials in the second range.
+    Noise comes from ``transmit`` on blocks of up to 200000 zero words,
+    drawn from one stream per (master_seed, stream_index) pair, and each
+    block's weights from one ``syndrome`` call, which keeps a million
+    trials in the second range.
     The variance standard error comes from a multinomial bootstrap of the
     observed weight histogram.
     """
-    if not 0.0 <= rho <= 0.5:
-        raise ValueError(f"rho {rho} outside [0, 1/2]")
+    noise = BscChannel(rho)
     if trials < 2:
         raise ValueError("need at least two trials")
-    n = h.ncols
     m = h.nrows
-    h_int = h.to_numpy().astype(np.int64)
+    dense = h.to_numpy()
     rng = np.random.default_rng((master_seed, stream_index, 0))
     counts = np.zeros(m + 1, dtype=np.int64)
     remaining = trials
-    batch = 200_000
+    zero_block = np.zeros((min(200_000, trials), h.ncols), dtype=np.uint8)
     while remaining:
-        size = min(batch, remaining)
-        errors = (rng.random((size, n)) < rho).astype(np.int64)
-        weights = ((errors @ h_int.T) & 1).sum(axis=1)
+        size = min(len(zero_block), remaining)
+        _, weights = syndrome(dense, transmit(zero_block[:size], noise, rng))
         counts += np.bincount(weights, minlength=m + 1)
         remaining -= size
     values = np.arange(m + 1, dtype=np.float64)

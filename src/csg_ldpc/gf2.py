@@ -93,12 +93,11 @@ class BitMatrix:
 
     def to_numpy(self) -> np.ndarray:
         """Dense uint8 array view of the same matrix."""
-        out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
         nbytes = (self.ncols + 7) // 8
-        for i, r in enumerate(self.rows):
-            raw = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, count=self.ncols, bitorder="little")
-        return out
+        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.rows), dtype=np.uint8)
+        return np.unpackbits(
+            raw.reshape(self.nrows, nbytes), axis=1, count=self.ncols, bitorder="little"
+        )
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -129,17 +128,6 @@ class BitMatrix:
                 bits &= bits - 1
             out.append(acc)
         return BitMatrix(self.nrows, other.ncols, tuple(out))
-
-    def multiply_integer(self, other: "BitMatrix") -> np.ndarray:
-        """Product of the same 0/1 matrices over the integers (int64 array)."""
-        if self.ncols != other.nrows:
-            raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        bcols = other.transpose().rows
-        out = np.zeros((self.nrows, other.ncols), dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            for j, c in enumerate(bcols):
-                out[i, j] = (r & c).bit_count()
-        return out
 
     def rank(self) -> int:
         """GF(2) rank by row elimination, first set bit in column scan pivots."""

@@ -17,6 +17,10 @@ from csg_ldpc.channel import (
     syndrome_variance_formula,
     transmit,
 )
+from csg_ldpc.experiments import random_regular_ldpc
+from csg_ldpc.gf2 import BitMatrix
+
+from oracles import support_lists
 
 
 def exact_syndrome_moments(h, rho):
@@ -142,3 +146,51 @@ def test_f_t_range_and_monotonicity(t, rho):
     assert 0.0 <= value <= 0.5
     # more flips cannot make odd parity less likely below rho = 1/2
     assert f_t(t + 1, rho) >= value - 1e-15
+
+
+@st.composite
+def checks_and_blocks(draw):
+    """A random regular parity check and a (B, n) block of words for it."""
+    m = draw(st.integers(2, 8))
+    w_c = draw(st.integers(1, min(3, m)))
+    n = m * draw(st.integers(1, 4))
+    h = random_regular_ldpc(n, m, w_c=w_c, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    block = rng.integers(0, 2, size=(draw(st.integers(0, 6)), n), dtype=np.uint8)
+    return h, block
+
+
+@given(checks_and_blocks())
+@settings(max_examples=60, deadline=None)
+def test_block_syndrome_matches_rows_and_oracle(case):
+    h, block = case
+    bits, weights = syndrome(h, block)
+    assert bits.shape == (len(block), h.nrows) and weights.dtype == np.int64
+    dense_bits, dense_weights = syndrome(h.to_numpy(), block)
+    assert np.array_equal(bits, dense_bits) and np.array_equal(weights, dense_weights)
+    check_bits, _ = support_lists(h)
+    for y, row_bits, w in zip(block, bits, weights):
+        expect = [sum(int(y[j]) for j in support) % 2 for support in check_bits]
+        assert row_bits.tolist() == expect and w == sum(expect)
+        one_bits, one_w = syndrome(h, y)
+        assert np.array_equal(one_bits, row_bits) and type(one_w) is int and one_w == w
+
+
+def test_syndrome_parity_survives_uint8_wrap():
+    # 301 and then 300 ones wrap the uint8 dot product to 45 and 44
+    h = BitMatrix(1, 301, ((1 << 301) - 1,))
+    word = np.ones(301, dtype=np.uint8)
+    assert syndrome(h, word)[1] == 1
+    word[0] = 0
+    assert syndrome(h, word)[1] == 0
+    with pytest.raises(ValueError):
+        syndrome(h, np.zeros((2, 300), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("channel", [BscChannel(0.2), AwgnChannel(0.8)])
+def test_transmit_block_matches_stacked_words(channel):
+    block = transmit(np.zeros((5, 9), dtype=np.uint8), channel, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    rows = [transmit(np.zeros(9, dtype=np.uint8), channel, rng) for _ in range(5)]
+    assert block.dtype == rows[0].dtype
+    assert np.array_equal(block, np.stack(rows))

@@ -109,9 +109,6 @@ def test_multiply_against_numpy(m, ncols_b):
     prod = m.multiply(b)
     expect = (m.to_numpy().astype(int) @ b_arr.astype(int)) % 2
     assert np.array_equal(prod.to_numpy(), expect.astype(np.uint8))
-    assert np.array_equal(
-        m.multiply_integer(b), m.to_numpy().astype(int) @ b_arr.astype(int)
-    )
 
 
 def test_multiply_fixed_20x20():

@@ -1,0 +1,56 @@
+"""Exact CSV bytes of ``simulate`` and ``variance`` for fixed seeds.
+
+The expected text was produced by the command line before the channel
+noise and syndrome routines were merged into ``csg_ldpc.channel``; any
+change to the per-trial random stream, the batching of the variance
+path or the aggregation shows up here as a byte difference.
+"""
+
+import pytest
+
+from csg_ldpc.cli import main
+
+GOLDEN = [
+    (
+        "simulate 24A.lcf --channel bsc --param 0.05,0.1 --decoder sum-product"
+        " --trials 200 --seed 11 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "bsc,0.05,sum-product,200,11,0.010833333333333334,0.02,1.7,4.090452261306533\n"
+        "bsc,0.1,sum-product,200,11,0.04708333333333333,0.09,3.005,4.819070351758794\n",
+    ),
+    (
+        "simulate 24A.lcf --channel awgn --param 0.6,0.8 --decoder gallager-a"
+        " --trials 200 --seed 11 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.6,gallager-a,200,11,0.005,0.02,1.63,3.741809045226131\n"
+        "awgn,0.8,gallager-a,200,11,0.04,0.125,3.2,4.8542713567839195\n",
+    ),
+    (
+        "simulate 24A.lcf --channel bsc --param 0.1 --decoder gallager-a"
+        " --trials 200 --seed 5 --max-iter 0",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "bsc,0.1,gallager-a,200,5,0.09083333333333334,0.675,2.7,4.994974874371859\n",
+    ),
+    (
+        "simulate 24A.lcf --channel awgn --param 0.7 --decoder sum-product"
+        " --trials 200 --seed 5 --max-iter 0",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.7,sum-product,200,5,0.08166666666666667,0.65,2.43,4.246331658291457\n",
+    ),
+    # girth 6; 200001 trials crosses the 200000-word batch boundary
+    (
+        "variance 24A.lcf --rho 0.05,0.2 --trials 200001 --seed 3",
+        "rho,formula,empirical,stderr,flag\n"
+        "0.05,3.649539,3.6375364655676723,0.01053322782987521,\n"
+        "0.2,4.353024,4.351690326448367,0.014397908042009876,\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,expected", GOLDEN, ids=["bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0", "variance"]
+)
+def test_csv_bytes_match_recorded_output(data_dir, capsys, command, expected):
+    sub, graph, *rest = command.split()
+    assert main([sub, str(data_dir / graph), *rest]) == 0
+    assert capsys.readouterr().out == expected
