@@ -119,6 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     params = _parse_float_list(args.param, "parameter")
     lines = [SIMULATE_HEADER]
+    outcomes = []
     for value in params:
         try:
             channel = BscChannel(value) if args.channel == "bsc" else AwgnChannel(value)
@@ -134,6 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(str(exc))
         result = run_experiment(cfg)
+        outcomes.append({"param": value, "detected": result.detected, "undetected": result.undetected})
         lines.append(
             f"{args.channel},{value!r},{args.decoder},{result.trials},{args.seed},"
             f"{result.ber!r},{result.fer!r},"
@@ -152,6 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "rng_family": RNG_FAMILY,
             "version": __version__,
+            "outcomes": outcomes,
         }
         Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     return 0

@@ -1,11 +1,16 @@
 """Hard-decision (Gallager A) and log-domain sum-product decoders.
 
-Both decoders share a padded edge structure derived from the parity-check
-matrix: messages live on edges, with per-check and per-bit views built
-through index arrays so one iteration is a handful of numpy operations.
-Stopping tests go through ``channel.syndrome`` on the dense matrix kept
-by that structure, the same routine the experiments use for syndrome
-weights.  Construct a decoder once per matrix when decoding many words.
+Each decoder has one message-passing engine, ``decode_block``, which
+decodes a (B, n) block of words in one set of numpy passes per iteration;
+``decode`` is its B = 1 case.  Messages live on edges, with per-check and
+per-bit views built through padded index tables (Richardson & Urbanke,
+*Modern Coding Theory*, 2008, ch. 2, flooding schedule).  The engine keeps
+the indices of the rows still decoding: after each iteration it tests
+their estimates with ``channel.syndrome``, writes finished rows out and
+compacts the state, so every row stops at its own first zero syndrome and
+gets the same word and iteration count as if it were decoded alone.
+Construct a decoder once per matrix and hand it blocks when decoding many
+words: a lone word pays the full per-iteration numpy overhead.
 """
 
 from __future__ import annotations
@@ -56,6 +61,40 @@ def _padded_slots(group_of_edge: np.ndarray, ngroups: int):
     return slots, mask, counts
 
 
+class _BlockState:
+    """Rows of a block still being decoded, and where finished rows go.
+
+    ``active`` holds the original row index of each live row; ``finish``
+    stores the rows whose estimate has zero syndrome and returns the mask
+    of rows that stay, with which the caller compacts its own state.
+    """
+
+    def __init__(self, dense: np.ndarray, est: np.ndarray):
+        self.dense = dense
+        self.words = est.copy()
+        self.iterations = np.zeros(len(est), dtype=np.int64)
+        self.syndrome_zero = np.zeros(len(est), dtype=bool)
+        self.active = np.arange(len(est))
+
+    def finish(self, est: np.ndarray, iteration: int) -> np.ndarray | None:
+        done = syndrome(self.dense, est)[1] == 0
+        if not done.any():
+            return None
+        rows = self.active[done]
+        self.words[rows] = est[done]
+        self.iterations[rows] = iteration
+        self.syndrome_zero[rows] = True
+        keep = ~done
+        self.active = self.active[keep]
+        return keep
+
+    def result(self, est: np.ndarray, max_iter: int):
+        """Rows still active after ``max_iter`` iterations end with their last estimate."""
+        self.words[self.active] = est
+        self.iterations[self.active] = max_iter
+        return self.words, self.iterations, self.syndrome_zero
+
+
 class _EdgeStructure:
     def __init__(self, h: BitMatrix):
         self.h = h
@@ -68,14 +107,26 @@ class _EdgeStructure:
         self.n_edges = len(rows_idx)
         self.check_slots, self.check_mask, self.check_deg = _padded_slots(rows_idx, self.m)
         self.bit_slots, self.bit_mask, self.bit_deg = _padded_slots(cols_idx, self.n)
+        # edge e sits at flat position edge_slot[e] of an (m, max check degree) view
+        self.edge_slot = np.empty(self.n_edges, dtype=np.int64)
+        self.edge_slot[self.check_slots[self.check_mask]] = np.flatnonzero(self.check_mask)
 
-    def syndrome_is_zero(self, est: np.ndarray) -> bool:
-        return syndrome(self.dense, est)[1] == 0
+    def _block(self, y: np.ndarray, dtype) -> np.ndarray:
+        y = np.asarray(y, dtype=dtype)
+        if y.ndim != 2 or y.shape[1] != self.n:
+            raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
+        return y
 
-    def _result(self, est, iterations, sent):
-        ok = self.syndrome_is_zero(est)
-        errors = int((est != np.asarray(sent, dtype=np.uint8)).sum()) if sent is not None else None
-        return DecodeResult(word=est, iterations=iterations, syndrome_zero=ok, bit_errors=errors)
+    def _to_edges(self, per_check: np.ndarray) -> np.ndarray:
+        """(B, m, max check degree) check-side messages -> (B, n_edges) in edge order."""
+        return per_check.reshape(len(per_check), -1)[:, self.edge_slot]
+
+    def decode(self, y: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None) -> DecodeResult:
+        """Decode one word: the B = 1 case of ``decode_block``."""
+        words, iterations, ok = self.decode_block(np.asarray(y)[None], max_iter=max_iter)
+        word = words[0]
+        errors = int((word != np.asarray(sent, dtype=np.uint8)).sum()) if sent is not None else None
+        return DecodeResult(word=word, iterations=int(iterations[0]), syndrome_zero=bool(ok[0]), bit_errors=errors)
 
 
 class GallagerADecoder(_EdgeStructure):
@@ -88,34 +139,42 @@ class GallagerADecoder(_EdgeStructure):
     decoding stops as soon as the estimate has zero syndrome.
     """
 
-    def decode(self, y: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None) -> DecodeResult:
-        y = np.asarray(y, dtype=np.uint8)
-        if y.shape[0] != self.n:
-            raise ValueError(f"word length {y.shape[0]} does not match n={self.n}")
-        est = y.copy()
-        if self.syndrome_is_zero(est) or max_iter == 0:
-            return self._result(est, 0, sent)
-        b2c = y[self.cols_idx]
-        received_e = y[self.cols_idx]
+    def decode_block(self, y: np.ndarray, max_iter: int = 50):
+        """Decode a (B, n) block of hard-decision words.
+
+        Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
+        (B,) bool); row r equals ``decode(y[r], max_iter)``.
+        """
+        y = self._block(y, np.uint8)
+        state = _BlockState(self.dense, y)
+        keep = state.finish(y, 0)
+        if keep is not None:
+            y = y[keep]
+        if max_iter == 0 or not len(y):
+            return state.result(y, 0)
+        est = y
+        received_e = y[:, self.cols_idx]
+        b2c = received_e
         deg_other = self.bit_deg[self.cols_idx] - 1
+        quorum = self.bit_deg + 1
         for it in range(1, max_iter + 1):
-            padded = np.where(self.check_mask, b2c[self.check_slots], 0)
-            parity = np.bitwise_xor.reduce(padded, axis=1)
-            c2b_view = parity[:, None] ^ padded
-            c2b = np.zeros(self.n_edges, dtype=np.uint8)
-            c2b[self.check_slots[self.check_mask]] = c2b_view[self.check_mask]
-            incoming = np.where(self.bit_mask, c2b[self.bit_slots], 0)
-            ones_in = incoming.sum(axis=1, dtype=np.int64)
+            padded = np.where(self.check_mask, b2c[:, self.check_slots], 0)
+            parity = np.bitwise_xor.reduce(padded, axis=2)
+            c2b = self._to_edges(parity[:, :, None] ^ padded)
+            incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0)
+            ones_in = incoming.sum(axis=2, dtype=np.int64)
             votes = 2 * (ones_in + y)
-            quorum = self.bit_deg + 1
             est = np.where(votes > quorum, 1, np.where(votes < quorum, 0, y)).astype(np.uint8)
-            if self.syndrome_is_zero(est):
-                return self._result(est, it, sent)
-            ones_other = ones_in[self.cols_idx] - c2b
+            keep = state.finish(est, it)
+            if keep is not None:
+                y, est, received_e, ones_in, c2b = y[keep], est[keep], received_e[keep], ones_in[keep], c2b[keep]
+                if not len(y):
+                    break
+            ones_other = ones_in[:, self.cols_idx] - c2b
             flip = np.where(received_e == 0, ones_other == deg_other, ones_other == 0)
             msg = np.where(flip, 1 - received_e, received_e)
             b2c = np.where(deg_other == 0, received_e, msg).astype(np.uint8)
-        return self._result(est, max_iter, sent)
+        return state.result(est, max_iter)
 
 
 class SumProductDecoder(_EdgeStructure):
@@ -126,38 +185,46 @@ class SumProductDecoder(_EdgeStructure):
     to bit 0.  Early exit on zero syndrome.
     """
 
-    def decode(self, llr: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None) -> DecodeResult:
-        llr = np.asarray(llr, dtype=np.float64)
-        if llr.shape[0] != self.n:
-            raise ValueError(f"LLR length {llr.shape[0]} does not match n={self.n}")
+    def decode_block(self, llr: np.ndarray, max_iter: int = 50):
+        """Decode a (B, n) block of channel LLRs, which must be finite.
+
+        Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
+        (B,) bool); row r equals ``decode(llr[r], max_iter)``.
+        """
+        llr = self._block(llr, np.float64)
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
         est = (llr < 0).astype(np.uint8)
-        if self.syndrome_is_zero(est) or max_iter == 0:
-            return self._result(est, 0, sent)
-        b2c = llr[self.cols_idx]
+        state = _BlockState(self.dense, est)
+        keep = state.finish(est, 0)
+        if keep is not None:
+            llr, est = llr[keep], est[keep]
+        if max_iter == 0 or not len(llr):
+            return state.result(est, 0)
+        b2c = llr[:, self.cols_idx]
         dmax = self.check_slots.shape[1]
         for it in range(1, max_iter + 1):
             th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-            padded = np.where(self.check_mask, th[self.check_slots], 1.0)
+            padded = np.where(self.check_mask, th[:, self.check_slots], 1.0)
             c2b_view = np.empty_like(padded)
             for p in range(dmax):
-                extrinsic = np.ones(self.m, dtype=np.float64)
+                extrinsic = np.ones(padded.shape[:2], dtype=np.float64)
                 for q in range(dmax):
                     if q != p:
-                        extrinsic = extrinsic * padded[:, q]
-                c2b_view[:, p] = extrinsic
+                        extrinsic = extrinsic * padded[:, :, q]
+                c2b_view[:, :, p] = extrinsic
             c2b_view = 2.0 * np.arctanh(np.clip(c2b_view, -_ONE_MINUS, _ONE_MINUS))
-            c2b_view = np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP)
-            c2b = np.zeros(self.n_edges, dtype=np.float64)
-            c2b[self.check_slots[self.check_mask]] = c2b_view[self.check_mask]
-            incoming = np.where(self.bit_mask, c2b[self.bit_slots], 0.0)
-            total = llr + incoming.sum(axis=1)
+            c2b = self._to_edges(np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP))
+            incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0.0)
+            total = llr + incoming.sum(axis=2)
             est = (total < 0).astype(np.uint8)
-            if self.syndrome_is_zero(est):
-                return self._result(est, it, sent)
-            b2c = total[self.cols_idx] - c2b
-        return self._result(est, max_iter, sent)
+            keep = state.finish(est, it)
+            if keep is not None:
+                llr, est, total, c2b = llr[keep], est[keep], total[keep], c2b[keep]
+                if not len(llr):
+                    break
+            b2c = total[:, self.cols_idx] - c2b
+        return state.result(est, max_iter)
 
 
 def decode_gallager_a(

@@ -134,6 +134,24 @@ def test_simulate_writes_csv_and_meta(heawood_path, tmp_path):
     assert "rng_family" in meta
 
 
+def test_simulate_sidecar_outcomes_ignore_worker_count(heawood_path, tmp_path):
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main([
+            "simulate", heawood_path, "--channel", "bsc", "--param", "0.1,0.2",
+            "--decoder", "gallager-a", "--trials", "300", "--seed", "4",
+            "--max-iter", "1", "--workers", workers, "--out", str(out),
+        ]) == 0
+        meta = json.loads((tmp_path / f"w{workers}.csv.meta.json").read_text())
+        runs[workers] = (out.read_text(), meta["outcomes"])
+    assert runs["1"] == runs["2"]
+    outcomes = runs["1"][1]
+    assert [o["param"] for o in outcomes] == [0.1, 0.2]
+    assert all(set(o) == {"param", "detected", "undetected"} for o in outcomes)
+    assert all(o["detected"] > 0 and o["undetected"] > 0 for o in outcomes)
+
+
 def test_variance_rows(heawood_path, capsys):
     code = main([
         "variance", heawood_path, "--rho", "0.0,0.1", "--trials", "500",

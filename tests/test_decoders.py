@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csg_ldpc.channel import llr_from_bsc
 from csg_ldpc.codes import build_code, extend_parity_check
@@ -9,9 +11,13 @@ from csg_ldpc.decoders import (
     decode_gallager_a,
     decode_sum_product,
 )
+from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.graphs import parse_lcf
 
-from oracles import reference_gallager_a, reference_sum_product
+from oracles import _syndrome_zero, reference_gallager_a, reference_sum_product, support_lists
+
+# the rate-boosted Heawood code has degree-1 bits, unlike random_regular_ldpc
+EXTENDED_HEAWOOD = extend_parity_check(build_code(parse_lcf("[5,-5]^7")), 3).H
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,63 @@ def test_input_validation(heawood_code):
         decode_sum_product(heawood_code.H, np.full(7, np.inf))
     with pytest.raises(ValueError, match="length"):
         decode_sum_product(heawood_code.H, np.zeros(3))
+    ga = GallagerADecoder(heawood_code.H)
+    sp = SumProductDecoder(heawood_code.H)
+    for decoder in (ga, sp):
+        for bad in (np.zeros((2, 6)), np.zeros(7), np.zeros((1, 1, 7))):
+            with pytest.raises(ValueError, match="length"):
+                decoder.decode_block(bad)
+    block = np.zeros((3, 7))
+    block[2, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sp.decode_block(block)
+
+
+@st.composite
+def blocks(draw):
+    """A parity check, a (B, n) block of hard words and LLRs for it, and a budget."""
+    if draw(st.booleans()):
+        h = EXTENDED_HEAWOOD
+    else:
+        m = draw(st.integers(2, 8))
+        w_c = draw(st.integers(1, min(3, m)))
+        n = m * draw(st.integers(1, 3))
+        h = random_regular_ldpc(n, m, w_c=w_c, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = draw(st.integers(0, 6))
+    words = (rng.random((rows, h.ncols)) < draw(st.sampled_from([0.05, 0.15, 0.3]))).astype(np.uint8)
+    if draw(st.booleans()):
+        llr = llr_from_bsc(words, draw(st.sampled_from([0.0, 0.05, 0.2])))
+    else:
+        llr = np.round(rng.normal(1.0, 1.5, size=words.shape), 2)
+    return h, words, llr, draw(st.sampled_from([0, 1, 7]))
+
+
+@given(blocks())
+@settings(max_examples=80, deadline=None)
+def test_decode_block_matches_oracles_row_by_row(case):
+    h, words, llr, max_iter = case
+    check_bits, _ = support_lists(h)
+    for decoder, block, oracle in (
+        (GallagerADecoder(h), words, reference_gallager_a),
+        (SumProductDecoder(h), llr, reference_sum_product),
+    ):
+        out, iterations, syndrome_zero = decoder.decode_block(block, max_iter=max_iter)
+        assert out.shape == block.shape and out.dtype == np.uint8
+        assert iterations.shape == syndrome_zero.shape == (len(block),)
+        assert iterations.dtype == np.int64 and syndrome_zero.dtype == bool
+        for row, word, iters, ok in zip(block, out, iterations, syndrome_zero):
+            ref_word, ref_iters = oracle(h, row.tolist(), max_iter=max_iter)
+            assert word.tolist() == ref_word and iters == ref_iters
+            assert ok == _syndrome_zero(check_bits, ref_word)
+
+
+def test_empty_block_returns_empty_arrays(heawood_code):
+    for decoder in (GallagerADecoder(heawood_code.H), SumProductDecoder(heawood_code.H)):
+        words, iterations, syndrome_zero = decoder.decode_block(np.zeros((0, 7)))
+        assert words.shape == (0, 7) and words.dtype == np.uint8
+        assert iterations.shape == (0,) and iterations.dtype == np.int64
+        assert syndrome_zero.shape == (0,) and syndrome_zero.dtype == bool
 
 
 def test_gallager_matches_reference_implementation(heawood_code, nauru_code):

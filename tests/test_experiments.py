@@ -1,10 +1,20 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from csg_ldpc.channel import AwgnChannel, BscChannel, syndrome_mean_formula
+from csg_ldpc import experiments
+from csg_ldpc.channel import (
+    AwgnChannel,
+    BscChannel,
+    llr_from_awgn,
+    syndrome,
+    syndrome_mean_formula,
+    transmit,
+)
 from csg_ldpc.codes import build_code
+from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.experiments import (
     ExperimentConfig,
     random_regular_ldpc,
@@ -78,6 +88,56 @@ def test_decoder_off_reproduces_channel_errors(heawood_h):
         rng = trial_rng(5, t)
         expected_bits += int((rng.random(7) < 0.1).sum())
     assert result.bit_errors == expected_bits
+
+
+@pytest.mark.parametrize("channel,decoder", [
+    (BscChannel(0.12), "gallager-a"),
+    (AwgnChannel(0.7), "sum-product"),
+])
+def test_counts_match_per_word_decoding(heawood_h, channel, decoder):
+    # 150 trials span two full blocks and a partial one
+    cfg = ExperimentConfig(
+        h=heawood_h, channel=channel, decoder=decoder, trials=150, master_seed=21,
+        max_iterations=1,
+    )
+    result = run_experiment(cfg)
+    engine = GallagerADecoder(heawood_h) if decoder == "gallager-a" else SumProductDecoder(heawood_h)
+    zero = np.zeros(7, dtype=np.uint8)
+    bit_errors = word_errors = detected = undetected = 0
+    for t in range(cfg.trials):
+        received = transmit(zero, channel, trial_rng(21, t))
+        y = received if decoder == "gallager-a" else llr_from_awgn(received, channel.sigma)
+        out = engine.decode(y, max_iter=1, sent=zero)
+        bit_errors += out.bit_errors
+        word_errors += out.bit_errors > 0
+        detected += not out.syndrome_zero
+        undetected += out.syndrome_zero and out.bit_errors > 0
+    assert (result.bit_errors, result.word_errors) == (bit_errors, word_errors)
+    assert (result.detected, result.undetected) == (detected, undetected)
+    assert detected > 0 and undetected > 0
+
+
+def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
+    cfg = ExperimentConfig(
+        h=heawood_h, channel=BscChannel(0.1), decoder="sum-product",
+        trials=200, master_seed=6, max_iterations=0,
+    )
+    result = run_experiment(cfg)
+    zero = np.zeros(7, dtype=np.uint8)
+    weights = [syndrome(heawood_h, transmit(zero, cfg.channel, trial_rng(6, t)))[1] for t in range(200)]
+    assert result.detected == sum(w > 0 for w in weights)
+    assert result.syndrome_mean == sum(weights) / 200
+
+
+def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert experiments._pool_size(100_000, 10**9) == cpus
+    assert experiments._pool_size(1, 10**9) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert experiments._pool_size(100_000, 5) == 5
+    assert experiments._pool_size(100_000, 10**9) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._pool_size(100_000, 10**9) == 1
 
 
 def test_awgn_channel_runs(heawood_h):
