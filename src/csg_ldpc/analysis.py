@@ -117,16 +117,15 @@ def code_report(
 ) -> AnalysisReport:
     """Minimum distance and duality flags of ``code``, gathered into a report.
 
-    A dimension above ``k_ceiling`` leaves ``d`` as None and appends a
-    warning to ``warnings``, which becomes the report's list.
+    A dimension above ``k_ceiling`` (capped at MAX_DIMENSION_CEILING)
+    leaves ``d`` as None and appends a warning to ``warnings``, which
+    becomes the report's list.
     """
     try:
         d = minimum_distance(code, ceiling=k_ceiling)
-    except EnumerationLimitExceeded:
+    except EnumerationLimitExceeded as exc:
         d = None
-        warnings.append(
-            f"minimum distance not computed: k={code.k} exceeds ceiling {k_ceiling}"
-        )
+        warnings.append(f"minimum distance not computed: {exc}")
     return AnalysisReport(
         graph_id=graph_id,
         n=code.n,

@@ -6,6 +6,11 @@ or a block of words of shape (B, n): the decoders test their estimates
 with ``syndrome``, ``run_experiment`` draws each trial through
 ``transmit``, and ``syndrome_statistics`` pushes whole blocks through both.
 
+A syndrome bit is the XOR of the bits its check touches, so ``syndrome``
+gathers only those bits, through ``ParityChecks``, a table of each
+check's column indices built once per H: a check of a (3,3)-regular code
+reads 3 bits, whatever the length n.
+
 The closed-form syndrome moments use f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
 the probability that t independent flips have odd parity.  The variance
 formula assumes every pair of checks shares at most one bit (Tanner girth
@@ -15,6 +20,7 @@ at least 6) and constant check degree 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -25,6 +31,7 @@ __all__ = [
     "BscChannel",
     "AwgnChannel",
     "ChannelModel",
+    "ParityChecks",
     "transmit",
     "syndrome",
     "f_t",
@@ -77,22 +84,58 @@ def transmit(word: np.ndarray, channel: ChannelModel, rng: np.random.Generator) 
     return 1.0 - 2.0 * word + channel.sigma * rng.standard_normal(word.shape)
 
 
-def syndrome(h: BitMatrix | np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+class ParityChecks:
+    """The column indices of every check of a parity-check matrix H.
+
+    ``columns`` is a read-only (max check degree, m) index table: entry
+    (p, i) is the p-th column of check i.  A check of lower degree,
+    including a zero row, is padded with index n, which ``syndrome`` maps
+    to a row of zeros, so every row weight goes through the same gather.
+    Build one per H and pass it to ``syndrome`` wherever H would go.
+    """
+
+    def __init__(self, h: BitMatrix | np.ndarray):
+        dense = h.to_numpy() if isinstance(h, BitMatrix) else np.asarray(h)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-d parity check, got shape {dense.shape}")
+        m, self.ncols = dense.shape
+        rows, cols = np.nonzero(dense)
+        degree = np.bincount(rows, minlength=m)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+        columns = np.full((max(int(degree.max(initial=0)), 1), m), self.ncols, dtype=np.intp)
+        columns[slot, rows] = cols
+        columns.flags.writeable = False
+        self.columns = columns
+
+
+# syndrome() on a BitMatrix reuses the table of the last few matrices seen
+_checks_of = lru_cache(maxsize=8)(ParityChecks)
+
+
+def syndrome(h: BitMatrix | np.ndarray | ParityChecks, y: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """Syndrome bits y H^T and their weight, for one word or a block of words.
 
-    ``h`` is a BitMatrix or its dense uint8 array.  A word of shape (n,)
-    gives (m,) bits and an int weight; a block of shape (B, n) gives (B, m)
-    bits and int64 weights per row.  The uint8 product may wrap, but a
-    wrapped sum keeps its parity, so no wider copy of the block is made.
+    ``h`` is a BitMatrix, its dense uint8 array, or its ``ParityChecks``;
+    callers that test many blocks against one H should build the latter
+    once.  ``y`` holds bits (0 or 1).  A word of shape (n,) gives (m,)
+    bits and an int weight; a block of shape (B, n) gives (B, m) bits and
+    int64 weights per row.  Each syndrome bit is the XOR of the bits its
+    check touches, gathered from a transposed copy of the block with a
+    zero row appended for the padded slots; the transposed layout makes
+    every gather a copy of whole contiguous rows of B bytes.
     """
-    dense = h.to_numpy() if isinstance(h, BitMatrix) else h
+    if not isinstance(h, ParityChecks):
+        h = _checks_of(h) if isinstance(h, BitMatrix) else ParityChecks(h)
     y = np.asarray(y, dtype=np.uint8)
-    if y.shape[-1] != dense.shape[1]:
-        raise ValueError(f"word length {y.shape[-1]} does not match {dense.shape[1]} columns")
-    bits = (y @ dense.T) & 1
+    if y.ndim not in (1, 2) or y.shape[-1] != h.ncols:
+        raise ValueError(f"expected words of length {h.ncols}, got shape {y.shape}")
+    padded = np.zeros((h.ncols + 1,) + y.shape[:-1], dtype=np.uint8)
+    padded[:-1] = y.T
+    parity = np.bitwise_xor.reduce(padded.take(h.columns, axis=0), axis=0)
+    weights = parity.sum(axis=0, dtype=np.int64)
     if y.ndim == 1:
-        return bits, int(bits.sum())
-    return bits, bits.sum(axis=1, dtype=np.int64)
+        return parity, int(weights)
+    return parity.T, weights
 
 
 def f_t(t: int, rho: float) -> float:

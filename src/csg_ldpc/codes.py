@@ -25,6 +25,7 @@ from .graphs import (
 __all__ = [
     "LinearCode",
     "EnumerationLimitExceeded",
+    "MAX_DIMENSION_CEILING",
     "build_code",
     "code_from_parity_check",
     "minimum_distance",
@@ -37,6 +38,12 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CEILING = 28
+
+# Hard cap on any requested ceiling.  The walk costs ~170 ns per codeword
+# in CPython: k = 28 (90A extended by 28 bits) took 46 s on a 2-CPU
+# machine, and each further dimension doubles it (k = 30 ~3 min, k = 41
+# ~4 days), so a larger ceiling would only let a typo hang the caller.
+MAX_DIMENSION_CEILING = 28
 
 
 class EnumerationLimitExceeded(RuntimeError):
@@ -113,17 +120,17 @@ def minimum_distance(code: LinearCode, ceiling: int = DEFAULT_DIMENSION_CEILING)
 
     Step t flips the generator row indexed by the lowest set bit of t, so
     each codeword costs a single XOR.  Codes with k = 0 return n by
-    convention; k beyond ``ceiling`` raises EnumerationLimitExceeded.
+    convention; k beyond ``ceiling``, or beyond MAX_DIMENSION_CEILING
+    whatever the ceiling asked for, raises EnumerationLimitExceeded.
     """
     if code._distance is not None:
         return code._distance
     if code.k == 0:
         code._distance = code.n
         return code.n
+    ceiling = min(ceiling, MAX_DIMENSION_CEILING)
     if code.k > ceiling:
-        raise EnumerationLimitExceeded(
-            f"k={code.k} exceeds enumeration ceiling {ceiling}"
-        )
+        raise EnumerationLimitExceeded(f"k={code.k} exceeds ceiling {ceiling}")
     rows = code.G.rows
     acc = 0
     best = code.n + 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP, syndrome
+from .channel import LLR_CLAMP, ParityChecks, syndrome
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -69,15 +69,15 @@ class _BlockState:
     of rows that stay, with which the caller compacts its own state.
     """
 
-    def __init__(self, dense: np.ndarray, est: np.ndarray):
-        self.dense = dense
+    def __init__(self, checks: ParityChecks, est: np.ndarray):
+        self.checks = checks
         self.words = est.copy()
         self.iterations = np.zeros(len(est), dtype=np.int64)
         self.syndrome_zero = np.zeros(len(est), dtype=bool)
         self.active = np.arange(len(est))
 
     def finish(self, est: np.ndarray, iteration: int) -> np.ndarray | None:
-        done = syndrome(self.dense, est)[1] == 0
+        done = syndrome(self.checks, est)[1] == 0
         if not done.any():
             return None
         rows = self.active[done]
@@ -100,8 +100,9 @@ class _EdgeStructure:
         self.h = h
         self.m = h.nrows
         self.n = h.ncols
-        self.dense = h.to_numpy()
-        rows_idx, cols_idx = np.nonzero(self.dense)
+        dense = h.to_numpy()
+        self.checks = ParityChecks(dense)
+        rows_idx, cols_idx = np.nonzero(dense)
         self.rows_idx = rows_idx
         self.cols_idx = cols_idx
         self.n_edges = len(rows_idx)
@@ -146,7 +147,7 @@ class GallagerADecoder(_EdgeStructure):
         (B,) bool); row r equals ``decode(y[r], max_iter)``.
         """
         y = self._block(y, np.uint8)
-        state = _BlockState(self.dense, y)
+        state = _BlockState(self.checks, y)
         keep = state.finish(y, 0)
         if keep is not None:
             y = y[keep]
@@ -195,7 +196,7 @@ class SumProductDecoder(_EdgeStructure):
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
         est = (llr < 0).astype(np.uint8)
-        state = _BlockState(self.dense, est)
+        state = _BlockState(self.checks, est)
         keep = state.finish(est, 0)
         if keep is not None:
             llr, est = llr[keep], est[keep]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BscChannel, ChannelModel, llr_from_awgn, llr_from_bsc, syndrome, transmit
+from .channel import BscChannel, ChannelModel, ParityChecks, llr_from_awgn, llr_from_bsc, syndrome, transmit
 from .decoders import GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
@@ -48,6 +48,9 @@ RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 DECODER_NAMES = ("gallager-a", "sum-product")
 
 _BLOCK = 64
+
+# noise elements (rows x columns) drawn per block by syndrome_statistics
+_SAMPLE_ELEMENTS = 1 << 20
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -112,7 +115,6 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
     sum w^2, detected and undetected decoder failures."""
     gallager = cfg.decoder == "gallager-a"
     decoder = GallagerADecoder(cfg.h) if gallager else SumProductDecoder(cfg.h)
-    dense = cfg.h.to_numpy()
     zero_word = np.zeros(cfg.h.ncols, dtype=np.uint8)
     bsc = isinstance(cfg.channel, BscChannel)
     sums = np.zeros(6, dtype=np.int64)
@@ -122,7 +124,7 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
             for trial in range(lo, min(lo + _BLOCK, stop))
         ])
         hard = received if bsc else (received < 0).astype(np.uint8)
-        _, w = syndrome(dense, hard)
+        _, w = syndrome(decoder.checks, hard)
         if gallager:
             y = hard
         elif bsc:
@@ -207,10 +209,14 @@ def syndrome_statistics(
 ) -> SyndromeStats:
     """Sample syndrome weights of BSC noise in bulk and summarize them.
 
-    Noise comes from ``transmit`` on blocks of up to 200000 zero words,
-    drawn from one stream per (master_seed, stream_index) pair, and each
-    block's weights from one ``syndrome`` call, which keeps a million
-    trials in the second range.
+    Noise comes from ``transmit`` on blocks of zero words, drawn from one
+    stream per (master_seed, stream_index) pair, and each block's weights
+    from one ``syndrome`` call against a table of H's checks built once.
+    A block holds about ``_SAMPLE_ELEMENTS`` (2^20) noise draws, i.e.
+    2^20 // n words, which bounds the float64 uniforms of one draw to
+    8 MB whatever the trial count; larger blocks only raise peak memory.
+    ``transmit`` draws row-major, so the uniforms, and hence the weights,
+    are the same for every block size.
     The variance standard error comes from a multinomial bootstrap of the
     observed weight histogram.
     """
@@ -218,14 +224,15 @@ def syndrome_statistics(
     if trials < 2:
         raise ValueError("need at least two trials")
     m = h.nrows
-    dense = h.to_numpy()
+    checks = ParityChecks(h)
     rng = np.random.default_rng((master_seed, stream_index, 0))
     counts = np.zeros(m + 1, dtype=np.int64)
     remaining = trials
-    zero_block = np.zeros((min(200_000, trials), h.ncols), dtype=np.uint8)
+    rows = min(trials, max(1, _SAMPLE_ELEMENTS // max(1, h.ncols)))
+    zero_block = np.zeros((rows, h.ncols), dtype=np.uint8)
     while remaining:
         size = min(len(zero_block), remaining)
-        _, weights = syndrome(dense, transmit(zero_block[:size], noise, rng))
+        _, weights = syndrome(checks, transmit(zero_block[:size], noise, rng))
         counts += np.bincount(weights, minlength=m + 1)
         remaining -= size
     values = np.arange(m + 1, dtype=np.float64)

@@ -2,7 +2,8 @@
 
 Two loaders are provided: a plain edge list (``u v`` per line, ``#``
 comments, optional leading ``n=<count>``) and LCF notation for cubic
-Hamiltonian graphs.  Both reject anything that is not a simple graph.
+Hamiltonian graphs.  Both reject anything that is not a simple graph,
+and anything with more than ``MAX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "Bipartition",
     "GraphFormatError",
     "LcfError",
+    "MAX_VERTICES",
     "NotBipartiteError",
     "NotConnectedError",
     "NotCubicError",
@@ -33,6 +35,15 @@ __all__ = [
     "adjacency_matrix",
     "adjacency_array",
 ]
+
+
+# The loaders allocate per vertex, so a count such as n=3000000000 would
+# exhaust memory before any check on the graph could run.  The cap sits
+# far above the graphs studied here (the shipped catalog stops at 90
+# vertices, the paper's census below 200) and matches the largest census
+# of cubic symmetric graphs (Conder's, up to 10000 vertices); a loader
+# needs a few MB at the cap.
+MAX_VERTICES = 10_000
 
 
 class GraphFormatError(ValueError):
@@ -134,6 +145,8 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad vertex count {text!r}") from None
             if declared < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
+            if declared > MAX_VERTICES:
+                raise GraphFormatError(f"line {lineno}: vertex count {declared} exceeds {MAX_VERTICES}")
             continue
         first_content = False
         parts = text.split()
@@ -145,6 +158,8 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {text!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex index")
+        if max(u, v) >= MAX_VERTICES:
+            raise GraphFormatError(f"line {lineno}: vertex index {max(u, v)} beyond the cap of {MAX_VERTICES} vertices")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if declared is not None and (u >= declared or v >= declared):
@@ -181,6 +196,8 @@ def parse_lcf(text: str) -> Graph:
         raise LcfError("multiplier must be positive")
     k = len(offsets)
     n = k * mult
+    if n > MAX_VERTICES:
+        raise LcfError(f"{k}*{mult} = {n} vertices exceeds {MAX_VERTICES}")
     if n < 3:
         raise LcfError(f"only {n} vertices, the Hamiltonian cycle needs at least 3")
     edges = [(i, (i + 1) % n) for i in range(n)]

@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csg_ldpc.channel import (
     AwgnChannel,
     BscChannel,
     LLR_CLAMP,
+    ParityChecks,
     f_t,
     llr_from_awgn,
     llr_from_bsc,
@@ -160,14 +161,32 @@ def checks_and_blocks(draw):
     return h, block
 
 
-@given(checks_and_blocks())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def irregular_checks_and_blocks(draw):
+    """Any 0/1 parity check, zero rows, zero columns and empty shapes
+    included, and a (B, n) block of words for it."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entries = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    h = BitMatrix.from_dense(entries, ncols=n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    block = rng.integers(0, 2, size=(draw(st.integers(0, 5)), n), dtype=np.uint8)
+    return h, block
+
+
+_IRREGULAR = BitMatrix.from_dense([[1, 1, 1, 0], [0, 0, 0, 0], [0, 1, 0, 0]])  # weights 3, 0, 1; column 3 empty
+
+
+@given(st.one_of(checks_and_blocks(), irregular_checks_and_blocks()))
+@example((_IRREGULAR, np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 0]], dtype=np.uint8)))
+@example((_IRREGULAR, np.zeros((0, 4), dtype=np.uint8)))
+@settings(max_examples=150, deadline=None)
 def test_block_syndrome_matches_rows_and_oracle(case):
     h, block = case
     bits, weights = syndrome(h, block)
     assert bits.shape == (len(block), h.nrows) and weights.dtype == np.int64
-    dense_bits, dense_weights = syndrome(h.to_numpy(), block)
-    assert np.array_equal(bits, dense_bits) and np.array_equal(weights, dense_weights)
+    for other in (h.to_numpy(), ParityChecks(h)):
+        other_bits, other_weights = syndrome(other, block)
+        assert np.array_equal(bits, other_bits) and np.array_equal(weights, other_weights)
     check_bits, _ = support_lists(h)
     for y, row_bits, w in zip(block, bits, weights):
         expect = [sum(int(y[j]) for j in support) % 2 for support in check_bits]

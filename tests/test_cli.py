@@ -60,6 +60,29 @@ def test_analyze_ceiling_gives_exit_2(heawood_path, capsys):
     assert any("ceiling" in w for w in payload["warnings"])
 
 
+def test_analyze_oversized_vertex_index_exits_1(run_capped, tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("0 3000000000\n")
+    proc = run_capped(f"import sys\nfrom csg_ldpc.cli import main\nsys.exit(main(['analyze', {str(path)!r}]))\n")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "MemoryError" not in proc.stderr
+
+
+def test_extend_k_ceiling_is_capped(run_capped, data_dir):
+    # k = 30 here; without the cap --k-ceiling 60 starts a 2^30-step walk
+    proc = run_capped(
+        "import sys\nfrom csg_ldpc.cli import main\n"
+        f"sys.exit(main(['extend', {str(data_dir / '90A.lcf')!r}, '--bits', '30', '--k-ceiling', '60']))\n"
+    )
+    assert proc.returncode == 2
+    assert "k=30 exceeds ceiling 28" in proc.stdout
+
+
+def test_large_k_ceiling_still_reports_distance(heawood_path, capsys):
+    assert main(["analyze", heawood_path, "--format", "json", "--k-ceiling", "60"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 4
+
+
 def test_catalog_over_data_directory(data_dir, capsys):
     assert main(["catalog", str(data_dir)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

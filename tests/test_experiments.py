@@ -176,6 +176,15 @@ def test_syndrome_statistics_match_formula(heawood_h):
     assert stats.variance_stderr > 0
 
 
+@pytest.mark.parametrize("elements", [3, 35, 63])
+@pytest.mark.parametrize("trials", [2, 23, 50])
+def test_syndrome_statistics_ignore_block_size(heawood_h, monkeypatch, elements, trials):
+    # n = 7: blocks of 1, 5 and 9 words, against one block at the default size
+    whole = syndrome_statistics(heawood_h, 0.2, trials=trials, master_seed=9, stream_index=2)
+    monkeypatch.setattr(experiments, "_SAMPLE_ELEMENTS", elements)
+    assert syndrome_statistics(heawood_h, 0.2, trials=trials, master_seed=9, stream_index=2) == whole
+
+
 def test_syndrome_statistics_validation(heawood_h):
     with pytest.raises(ValueError):
         syndrome_statistics(heawood_h, 0.7, trials=100, master_seed=0)

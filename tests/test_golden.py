@@ -37,7 +37,8 @@ GOLDEN = [
         "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
         "awgn,0.7,sum-product,200,5,0.08166666666666667,0.65,2.43,4.246331658291457\n",
     ),
-    # girth 6; 200001 trials crosses the 200000-word batch boundary
+    # girth 6; recorded with blocks of 200000 words, while 200001 trials span
+    # three blocks of 2^20 // 12 words, so a block-size dependence shows here
     (
         "variance 24A.lcf --rho 0.05,0.2 --trials 200001 --seed 3",
         "rho,formula,empirical,stderr,flag\n"

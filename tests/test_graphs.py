@@ -13,6 +13,7 @@ from csg_ldpc.graphs import (
     Graph,
     GraphFormatError,
     LcfError,
+    MAX_VERTICES,
     NotBipartiteError,
     NotConnectedError,
     adjacency_array,
@@ -79,6 +80,36 @@ def test_load_edge_list_without_header_infers_count():
 def test_load_edge_list_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphFormatError, match=f"line {lineno}"):
         load_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "graphs.load_edge_list('n=3000000000')",
+        "graphs.load_edge_list('0 3000000000')",
+        "graphs.parse_lcf('[5]^3000000000')",
+    ],
+)
+def test_vertex_cap_rejects_before_allocating(run_capped, call):
+    proc = run_capped(
+        "from csg_ldpc import graphs\n"
+        f"try:\n    {call}\n"
+        "except (graphs.GraphFormatError, graphs.LcfError) as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.startswith("rejected:") and str(MAX_VERTICES) in proc.stdout
+
+
+def test_vertex_cap_boundary():
+    assert MAX_VERTICES >= 200
+    assert load_edge_list(f"n={MAX_VERTICES}\n0 {MAX_VERTICES - 1}\n").vertex_count == MAX_VERTICES
+    assert parse_lcf(f"[5,-5]^{MAX_VERTICES // 2}").vertex_count == MAX_VERTICES
+    for text in (f"n={MAX_VERTICES + 1}\n", f"0 {MAX_VERTICES}\n"):
+        with pytest.raises(GraphFormatError, match="line 1"):
+            load_edge_list(text)
+    with pytest.raises(LcfError, match=str(MAX_VERTICES)):
+        parse_lcf(f"[5,-5]^{MAX_VERTICES // 2 + 1}")
 
 
 def test_parse_lcf_heawood():
