@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bounds import BoundsReport, compute_bounds
@@ -37,18 +37,7 @@ class AnalysisReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "girth": self.girth,
-            "even": self.even,
-            "self_orthogonal": self.self_orthogonal,
-            "lcd": self.lcd,
-            "bounds": self.bounds.to_dict() if self.bounds is not None else None,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -90,7 +79,6 @@ def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = 28) -> AnalysisRepor
     """
     code = build_code(g)
     g_girth = girth(g)
-    assert g_girth is not None
     warnings: list[str] = []
     if g_girth < 6:
         warnings.append(

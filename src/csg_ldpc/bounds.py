@@ -1,21 +1,23 @@
 """Structural and spectral bounds for codes built from cubic bipartite graphs.
 
-Everything here is mechanical: the bit-adjacency graph and its clique
-number bound the minimum distance, a greedy independent set bounds the
-dimension, and the second adjacency eigenvalue feeds the two
-eigenvalue-based distance bounds plus a coarser piecewise one.
+Everything here is mechanical: the bit-adjacency graph, built from the
+bit pairs of each check, and its clique number bound the minimum distance,
+a greedy independent set bounds the dimension, and the second adjacency
+eigenvalue feeds the two eigenvalue-based distance bounds plus a coarser
+piecewise one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .codes import LinearCode, tanner_graph
-from .graphs import Graph, adjacency_array, girth
+from .codes import LinearCode
+from .graphs import Graph, adjacency_array
 
 __all__ = [
     "BitNodeGraph",
@@ -37,9 +39,10 @@ __all__ = [
 class BitNodeGraph:
     """Graph on codeword bits, adjacent when two columns of H share a row.
 
-    ``hypotheses_hold`` is False when the Tanner graph has girth 4; the
-    graph is still built, but two bits may then share more than one check
-    and the 6-regularity and Gram identity arguments break down.
+    ``hypotheses_hold`` is True exactly when no two bits share two checks,
+    i.e. when the Tanner graph has no 4-cycle (one without cycles passes).
+    Otherwise the graph is still built, but the 6-regularity and Gram
+    identity arguments break down.
     """
 
     graph: Graph
@@ -47,24 +50,32 @@ class BitNodeGraph:
 
 
 def bit_node_graph(code: LinearCode) -> BitNodeGraph:
-    cols = code.H.column_bits()
-    n = code.n
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if cols[u] & cols[v]
-    ]
-    g = Graph.from_edges(n, edges)
-    tg = girth(tanner_graph(code.H))
-    return BitNodeGraph(graph=g, hypotheses_hold=tg is not None and tg >= 6)
+    """Join every pair of bits that sits in a common check.
+
+    Each check contributes the pairs of its own bits, O(m w^2) for row
+    weight w; a pair met in a second check is a Tanner 4-cycle and clears
+    ``hypotheses_hold``.
+    """
+    pairs: set[tuple[int, int]] = set()
+    hypotheses_hold = True
+    for r in code.H.rows:
+        bits = []
+        while r:
+            bits.append((r & -r).bit_length() - 1)
+            r &= r - 1
+        for pair in combinations(bits, 2):
+            if pair in pairs:
+                hypotheses_hold = False
+            pairs.add(pair)
+    return BitNodeGraph(Graph.from_edges(code.n, pairs), hypotheses_hold)
 
 
 def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
     """Check H^T H = 3I + A(gamma) over the integers.
 
-    Holds exactly when no two columns of H share more than one row, i.e.
-    when the Tanner graph is 4-cycle free.
+    Holds exactly when every column of H has weight 3 and no two columns
+    share more than one row, i.e. when the Tanner graph is bit-regular of
+    degree 3 and 4-cycle free.
     """
     h = code.H.to_numpy().astype(np.int64)
     expected = 3 * np.eye(code.n, dtype=np.int64) + adjacency_array(
@@ -253,18 +264,7 @@ class BoundsReport:
     predicted_trivial: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda2": self.lambda2,
-            "mu2": self.mu2,
-            "d1": self.d1,
-            "d2": self.d2,
-            "tanner_bound": self.tanner_bound,
-            "piecewise_bound": self.piecewise_bound,
-            "dim_bound": self.dim_bound,
-            "clique_number": self.clique_number,
-            "independent_set_size": self.independent_set_size,
-            "predicted_trivial": self.predicted_trivial,
-        }
+        return asdict(self)
 
 
 def compute_bounds(g: Graph, code: LinearCode) -> BoundsReport:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .alist import export_alist
 from .analysis import analyze_graph, code_report, load_graph_file
-from .codes import build_code, extend_parity_check, tanner_graph
+from .codes import LinearCode, build_code, extend_parity_check, tanner_graph
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     RNG_FAMILY,
@@ -41,6 +41,13 @@ def _load(path: str):
         return load_graph_file(path)
     except FileNotFoundError:
         raise SystemExit(_fail(f"no such file: {path}"))
+    except ValueError as exc:
+        raise SystemExit(_fail(str(exc)))
+
+
+def _load_code(path: str) -> LinearCode:
+    try:
+        return build_code(_load(path))
     except ValueError as exc:
         raise SystemExit(_fail(str(exc)))
 
@@ -92,11 +99,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_export_alist(args: argparse.Namespace) -> int:
-    g = _load(args.path)
-    try:
-        code = build_code(g)
-    except ValueError as exc:
-        return _fail(str(exc))
+    code = _load_code(args.path)
     Path(args.out).write_text(export_alist(code.H))
     return 0
 
@@ -112,11 +115,7 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    g = _load(args.path)
-    try:
-        code = build_code(g)
-    except ValueError as exc:
-        return _fail(str(exc))
+    code = _load_code(args.path)
     params = _parse_float_list(args.param, "parameter")
     lines = [SIMULATE_HEADER]
     outcomes = []
@@ -161,14 +160,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
-    g = _load(args.path)
-    try:
-        code = build_code(g)
-    except ValueError as exc:
-        return _fail(str(exc))
+    code = _load_code(args.path)
     rhos = _parse_float_list(args.rho, "rho")
-    g_girth = girth(g)
-    flag = "girth<6" if g_girth is not None and g_girth < 6 else ""
+    tanner_girth = girth(tanner_graph(code.H))
+    flag = "girth<6" if tanner_girth is not None and tanner_girth < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):
         if not 0.0 <= rho <= 0.5:
@@ -185,9 +180,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    g = _load(args.path)
+    code = _load_code(args.path)
     try:
-        code = build_code(g)
         extended = extend_parity_check(code, args.bits)
     except ValueError as exc:
         return _fail(str(exc))

@@ -108,11 +108,7 @@ def build_code(g: Graph) -> LinearCode:
         for v in g.adjacency[u]:
             bits |= 1 << col_of[v]
         rows.append(bits)
-    h = BitMatrix(len(left), len(right), tuple(rows))
-    code = code_from_parity_check(h)
-    assert code.w_c == 3 and code.w_r == 3
-    assert code.k == code.n - h.rank()
-    return code
+    return code_from_parity_check(BitMatrix(len(left), len(right), tuple(rows)))
 
 
 def minimum_distance(code: LinearCode, ceiling: int = DEFAULT_DIMENSION_CEILING) -> int:

@@ -130,22 +130,8 @@ class BitMatrix:
         return BitMatrix(self.nrows, other.ncols, tuple(out))
 
     def rank(self) -> int:
-        """GF(2) rank by row elimination, first set bit in column scan pivots."""
-        work = list(self.rows)
-        rank = 0
-        for col in range(self.ncols):
-            mask = 1 << col
-            pivot = next((i for i in range(rank, len(work)) if work[i] & mask), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(pivot + 1, len(work)):
-                if work[i] & mask:
-                    work[i] ^= work[rank]
-            rank += 1
-            if rank == len(work):
-                break
-        return rank
+        """GF(2) rank: the number of pivots of the reduced row echelon form."""
+        return len(self.rref()[1])
 
     def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
         """Reduced row echelon form with zero rows dropped, plus pivot columns."""

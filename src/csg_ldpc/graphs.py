@@ -15,8 +15,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix
-
 __all__ = [
     "Graph",
     "Bipartition",
@@ -32,7 +30,6 @@ __all__ = [
     "bipartition",
     "is_connected",
     "is_cubic",
-    "adjacency_matrix",
     "adjacency_array",
 ]
 
@@ -190,8 +187,11 @@ def parse_lcf(text: str) -> Graph:
     m = _LCF_RE.match(text.strip())
     if m is None:
         raise LcfError(f"not valid LCF notation: {text!r}")
-    offsets = [int(tok) for tok in m.group(1).split(",")]
-    mult = int(m.group(2))
+    try:
+        offsets = [int(tok) for tok in m.group(1).split(",")]
+        mult = int(m.group(2))
+    except ValueError:  # past Python's limit on digits per int conversion
+        raise LcfError("offset or multiplier has too many digits") from None
     if mult < 1:
         raise LcfError("multiplier must be positive")
     k = len(offsets)
@@ -312,17 +312,6 @@ def bipartition(g: Graph) -> Bipartition:
     left = frozenset(v for v in range(g.vertex_count) if dist[v] % 2 == 0)
     right = frozenset(v for v in range(g.vertex_count) if dist[v] % 2 == 1)
     return Bipartition(left, right)
-
-
-def adjacency_matrix(g: Graph) -> BitMatrix:
-    """Symmetric 0/1 adjacency matrix as a BitMatrix."""
-    rows = []
-    for nbrs in g.adjacency:
-        bits = 0
-        for v in nbrs:
-            bits |= 1 << v
-        rows.append(bits)
-    return BitMatrix(g.vertex_count, g.vertex_count, tuple(rows))
 
 
 def adjacency_array(g: Graph) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from csg_ldpc.codes import tanner_graph
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph
 
@@ -104,6 +105,17 @@ def girth_by_edge_removal(g: Graph) -> int | None:
         if dist[v] >= 0 and (best is None or dist[v] + 1 < best):
             best = dist[v] + 1
     return best
+
+
+def bit_pairs_by_columns(h: BitMatrix) -> tuple[Graph, bool]:
+    """Bit-adjacency graph from every column pair that shares a row, plus
+    whether the Tanner graph has no cycle shorter than 6 (a Tanner forest
+    counts as having none)."""
+    cols = h.column_bits()
+    n = h.ncols
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if cols[u] & cols[v]]
+    tanner_girth = girth_by_edge_removal(tanner_graph(h))
+    return Graph.from_edges(n, pairs), tanner_girth is None or tanner_girth >= 6
 
 
 def codeword_weights(generator_rows: Sequence[int]) -> list[int]:

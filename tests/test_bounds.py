@@ -17,9 +17,12 @@ from csg_ldpc.bounds import (
     tanner_bounds,
     verify_gram_identity,
 )
-from csg_ldpc.codes import build_code
+from csg_ldpc.codes import build_code, code_from_parity_check
 from csg_ldpc.constructions import generalized_petersen
+from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph, adjacency_array, parse_lcf
+
+from oracles import bit_pairs_by_columns
 
 
 def complete_graph(n):
@@ -37,6 +40,33 @@ def test_k33_bit_graph_flags_short_cycles():
     code = build_code(parse_lcf("[3,-3]^3"))
     gamma = bit_node_graph(code)
     assert not gamma.hypotheses_hold  # Tanner girth is 4
+
+
+@st.composite
+def parity_checks(draw):
+    """Any 0/1 parity check with 0-6 rows and 0-8 columns."""
+    n = draw(st.integers(0, 8))
+    return BitMatrix.from_rows(draw(st.lists(st.integers(0, 2 ** n - 1), max_size=6)), n)
+
+
+@given(parity_checks())
+@settings(max_examples=300)
+def test_bit_node_graph_matches_column_pair_oracle(h):
+    gamma = bit_node_graph(code_from_parity_check(h))
+    assert (gamma.graph, gamma.hypotheses_hold) == bit_pairs_by_columns(h)
+
+
+def test_tanner_forest_satisfies_hypotheses():
+    # a Tanner graph without cycles has no pair of bits sharing two checks
+    triangle = code_from_parity_check(BitMatrix.from_rows([0b111], 3))  # one weight-3 check
+    gamma = bit_node_graph(triangle)
+    assert gamma.hypotheses_hold
+    assert gamma.graph.edge_count == 3
+    assert bit_pairs_by_columns(triangle.H) == (gamma.graph, True)
+    star = code_from_parity_check(BitMatrix.from_rows([1, 1, 1], 1))  # one bit in three checks
+    gamma = bit_node_graph(star)
+    assert gamma.hypotheses_hold
+    assert verify_gram_identity(star, gamma)  # H^T H = [3] = 3I + A(one vertex)
 
 
 def test_gram_identity(heawood_code):

@@ -234,3 +234,22 @@ def test_module_entry_point_runs(data_dir):
     )
     assert proc.returncode == 0
     assert "[7, 3, 4]" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["catalog", "data"], ["analyze", "data/6A.lcf"]], ids=["catalog", "analyze-girth-4"])
+def test_optimized_python_prints_the_same(argv):
+    # python -O strips asserts, so no check may live in one
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(csg_ldpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "csg_ldpc.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+
+    plain, optimized = run(), run("-O")
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and plain.stdout
+    assert optimized.stderr == plain.stderr
