@@ -15,6 +15,14 @@ sum-product over 90A (2-CPU machine), 32 rows ran 10-20% slower than
 ~6% over per-word decoding, past the 5% bound of the ``perfbench``
 simulate workloads; 64 rows stay within 1.2%.
 
+``trial_rng`` is the seeding contract, but building its generator takes
+~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
+all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
+fixed integer recurrences, so ``_trial_generators`` runs them for a
+whole block in numpy and sets each trial's PCG64 state on one reused
+generator.  The states, and so the draws, equal ``trial_rng``'s bit for
+bit, and ``transmit`` still makes every draw.
+
 ``run_experiment`` starts at most ``min(worker_count, trials,
 os.cpu_count())`` processes: results do not depend on the worker count,
 so extra processes would only cost forks.
@@ -25,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,9 +62,110 @@ _BLOCK = 64
 _SAMPLE_ELEMENTS = 1 << 20
 
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
+# PCG64 LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent generator for one trial; the split contract of the repo."""
+    """Independent generator for one trial; the split contract of the repo.
+
+    ``_run_range`` does not call it: ``_trial_generators`` derives the same
+    PCG64 states for a whole block, and the tests check them against it.
+    """
     return np.random.default_rng((master_seed, trial_index))
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence
+    splits it: 0 gives one zero word."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant each of ``count`` successive hashes XORs in, and the
+    one it multiplies by (the next constant of the sequence)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    sequence = np.array(consts, dtype=np.uint32)[:, None]
+    return sequence[:-1], sequence[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> 16)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
+    """``SeedSequence(e).generate_state(4, uint64)`` for each column e of a
+    (words, B) uint32 entropy array, as lists of 4 Python ints."""
+    words = len(entropy)
+    if words < _POOL_SIZE:
+        entropy = np.vstack([entropy, np.zeros((_POOL_SIZE - words, entropy.shape[1]), np.uint32)])
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, words - _POOL_SIZE))
+    pool = _hashmix(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    # each pool word, hashed once per other word, mixes into those words
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + len(dst)], mult[k:k + len(dst)]))
+        k += len(dst)
+    # entropy words past the pool mix into every pool word
+    for extra in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(extra, xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.vstack([pool, pool]), xor, mult).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+
+
+def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """Yield, for each trial i in [start, stop), one reused generator whose
+    state equals ``trial_rng(master_seed, i)``'s.
+
+    Each yielded state must be drawn from before the next is requested.
+    Entropy is the seed's words followed by the index's; a block stops at
+    each multiple of 2^32, so all its indices share every word but the
+    lowest and the entropy array stays rectangular.  PCG64 then seeds by
+    its setseq-128 recurrence on s = q0:q1 and inc = 2 (q2:q3) + 1.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    seed_words = _words(master_seed)
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + _BLOCK, ((lo >> 32) + 1) << 32)
+        low = lo & _MASK32
+        columns = [np.full(hi - lo, w, np.uint32) for w in seed_words]
+        columns.append(np.arange(low, low + hi - lo, dtype=np.uint32))
+        columns += [np.full(hi - lo, w, np.uint32) for w in _words(lo)[1:]]
+        for q0, q1, q2, q3 in _pcg64_seeds(np.vstack(columns)):
+            inc = ((q2 << 64 | q3) << 1 | 1) & _MASK128
+            state = ((inc + (q0 << 64 | q1)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -118,10 +228,11 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
     zero_word = np.zeros(cfg.h.ncols, dtype=np.uint8)
     bsc = isinstance(cfg.channel, BscChannel)
     sums = np.zeros(6, dtype=np.int64)
+    generators = _trial_generators(cfg.master_seed, start, stop)
     for lo in range(start, stop, _BLOCK):
         received = np.stack([
-            transmit(zero_word, cfg.channel, trial_rng(cfg.master_seed, trial))
-            for trial in range(lo, min(lo + _BLOCK, stop))
+            transmit(zero_word, cfg.channel, next(generators))
+            for _ in range(lo, min(lo + _BLOCK, stop))
         ])
         hard = received if bsc else (received < 0).astype(np.uint8)
         _, w = syndrome(decoder.checks, hard)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csg_ldpc.alist import AlistFormatError, export_alist, parse_alist
 from csg_ldpc.codes import build_code, extend_parity_check
+from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.graphs import parse_lcf
 
 K33_ALIST = (
@@ -84,3 +87,39 @@ def test_catalog_round_trips(catalog):
         h = build_code(g).H
         text = export_alist(h)
         assert parse_alist(text) == h, gid
+
+
+@st.composite
+def corrupted_alists(draw):
+    """A valid alist of a small random matrix with one line edited: a token
+    replaced, dropped or added, or the line removed."""
+    m = draw(st.integers(1, 5))
+    w_c = draw(st.integers(1, min(3, m)))
+    h = random_regular_ldpc(m * draw(st.integers(1, 3)), m, w_c=w_c, seed=draw(st.integers(0, 999)))
+    lines = [ln.split() for ln in export_alist(h).splitlines()]
+    i = draw(st.integers(0, len(lines) - 1))
+    token = draw(st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["9" * 5000, "x", "1.5"])))
+    edit = draw(st.sampled_from(["replace", "drop", "add", "remove"]))
+    if edit == "remove":
+        del lines[i]
+    elif edit == "add":
+        lines[i].append(token)
+    elif lines[i]:
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        if edit == "replace":
+            lines[i][j] = token
+        else:
+            del lines[i][j]
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+TOKEN_GRIDS = st.lists(st.lists(st.integers(-2, 9).map(str), max_size=5).map(" ".join), max_size=12).map("\n".join)
+
+
+@given(st.one_of(st.text(max_size=60), TOKEN_GRIDS, corrupted_alists()))
+@settings(max_examples=200, deadline=None)
+def test_parse_alist_raises_only_alist_format_error(text):
+    try:
+        parse_alist(text)
+    except AlistFormatError:
+        pass

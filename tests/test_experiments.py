@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csg_ldpc import experiments
 from csg_ldpc.channel import (
@@ -36,6 +38,29 @@ def test_trial_rng_is_reproducible_and_split():
     c = trial_rng(9, 5).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# seeds near 0, 2^32, 2^64 and 2^96 have 1 to 4 uint32 words, so with the
+# index's words the entropy runs from 2 words to past the 4-word pool
+SEEDS = st.builds(lambda base, offset: max(0, base + offset),
+                  st.sampled_from([0, 2**32, 2**64, 2**96]), st.integers(-40, 40))
+# starts near 2^32 give ranges that cross to two-word indices
+STARTS = st.one_of(st.integers(0, 300), st.integers(2**32 - 100, 2**32 + 5))
+
+
+@given(SEEDS, STARTS, st.integers(0, 100), st.integers(1, 9))
+@example(seed=7, start=0, width=0, n=4)
+@example(seed=2**96 + 1, start=2**32 - 3, width=6, n=4)
+@example(seed=2**64 + 9, start=2**32 - 50, width=100, n=1)
+@settings(max_examples=80, deadline=None)
+def test_block_generators_equal_trial_rng(seed, start, width, n):
+    stop = start + width
+    uniforms = [g.random(n) for g in experiments._trial_generators(seed, start, stop)]
+    normals = [g.standard_normal(n) for g in experiments._trial_generators(seed, start, stop)]
+    assert len(uniforms) == len(normals) == width
+    for trial, u, z in zip(range(start, stop), uniforms, normals):
+        assert np.array_equal(u, trial_rng(seed, trial).random(n))
+        assert np.array_equal(z, trial_rng(seed, trial).standard_normal(n))
 
 
 def test_config_validation(heawood_h):
@@ -199,6 +224,16 @@ def test_random_regular_ldpc_degrees():
     assert all(r.bit_count() == 6 for r in h.rows)
     assert h == random_regular_ldpc(20, 10, w_c=3, seed=6)
     assert h != random_regular_ldpc(20, 10, w_c=3, seed=7)
+
+
+@given(st.integers(2, 10), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_random_regular_ldpc_rank_nullity(m, w_c, ratio, seed):
+    h = random_regular_ldpc(m * ratio, m, w_c=min(w_c, m), seed=seed)
+    g = h.nullspace_basis()
+    assert g.nrows + h.rank() == h.ncols
+    assert g.rank() == g.nrows
+    assert g.multiply(h.transpose()).is_zero()
 
 
 def test_random_regular_ldpc_validation():

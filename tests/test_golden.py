@@ -3,7 +3,10 @@
 The expected text was produced by the command line before the channel
 noise and syndrome routines were merged into ``csg_ldpc.channel``; any
 change to the per-trial random stream, the batching of the variance
-path or the aggregation shows up here as a byte difference.
+path or the aggregation shows up here as a byte difference.  The two
+cases at seed 7700100000 were recorded while every trial still built its
+own ``default_rng((seed, i))``; they pin the block-derived generators on a
+seed of two uint32 words.
 """
 
 import pytest
@@ -37,6 +40,21 @@ GOLDEN = [
         "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
         "awgn,0.7,sum-product,200,5,0.08166666666666667,0.65,2.43,4.246331658291457\n",
     ),
+    # a seed of two uint32 words, recorded with one default_rng per trial
+    (
+        "simulate 24A.lcf --channel bsc --param 0.05,0.1 --decoder sum-product"
+        " --trials 200 --seed 7700100000 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "bsc,0.05,sum-product,200,7700100000,0.015,0.03,1.55,3.7763819095477387\n"
+        "bsc,0.1,sum-product,200,7700100000,0.07125,0.135,2.785,5.074145728643217\n",
+    ),
+    (
+        "simulate 24A.lcf --channel awgn --param 0.6,0.8 --decoder gallager-a"
+        " --trials 200 --seed 7700100000 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.6,gallager-a,200,7700100000,0.0025,0.01,1.645,3.2753517587939696\n"
+        "awgn,0.8,gallager-a,200,7700100000,0.03916666666666667,0.13,3.24,4.585326633165829\n",
+    ),
     # girth 6; recorded with blocks of 200000 words, while 200001 trials span
     # three blocks of 2^20 // 12 words, so a block-size dependence shows here
     (
@@ -48,9 +66,13 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command,expected", GOLDEN, ids=["bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0", "variance"]
-)
+IDS = [
+    "bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0",
+    "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "variance",
+]
+
+
+@pytest.mark.parametrize("command,expected", GOLDEN, ids=IDS)
 def test_csv_bytes_match_recorded_output(data_dir, capsys, command, expected):
     sub, graph, *rest = command.split()
     assert main([sub, str(data_dir / graph), *rest]) == 0

@@ -1,7 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csg_ldpc.constructions import (
@@ -139,6 +139,43 @@ def test_parse_lcf_whitespace_tolerant():
 def test_parse_lcf_rejects(text, message):
     with pytest.raises(LcfError, match=message):
         parse_lcf(text)
+
+
+LCF_LIKE = st.builds(
+    "[{}]^{}".format,
+    st.lists(st.integers(-20, 20), min_size=1, max_size=5).map(lambda offsets: ", ".join(map(str, offsets))),
+    st.integers(-1, 200),
+)
+
+
+@given(st.one_of(st.text(max_size=40), LCF_LIKE))
+@example("[5]^" + "9" * 5000)
+@example("[" + "9" * 5000 + "]^2")
+@example(f"[5,-5]^{MAX_VERTICES // 2 + 1}")
+@settings(max_examples=200, deadline=None)
+def test_parse_lcf_raises_only_lcf_error(text):
+    try:
+        g = parse_lcf(text)
+    except LcfError:
+        return
+    assert is_cubic(g)
+
+
+EDGE_LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds("{} {}".format, st.integers(-2, 12), st.integers(-2, 12)),
+    st.builds("n={}".format, st.one_of(st.integers(-2, 14), st.just("9" * 5000), st.just(str(MAX_VERTICES + 1)))),
+    st.just("# comment"),
+)
+
+
+@given(st.lists(EDGE_LINES, max_size=12).map("\n".join))
+@settings(max_examples=200, deadline=None)
+def test_load_edge_list_raises_only_graph_format_error(text):
+    try:
+        load_edge_list(text)
+    except GraphFormatError:
+        pass
 
 
 def test_girth_known_values():
