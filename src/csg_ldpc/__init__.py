@@ -30,7 +30,7 @@ from .codes import (
 from .bounds import BitNodeGraph, BoundsReport, bit_node_graph, compute_bounds
 from .channel import AwgnChannel, BscChannel, f_t, syndrome, syndrome_variance_formula
 from .decoders import DecodeResult, decode_gallager_a, decode_sum_product
-from .experiments import ExperimentConfig, run_experiment, random_regular_ldpc
+from .experiments import ExperimentConfig, run_experiment, run_experiments, random_regular_ldpc
 from .analysis import AnalysisReport, analyze_graph, load_graph_file
 
 __version__ = "0.1.0"
@@ -69,6 +69,7 @@ __all__ = [
     "parse_lcf",
     "random_regular_ldpc",
     "run_experiment",
+    "run_experiments",
     "syndrome",
     "syndrome_variance_formula",
     "tanner_graph",

@@ -19,6 +19,7 @@ at least 6) and constant check degree 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -58,13 +59,14 @@ class BscChannel:
 
 @dataclass(frozen=True)
 class AwgnChannel:
-    """BPSK over AWGN with noise standard deviation sigma > 0 (0 -> +1, 1 -> -1)."""
+    """BPSK over AWGN with finite noise standard deviation sigma > 0 (0 -> +1, 1 -> -1)."""
 
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        # an infinite sigma turns every received value into +-inf or nan
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma {self.sigma} must be finite and positive")
 
 
 ChannelModel = Union[BscChannel, AwgnChannel]

@@ -20,7 +20,7 @@ from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     RNG_FAMILY,
     ExperimentConfig,
-    run_experiment,
+    run_experiments,
     syndrome_statistics,
 )
 from .graphs import girth
@@ -117,23 +117,25 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     params = _parse_float_list(args.param, "parameter")
-    lines = [SIMULATE_HEADER]
-    outcomes = []
-    for value in params:
-        try:
-            channel = BscChannel(value) if args.channel == "bsc" else AwgnChannel(value)
-            cfg = ExperimentConfig(
+    # every point is checked before any is decoded, and all share one pool
+    try:
+        cfgs = [
+            ExperimentConfig(
                 h=code.H,
-                channel=channel,
+                channel=BscChannel(value) if args.channel == "bsc" else AwgnChannel(value),
                 decoder=args.decoder,
                 trials=args.trials,
                 master_seed=args.seed,
                 max_iterations=args.max_iter,
                 worker_count=args.workers,
             )
-        except ValueError as exc:
-            return _fail(str(exc))
-        result = run_experiment(cfg)
+            for value in params
+        ]
+    except ValueError as exc:
+        return _fail(str(exc))
+    lines = [SIMULATE_HEADER]
+    outcomes = []
+    for value, result in zip(params, run_experiments(cfgs)):
         outcomes.append({"param": value, "detected": result.detected, "undetected": result.undetected})
         lines.append(
             f"{args.channel},{value!r},{args.decoder},{result.trials},{args.seed},"
@@ -162,12 +164,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_variance(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     rhos = _parse_float_list(args.rho, "rho")
+    # every input is checked before the first point is sampled
+    for rho in rhos:
+        if not 0.0 <= rho <= 0.5:
+            return _fail(f"rho {rho} outside [0, 1/2]")
+    if args.trials < 2:
+        return _fail("need at least two trials")
+    if args.seed < 0:
+        return _fail("seed must be non-negative")
     tanner_girth = girth(tanner_graph(code.H))
     flag = "girth<6" if tanner_girth is not None and tanner_girth < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):
-        if not 0.0 <= rho <= 0.5:
-            return _fail(f"rho {rho} outside [0, 1/2]")
         formula = syndrome_variance_formula(code.n, rho)
         stats = syndrome_statistics(
             code.H, rho, trials=args.trials, master_seed=args.seed, stream_index=index

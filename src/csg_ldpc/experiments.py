@@ -23,9 +23,13 @@ whole block in numpy and sets each trial's PCG64 state on one reused
 generator.  The states, and so the draws, equal ``trial_rng``'s bit for
 bit, and ``transmit`` still makes every draw.
 
-``run_experiment`` starts at most ``min(worker_count, trials,
-os.cpu_count())`` processes: results do not depend on the worker count,
-so extra processes would only cost forks.
+``run_experiments`` runs a whole sweep through one process pool: each
+config splits into at most ``min(worker_count, trials, os.cpu_count())``
+trial spans, and every (config, span) task goes to one pool of the
+largest such size, so a ``simulate`` call starts and joins its processes
+once, not once per channel parameter.  Results do not depend on the
+worker count, so extra processes would only cost forks; with one worker
+the tasks run in-process.  ``run_experiment`` is the one-config case.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "SyndromeStats",
     "trial_rng",
     "run_experiment",
+    "run_experiments",
     "syndrome_statistics",
     "random_regular_ldpc",
 ]
@@ -272,16 +277,8 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return spans
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all trials (optionally across processes) and aggregate exactly."""
-    workers = _pool_size(cfg.worker_count, cfg.trials)
-    spans = _chunks(cfg.trials, workers)
-    if workers == 1:
-        partials = [_run_range(cfg, a, b) for a, b in spans]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, cfg, a, b) for a, b in spans]
-            partials = [f.result() for f in futures]
+def _aggregate(cfg: ExperimentConfig, partials: list[tuple[int, ...]]) -> ExperimentResult:
+    """Sum one config's integer partials and derive its rates."""
     bit_errors, word_errors, syn_sum, syn_sq, detected, undetected = (sum(col) for col in zip(*partials))
     t = cfg.trials
     mean = syn_sum / t
@@ -297,6 +294,35 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         detected=detected,
         undetected=undetected,
     )
+
+
+def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
+    """Run every config's trials through one process pool and aggregate
+    each config exactly.
+
+    Each config splits into ``_pool_size(worker_count, trials)`` spans; all
+    (config, span) tasks go to one pool of the largest such size, so a
+    sweep starts its processes once.  When that size is 1 the tasks run
+    in this process and no pool starts.
+    """
+    sizes = [_pool_size(cfg.worker_count, cfg.trials) for cfg in cfgs]
+    spans = [_chunks(cfg.trials, size) for cfg, size in zip(cfgs, sizes)]
+    tasks = [(cfg, a, b) for cfg, cfg_spans in zip(cfgs, spans) for a, b in cfg_spans]
+    workers = max(sizes, default=1)
+    if workers == 1:
+        partials = [_run_range(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_range, *task) for task in tasks]
+            partials = [f.result() for f in futures]
+    done = iter(partials)
+    return [_aggregate(cfg, [next(done) for _ in cfg_spans]) for cfg, cfg_spans in zip(cfgs, spans)]
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run all trials of one config (optionally across processes) and
+    aggregate exactly: ``run_experiments([cfg])[0]``."""
+    return run_experiments([cfg])[0]
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,9 @@ def test_channel_validation():
         BscChannel(-0.1)
     with pytest.raises(ValueError):
         BscChannel(0.6)
-    with pytest.raises(ValueError):
-        AwgnChannel(0.0)
+    for sigma in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AwgnChannel(sigma)
     BscChannel(0.0)
     BscChannel(0.5)
 

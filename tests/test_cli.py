@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import csg_ldpc
+from csg_ldpc import cli
 from csg_ldpc.alist import parse_alist
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
 
@@ -138,6 +139,96 @@ def test_simulate_bad_param(heawood_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("work started before every input was checked")
+
+
+def test_simulate_checks_every_param_before_decoding(heawood_path, monkeypatch, capsys):
+    # 0.05 is valid; 0.7 is not, and must stop the run before 0.05 is decoded
+    monkeypatch.setattr(cli, "run_experiments", _refuse)
+    code = main([
+        "simulate", heawood_path, "--channel", "bsc", "--param", "0.05,0.7",
+        "--decoder", "gallager-a", "--trials", "5", "--seed", "1", "--workers", "2",
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho", "0.1,0.7", "--trials", "50", "--seed", "1"],
+    ["--rho", "0.1", "--trials", "1", "--seed", "1"],
+    ["--rho", "0.1", "--trials", "50", "--seed", "-1"],
+], ids=["second-rho", "one-trial", "negative-seed"])
+def test_variance_checks_every_input_before_sampling(heawood_path, monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "syndrome_statistics", _refuse)
+    assert main(["variance", heawood_path, *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _options(defaults, flags):
+    return [item for name, value in {**defaults, **flags}.items() for item in (f"--{name.replace('_', '-')}", value)]
+
+
+def simulate_argv(path="{g}", **flags):
+    defaults = {"channel": "bsc", "param": "0.1", "decoder": "gallager-a", "trials": "5", "seed": "1"}
+    return ["simulate", path, *_options(defaults, flags)]
+
+
+def variance_argv(path="{g}", **flags):
+    return ["variance", path, *_options({"rho": "0.1", "trials": "50", "seed": "1"}, flags)]
+
+
+AWGN_INF = dict(channel="awgn", param="inf", decoder="sum-product")
+
+# (id, argv); "{g}" is a valid graph file, "{bad}" a triangle, "{missing}"
+# a path that does not exist.  Every case must be a declared error.
+BAD_INPUTS = [
+    ("analyze-missing-file", ["analyze", "{missing}"]),
+    ("analyze-bad-graph", ["analyze", "{bad}"]),
+    ("analyze-bad-format", ["analyze", "{g}", "--format", "xml"]),
+    ("analyze-k-ceiling-text", ["analyze", "{g}", "--k-ceiling", "many"]),
+    ("catalog-not-a-directory", ["catalog", "{missing}"]),
+    ("export-alist-missing-file", ["export-alist", "{missing}", "{out}"]),
+    ("export-alist-bad-graph", ["export-alist", "{bad}", "{out}"]),
+    ("simulate-missing-file", simulate_argv("{missing}")),
+    ("simulate-workers-0", simulate_argv(workers="0")),
+    ("simulate-trials-0", simulate_argv(trials="0")),
+    ("simulate-max-iter-negative", simulate_argv(max_iter="-1")),
+    ("simulate-seed-negative", simulate_argv(seed="-1")),
+    ("simulate-empty-param", simulate_argv(param="")),
+    ("simulate-param-text", simulate_argv(param="0.1,abc")),
+    ("simulate-bsc-param-nan", simulate_argv(param="nan")),
+    ("simulate-bsc-second-param", simulate_argv(param="0.05,0.7")),
+    ("simulate-awgn-inf", simulate_argv(**AWGN_INF)),
+    ("simulate-awgn-inf-w2", simulate_argv(**AWGN_INF, workers="2")),
+    ("simulate-awgn-zero", simulate_argv(**{**AWGN_INF, "param": "0"})),
+    ("simulate-unknown-decoder", simulate_argv(decoder="turbo")),
+    ("variance-missing-file", variance_argv("{missing}")),
+    ("variance-rho-out-of-range", variance_argv(rho="0.7")),
+    ("variance-empty-rho", variance_argv(rho="")),
+    ("variance-one-trial", variance_argv(trials="1")),
+    ("variance-seed-negative", variance_argv(seed="-1")),
+    ("extend-missing-file", ["extend", "{missing}", "--bits", "2"]),
+    ("extend-bits-negative", ["extend", "{g}", "--bits", "-1"]),
+    ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in BAD_INPUTS], ids=[name for name, _ in BAD_INPUTS])
+def test_bad_input_is_a_declared_error(heawood_path, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("0 1\n1 2\n2 0\n")
+    paths = {"g": heawood_path, "missing": str(tmp_path / "none.lcf"), "bad": str(bad), "out": str(tmp_path / "h.alist")}
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    assert err.startswith("error:" if code == 1 else "usage:")
 
 
 def test_simulate_writes_csv_and_meta(heawood_path, tmp_path):

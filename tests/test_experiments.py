@@ -15,12 +15,14 @@ from csg_ldpc.channel import (
     syndrome_mean_formula,
     transmit,
 )
+from csg_ldpc.cli import main
 from csg_ldpc.codes import build_code
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.experiments import (
     ExperimentConfig,
     random_regular_ldpc,
     run_experiment,
+    run_experiments,
     syndrome_statistics,
     trial_rng,
 )
@@ -99,6 +101,45 @@ def test_worker_count_does_not_change_results(heawood_h):
     single = run_experiment(base)
     multi = run_experiment(dataclasses.replace(base, worker_count=3))
     assert single == multi  # exact, including the float fields
+
+
+def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
+    # cap at 3 CPUs so the 3-worker config keeps three spans on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfgs = [
+        ExperimentConfig(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
+                         trials=1, master_seed=3, worker_count=2),
+        ExperimentConfig(h=heawood_h, channel=AwgnChannel(0.7), decoder="sum-product",
+                         trials=301, master_seed=3, worker_count=2, max_iterations=3),
+        ExperimentConfig(h=heawood_h, channel=BscChannel(0.12), decoder="sum-product",
+                         trials=97, master_seed=8, worker_count=3),
+        ExperimentConfig(h=heawood_h, channel=AwgnChannel(0.9), decoder="gallager-a",
+                         trials=130, master_seed=2**40, worker_count=1, max_iterations=0),
+    ]
+    expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
+    assert run_experiments(cfgs) == expected
+    assert run_experiments([]) == []
+
+
+class CountingPool(experiments.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("workers,pools", [("2", 1), ("1", 0)])
+def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers, pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "started", 0)
+    assert main([
+        "simulate", str(data_dir / "24A.lcf"), "--channel", "bsc", "--param", "0.02,0.05,0.1",
+        "--decoder", "gallager-a", "--trials", "50", "--seed", "4", "--workers", workers,
+    ]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert CountingPool.started == pools
 
 
 def test_decoder_off_reproduces_channel_errors(heawood_h):

@@ -55,6 +55,16 @@ GOLDEN = [
         "awgn,0.6,gallager-a,200,7700100000,0.0025,0.01,1.645,3.2753517587939696\n"
         "awgn,0.8,gallager-a,200,7700100000,0.03916666666666667,0.13,3.24,4.585326633165829\n",
     ),
+    # three points over two workers with an odd trial count, so the pooled
+    # (param, span) tasks have unequal spans; recorded with one pool per point
+    (
+        "simulate 48A.edges --channel awgn --param 0.7,0.8,0.9 --decoder gallager-a"
+        " --trials 301 --seed 13 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.7,gallager-a,301,13,0.008859357696566999,0.029900332225913623,5.009966777408638,9.523233665559246\n"
+        "awgn,0.8,gallager-a,301,13,0.020071982281284605,0.0664451827242525,6.451827242524917,10.121838316722036\n"
+        "awgn,0.9,gallager-a,301,13,0.03889811738648948,0.132890365448505,7.6544850498338874,10.586888150609084\n",
+    ),
     # girth 6; recorded with blocks of 200000 words, while 200001 trials span
     # three blocks of 2^20 // 12 words, so a block-size dependence shows here
     (
@@ -68,7 +78,7 @@ GOLDEN = [
 
 IDS = [
     "bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0",
-    "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "variance",
+    "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "awgn-ga-w2-three-points", "variance",
 ]
 
 
