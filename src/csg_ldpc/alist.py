@@ -18,19 +18,11 @@ class AlistFormatError(ValueError):
     pass
 
 
-def _indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return out
-
-
 def export_alist(h: BitMatrix) -> str:
     n = h.ncols
     m = h.nrows
-    col_supports = [_indices(c) for c in h.column_bits()]
-    row_supports = [_indices(r) for r in h.rows]
+    col_supports = h.transpose().supports()
+    row_supports = h.supports()
     max_col = max((len(s) for s in col_supports), default=0)
     max_row = max((len(s) for s in row_supports), default=0)
     lines = [

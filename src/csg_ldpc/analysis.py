@@ -8,6 +8,7 @@ from pathlib import Path
 
 from .bounds import BoundsReport, compute_bounds
 from .codes import (
+    MAX_DIMENSION_CEILING,
     EnumerationLimitExceeded,
     LinearCode,
     build_code,
@@ -71,7 +72,7 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = 28) -> AnalysisReport:
+def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = MAX_DIMENSION_CEILING) -> AnalysisReport:
     """Validate the graph, build its code, and gather parameters and bounds.
 
     Raises the graph validation errors unchanged; a dimension above the

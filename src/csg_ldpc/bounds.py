@@ -58,11 +58,7 @@ def bit_node_graph(code: LinearCode) -> BitNodeGraph:
     """
     pairs: set[tuple[int, int]] = set()
     hypotheses_hold = True
-    for r in code.H.rows:
-        bits = []
-        while r:
-            bits.append((r & -r).bit_length() - 1)
-            r &= r - 1
+    for bits in code.H.supports():
         for pair in combinations(bits, 2):
             if pair in pairs:
                 hypotheses_hold = False
@@ -170,11 +166,11 @@ def dimension_bound_check(code: LinearCode, s: Sequence[int]) -> bool:
     return code.k <= code.n - len(s) and code.k <= (5 * code.n) // 6
 
 
-def spectrum(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
+def spectrum(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending.
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below ``tol``;
-    a symmetric input that fails to converge within ``max_sweeps`` raises
+    Sweeps stop once the off-diagonal Frobenius norm drops below 1e-10;
+    a symmetric input that fails to converge within 100 sweeps raises
     RuntimeError (unconditional convergence makes that unreachable in
     practice).
     """
@@ -189,12 +185,12 @@ def spectrum(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.nda
         return np.sort(np.diag(a))[::-1]
     skip = 1e-14 * max(1.0, float(np.abs(a).max()))
     off_diag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(100):
         # sum the off-diagonal squares directly; subtracting the diagonal
         # from the full Frobenius norm cancels catastrophically once the
-        # matrix is nearly diagonal and can leave off stuck above tol
+        # matrix is nearly diagonal and can leave off stuck above 1e-10
         off = math.sqrt(float((a[off_diag] ** 2).sum()))
-        if off < tol:
+        if off < 1e-10:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -6,10 +6,10 @@ or a block of words of shape (B, n): the decoders test their estimates
 with ``syndrome``, ``run_experiment`` draws each trial through
 ``transmit``, and ``syndrome_statistics`` pushes whole blocks through both.
 
-A syndrome bit is the XOR of the bits its check touches, so ``syndrome``
-gathers only those bits, through ``ParityChecks``, a table of each
-check's column indices built once per H: a check of a (3,3)-regular code
-reads 3 bits, whatever the length n.
+``ParityChecks``, each check's column indices built once per H, is the
+one incidence table of H: ``syndrome`` gathers through it only the bits a
+check touches (3 in a (3,3)-regular code, whatever n), and the decoders
+lay their messages out in its check slots.
 
 The closed-form syndrome moments use f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
 the probability that t independent flips have odd parity.  The variance
@@ -59,14 +59,14 @@ class BscChannel:
 
 @dataclass(frozen=True)
 class AwgnChannel:
-    """BPSK over AWGN with finite noise standard deviation sigma > 0 (0 -> +1, 1 -> -1)."""
+    """BPSK over AWGN, noise standard deviation 0 < sigma < ~1.34e154 (0 -> +1, 1 -> -1)."""
 
     sigma: float
 
     def __post_init__(self) -> None:
-        # an infinite sigma turns every received value into +-inf or nan
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma {self.sigma} must be finite and positive")
+        # an infinite sigma or sigma^2 makes received values inf and LLRs 0 or nan
+        if not (0.0 < self.sigma < math.inf and self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma {self.sigma} must be finite and positive, with a finite square")
 
 
 ChannelModel = Union[BscChannel, AwgnChannel]
@@ -86,14 +86,28 @@ def transmit(word: np.ndarray, channel: ChannelModel, rng: np.random.Generator) 
     return 1.0 - 2.0 * word + channel.sigma * rng.standard_normal(word.shape)
 
 
+def padded_groups(groups: np.ndarray, items: np.ndarray, ngroups: int, fill: int) -> np.ndarray:
+    """Row g lists, in their given order, the ``items`` whose group is g,
+    padded with ``fill`` to the largest group's size; at least one column
+    is kept, so empty groups and an empty H index like any other."""
+    order = np.argsort(groups, kind="stable")
+    groups, items = groups[order], items[order]
+    size = np.bincount(groups, minlength=ngroups)
+    slot = np.arange(len(groups)) - np.repeat(np.cumsum(size) - size, size)
+    table = np.full((ngroups, max(int(size.max(initial=0)), 1)), fill, dtype=np.intp)
+    table[groups, slot] = items
+    return table
+
+
 class ParityChecks:
     """The column indices of every check of a parity-check matrix H.
 
     ``columns`` is a read-only (max check degree, m) index table: entry
-    (p, i) is the p-th column of check i.  A check of lower degree,
-    including a zero row, is padded with index n, which ``syndrome`` maps
-    to a row of zeros, so every row weight goes through the same gather.
-    Build one per H and pass it to ``syndrome`` wherever H would go.
+    (p, i) is the p-th column of check i, in ascending column order.  A
+    check of lower degree, including a zero row, is padded with index n,
+    which ``syndrome`` maps to a row of zeros, so every row weight goes
+    through the same gather.  Build one per H and pass it to ``syndrome``
+    wherever H would go.
     """
 
     def __init__(self, h: BitMatrix | np.ndarray):
@@ -102,10 +116,7 @@ class ParityChecks:
             raise ValueError(f"expected a 2-d parity check, got shape {dense.shape}")
         m, self.ncols = dense.shape
         rows, cols = np.nonzero(dense)
-        degree = np.bincount(rows, minlength=m)
-        slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
-        columns = np.full((max(int(degree.max(initial=0)), 1), m), self.ncols, dtype=np.intp)
-        columns[slot, rows] = cols
+        columns = np.ascontiguousarray(padded_groups(rows, cols, m, fill=self.ncols).T)
         columns.flags.writeable = False
         self.columns = columns
 
@@ -163,10 +174,10 @@ def syndrome_variance_formula(n: int, rho: float) -> float:
     return n / 2.0 * (7.0 * f_t(6, rho) - 6.0 * f_t(4, rho))
 
 
-def llr_from_bsc(bits: np.ndarray, rho: float, clamp: float = LLR_CLAMP) -> np.ndarray:
+def llr_from_bsc(bits: np.ndarray, rho: float) -> np.ndarray:
     """Channel log-likelihood ratios (1 - 2b) ln((1-rho)/rho), clamped.
 
-    rho = 0 would give infinite LLRs; the clamp keeps them at +-``clamp``
+    rho = 0 would give infinite LLRs; the clamp keeps them at +-``LLR_CLAMP``
     so downstream decoders always see finite input.
     """
     if not 0.0 <= rho <= 0.5:
@@ -174,12 +185,12 @@ def llr_from_bsc(bits: np.ndarray, rho: float, clamp: float = LLR_CLAMP) -> np.n
     bits = np.asarray(bits, dtype=np.float64)
     with np.errstate(divide="ignore"):
         magnitude = np.log((1.0 - rho) / rho) if rho > 0 else np.inf
-    return np.clip((1.0 - 2.0 * bits) * magnitude, -clamp, clamp)
+    return np.clip((1.0 - 2.0 * bits) * magnitude, -LLR_CLAMP, LLR_CLAMP)
 
 
-def llr_from_awgn(received: np.ndarray, sigma: float, clamp: float = LLR_CLAMP) -> np.ndarray:
-    """Channel LLRs 2 r / sigma^2 for BPSK over AWGN, clamped."""
+def llr_from_awgn(received: np.ndarray, sigma: float) -> np.ndarray:
+    """Channel LLRs 2 r / sigma^2 for BPSK over AWGN, clamped to +-``LLR_CLAMP``."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     received = np.asarray(received, dtype=np.float64)
-    return np.clip(2.0 * received / (sigma * sigma), -clamp, clamp)
+    return np.clip(2.0 * received / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .alist import export_alist
 from .analysis import analyze_graph, code_report, load_graph_file
-from .codes import LinearCode, build_code, extend_parity_check, tanner_graph
+from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     RNG_FAMILY,
@@ -23,7 +23,7 @@ from .experiments import (
     run_experiments,
     syndrome_statistics,
 )
-from .graphs import girth
+from .graphs import Graph, girth
 
 __all__ = ["main", "entry"]
 
@@ -45,11 +45,19 @@ def _load(path: str):
         raise SystemExit(_fail(str(exc)))
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_code(path: str) -> tuple[Graph, LinearCode]:
+    """The graph in ``path`` and its code; the graph is the code's Tanner graph."""
+    g = _load(path)
     try:
-        return build_code(_load(path))
+        return g, build_code(g)
     except ValueError as exc:
         raise SystemExit(_fail(str(exc)))
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an output path in a missing directory before any work starts."""
+    if out and not Path(out).parent.is_dir():
+        raise SystemExit(_fail(f"no such directory: {Path(out).parent}"))
 
 
 def _fail(message: str) -> int:
@@ -73,6 +81,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}")
+    _check_out(args.out)
     files = sorted(
         [p for p in directory.iterdir() if p.suffix in (".edges", ".lcf")],
         key=lambda p: p.stem,
@@ -99,7 +108,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_export_alist(args: argparse.Namespace) -> int:
-    code = _load_code(args.path)
+    _check_out(args.out)
+    _, code = _load_code(args.path)
     Path(args.out).write_text(export_alist(code.H))
     return 0
 
@@ -115,7 +125,8 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    code = _load_code(args.path)
+    _check_out(args.out)
+    _, code = _load_code(args.path)
     params = _parse_float_list(args.param, "parameter")
     # every point is checked before any is decoded, and all share one pool
     try:
@@ -162,7 +173,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
-    code = _load_code(args.path)
+    _check_out(args.out)
+    g, code = _load_code(args.path)
     rhos = _parse_float_list(args.rho, "rho")
     # every input is checked before the first point is sampled
     for rho in rhos:
@@ -172,8 +184,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
         return _fail("need at least two trials")
     if args.seed < 0:
         return _fail("seed must be non-negative")
-    tanner_girth = girth(tanner_graph(code.H))
-    flag = "girth<6" if tanner_girth is not None and tanner_girth < 6 else ""
+    flag = "girth<6" if girth(g) < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):
         formula = syndrome_variance_formula(code.n, rho)
@@ -188,17 +199,17 @@ def cmd_variance(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    code = _load_code(args.path)
+    _check_out(args.alist_out)
+    g, code = _load_code(args.path)
     try:
         extended = extend_parity_check(code, args.bits)
     except ValueError as exc:
         return _fail(str(exc))
-    # the added bits have degree 1 and close no cycle: the girth is the base's
-    tanner_girth = girth(tanner_graph(code.H))
+    # the added degree-1 bits close no cycle: the girth is the base Tanner graph's
     report = code_report(
         extended,
         f"{Path(args.path).stem}+{args.bits}",
-        tanner_girth if tanner_girth is not None else 0,
+        girth(g),
         bounds=None,
         warnings=["rate-boosted code: spectral and clique bounds describe the base graph only"],
         k_ceiling=args.k_ceiling,
@@ -230,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="parameters, flags and bounds of one graph")
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--k-ceiling", type=int, default=28)
+    p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("catalog", help="CSV table over a directory of graph files")
     p.add_argument("directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--k-ceiling", type=int, default=28)
+    p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("export-alist", help="write the parity check in alist format")
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--bits", type=int, required=True, help="number of identity columns")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--k-ceiling", type=int, default=28)
+    p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
     p.add_argument("--alist-out", default=None)
     p.set_defaults(func=cmd_extend)
 

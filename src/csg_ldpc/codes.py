@@ -37,8 +37,6 @@ __all__ = [
     "extend_parity_check",
 ]
 
-DEFAULT_DIMENSION_CEILING = 28
-
 # Hard cap on any requested ceiling.  The walk costs ~170 ns per codeword
 # in CPython: k = 28 (90A extended by 28 bits) took 46 s on a 2-CPU
 # machine, and each further dimension doubles it (k = 30 ~3 min, k = 41
@@ -111,7 +109,7 @@ def build_code(g: Graph) -> LinearCode:
     return code_from_parity_check(BitMatrix(len(left), len(right), tuple(rows)))
 
 
-def minimum_distance(code: LinearCode, ceiling: int = DEFAULT_DIMENSION_CEILING) -> int:
+def minimum_distance(code: LinearCode, ceiling: int = MAX_DIMENSION_CEILING) -> int:
     """Exact minimum distance by Gray-code walk over all 2**k codewords.
 
     Step t flips the generator row indexed by the lowest set bit of t, so
@@ -144,12 +142,7 @@ def minimum_distance(code: LinearCode, ceiling: int = DEFAULT_DIMENSION_CEILING)
 def tanner_graph(h: BitMatrix) -> Graph:
     """Bipartite check/bit incidence graph: checks 0..m-1, bits m..m+n-1."""
     m = h.nrows
-    edges = []
-    for i, r in enumerate(h.rows):
-        while r:
-            j = (r & -r).bit_length() - 1
-            edges.append((i, m + j))
-            r &= r - 1
+    edges = [(i, m + j) for i, support in enumerate(h.supports()) for j in support]
     return Graph.from_edges(m + h.ncols, edges)
 
 

@@ -2,9 +2,11 @@
 
 Each decoder has one message-passing engine, ``decode_block``, which
 decodes a (B, n) block of words in one set of numpy passes per iteration;
-``decode`` is its B = 1 case.  Messages live on edges, with per-check and
-per-bit views built through padded index tables (Richardson & Urbanke,
-*Modern Coding Theory*, 2008, ch. 2, flooding schedule).  The engine keeps
+``decode`` is its B = 1 case.  Messages live in the check slots of
+``channel.ParityChecks``, the one incidence table of H: reshaped, a
+message block is the check view, and the bit view gathers it through a
+table of each bit's slots (Richardson & Urbanke, *Modern Coding Theory*,
+2008, ch. 2, flooding schedule).  The engine keeps
 the indices of the rows still decoding: after each iteration it tests
 their estimates with ``channel.syndrome``, writes finished rows out and
 compacts the state, so every row stops at its own first zero syndrome and
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP, ParityChecks, syndrome
+from .channel import LLR_CLAMP, ParityChecks, padded_groups, syndrome
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -45,20 +47,6 @@ class DecodeResult:
     iterations: int
     syndrome_zero: bool
     bit_errors: int | None = None
-
-
-def _padded_slots(group_of_edge: np.ndarray, ngroups: int):
-    """Group edges into a (ngroups, max_degree) index table plus validity mask."""
-    counts = np.bincount(group_of_edge, minlength=ngroups)
-    dmax = int(counts.max()) if ngroups else 0
-    slots = np.zeros((ngroups, dmax), dtype=np.int64)
-    mask = np.zeros((ngroups, dmax), dtype=bool)
-    order = np.argsort(group_of_edge, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    within = np.arange(len(order)) - starts[group_of_edge[order]]
-    slots[group_of_edge[order], within] = order
-    mask[group_of_edge[order], within] = True
-    return slots, mask, counts
 
 
 class _BlockState:
@@ -96,31 +84,29 @@ class _BlockState:
 
 
 class _EdgeStructure:
+    """H's edges as message slots: slot i * w + p (w the largest check degree)
+    is check i's p-th bit, entry (p, i) of ``checks.columns``.  A (B, m * w)
+    message block reshaped to (B, m, w) is the check view, with padding
+    slots masked off by ``check_mask``; ``slot_bit`` maps slots to bits
+    (padding to bit 0), and row j of ``bit_slots``, masked by ``bit_mask``,
+    lists bit j's slots in ascending check order: the bit view."""
+
     def __init__(self, h: BitMatrix):
-        self.h = h
-        self.m = h.nrows
         self.n = h.ncols
-        dense = h.to_numpy()
-        self.checks = ParityChecks(dense)
-        rows_idx, cols_idx = np.nonzero(dense)
-        self.rows_idx = rows_idx
-        self.cols_idx = cols_idx
-        self.n_edges = len(rows_idx)
-        self.check_slots, self.check_mask, self.check_deg = _padded_slots(rows_idx, self.m)
-        self.bit_slots, self.bit_mask, self.bit_deg = _padded_slots(cols_idx, self.n)
-        # edge e sits at flat position edge_slot[e] of an (m, max check degree) view
-        self.edge_slot = np.empty(self.n_edges, dtype=np.int64)
-        self.edge_slot[self.check_slots[self.check_mask]] = np.flatnonzero(self.check_mask)
+        self.checks = ParityChecks(h)
+        columns = self.checks.columns.T
+        self.check_mask = columns < self.n
+        edges = np.flatnonzero(self.check_mask)
+        self.slot_bit = np.where(self.check_mask, columns, 0).ravel()
+        self.bit_deg = np.bincount(self.slot_bit[edges], minlength=self.n)
+        self.bit_slots = padded_groups(self.slot_bit[edges], edges, self.n, fill=0)
+        self.bit_mask = np.arange(self.bit_slots.shape[1]) < self.bit_deg[:, None]
 
     def _block(self, y: np.ndarray, dtype) -> np.ndarray:
         y = np.asarray(y, dtype=dtype)
         if y.ndim != 2 or y.shape[1] != self.n:
             raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
         return y
-
-    def _to_edges(self, per_check: np.ndarray) -> np.ndarray:
-        """(B, m, max check degree) check-side messages -> (B, n_edges) in edge order."""
-        return per_check.reshape(len(per_check), -1)[:, self.edge_slot]
 
     def decode(self, y: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None) -> DecodeResult:
         """Decode one word: the B = 1 case of ``decode_block``."""
@@ -154,27 +140,27 @@ class GallagerADecoder(_EdgeStructure):
         if max_iter == 0 or not len(y):
             return state.result(y, 0)
         est = y
-        received_e = y[:, self.cols_idx]
-        b2c = received_e
-        deg_other = self.bit_deg[self.cols_idx] - 1
+        received = y[:, self.slot_bit]
+        b2c = received
+        deg_other = self.bit_deg[self.slot_bit] - 1
         quorum = self.bit_deg + 1
         for it in range(1, max_iter + 1):
-            padded = np.where(self.check_mask, b2c[:, self.check_slots], 0)
+            padded = np.where(self.check_mask, b2c.reshape(len(b2c), *self.check_mask.shape), 0)
             parity = np.bitwise_xor.reduce(padded, axis=2)
-            c2b = self._to_edges(parity[:, :, None] ^ padded)
+            c2b = (parity[:, :, None] ^ padded).reshape(len(b2c), -1)
             incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0)
             ones_in = incoming.sum(axis=2, dtype=np.int64)
             votes = 2 * (ones_in + y)
             est = np.where(votes > quorum, 1, np.where(votes < quorum, 0, y)).astype(np.uint8)
             keep = state.finish(est, it)
             if keep is not None:
-                y, est, received_e, ones_in, c2b = y[keep], est[keep], received_e[keep], ones_in[keep], c2b[keep]
+                y, est, received, ones_in, c2b = y[keep], est[keep], received[keep], ones_in[keep], c2b[keep]
                 if not len(y):
                     break
-            ones_other = ones_in[:, self.cols_idx] - c2b
-            flip = np.where(received_e == 0, ones_other == deg_other, ones_other == 0)
-            msg = np.where(flip, 1 - received_e, received_e)
-            b2c = np.where(deg_other == 0, received_e, msg).astype(np.uint8)
+            ones_other = ones_in[:, self.slot_bit] - c2b
+            flip = np.where(received == 0, ones_other == deg_other, ones_other == 0)
+            msg = np.where(flip, 1 - received, received)
+            b2c = np.where(deg_other == 0, received, msg).astype(np.uint8)
         return state.result(est, max_iter)
 
 
@@ -202,11 +188,11 @@ class SumProductDecoder(_EdgeStructure):
             llr, est = llr[keep], est[keep]
         if max_iter == 0 or not len(llr):
             return state.result(est, 0)
-        b2c = llr[:, self.cols_idx]
-        dmax = self.check_slots.shape[1]
+        b2c = llr[:, self.slot_bit]
+        dmax = self.check_mask.shape[1]
         for it in range(1, max_iter + 1):
             th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-            padded = np.where(self.check_mask, th[:, self.check_slots], 1.0)
+            padded = np.where(self.check_mask, th.reshape(len(th), *self.check_mask.shape), 1.0)
             c2b_view = np.empty_like(padded)
             for p in range(dmax):
                 extrinsic = np.ones(padded.shape[:2], dtype=np.float64)
@@ -215,7 +201,7 @@ class SumProductDecoder(_EdgeStructure):
                         extrinsic = extrinsic * padded[:, :, q]
                 c2b_view[:, :, p] = extrinsic
             c2b_view = 2.0 * np.arctanh(np.clip(c2b_view, -_ONE_MINUS, _ONE_MINUS))
-            c2b = self._to_edges(np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP))
+            c2b = np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP).reshape(len(th), -1)
             incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0.0)
             total = llr + incoming.sum(axis=2)
             est = (total < 0).astype(np.uint8)
@@ -224,7 +210,7 @@ class SumProductDecoder(_EdgeStructure):
                 llr, est, total, c2b = llr[keep], est[keep], total[keep], c2b[keep]
                 if not len(llr):
                     break
-            b2c = total[:, self.cols_idx] - c2b
+            b2c = total[:, self.slot_bit] - c2b
         return state.result(est, max_iter)
 
 

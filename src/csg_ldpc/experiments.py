@@ -342,7 +342,6 @@ def syndrome_statistics(
     trials: int,
     master_seed: int,
     stream_index: int = 0,
-    bootstrap_rounds: int = 200,
 ) -> SyndromeStats:
     """Sample syndrome weights of BSC noise in bulk and summarize them.
 
@@ -354,8 +353,8 @@ def syndrome_statistics(
     8 MB whatever the trial count; larger blocks only raise peak memory.
     ``transmit`` draws row-major, so the uniforms, and hence the weights,
     are the same for every block size.
-    The variance standard error comes from a multinomial bootstrap of the
-    observed weight histogram.
+    The variance standard error comes from a multinomial bootstrap, 200
+    rounds, of the observed weight histogram.
     """
     noise = BscChannel(rho)
     if trials < 2:
@@ -378,7 +377,7 @@ def syndrome_statistics(
     sum_sq = float(counts @ (values * values))
     variance = (sum_sq - total * mean * mean) / (total - 1.0)
     boot_rng = np.random.default_rng((master_seed, stream_index, 1))
-    resampled = boot_rng.multinomial(trials, counts / total, size=bootstrap_rounds)
+    resampled = boot_rng.multinomial(trials, counts / total, size=200)
     boot_means = (resampled @ values) / total
     boot_sq = resampled @ (values * values)
     boot_vars = (boot_sq - total * boot_means**2) / (total - 1.0)

@@ -87,6 +87,17 @@ class BitMatrix:
     def row_weight(self, i: int) -> int:
         return self.rows[i].bit_count()
 
+    def supports(self) -> list[list[int]]:
+        """Each row's column indices, ascending: its set bits, lowest first."""
+        out = []
+        for r in self.rows:
+            support = []
+            while r:
+                support.append((r & -r).bit_length() - 1)
+                r &= r - 1
+            out.append(support)
+        return out
+
     def column_bits(self) -> tuple[int, ...]:
         """Columns as int bitsets (bit i set when entry (i, j) is 1)."""
         return self.transpose().rows
@@ -107,11 +118,9 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
+        for i, support in enumerate(self.supports()):
+            for j in support:
                 cols[j] |= 1 << i
-                r &= r - 1
         return BitMatrix(self.ncols, self.nrows, tuple(cols))
 
     def multiply(self, other: "BitMatrix") -> "BitMatrix":
@@ -119,13 +128,10 @@ class BitMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
         out = []
-        for r in self.rows:
+        for support in self.supports():
             acc = 0
-            bits = r
-            while bits:
-                j = (bits & -bits).bit_length() - 1
+            for j in support:
                 acc ^= other.rows[j]
-                bits &= bits - 1
             out.append(acc)
         return BitMatrix(self.nrows, other.ncols, tuple(out))
 

@@ -22,6 +22,7 @@ from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.gf2 import BitMatrix
 
 from oracles import support_lists
+from strategies import irregular_checks_and_blocks
 
 
 def exact_syndrome_moments(h, rho):
@@ -44,9 +45,11 @@ def test_channel_validation():
         BscChannel(-0.1)
     with pytest.raises(ValueError):
         BscChannel(0.6)
-    for sigma in (0.0, -1.0, float("inf"), float("nan")):
+    # past ~1.34e154 sigma^2 overflows: every LLR 2 r / sigma^2 would be 0 or nan
+    for sigma in (0.0, -1.0, float("inf"), float("nan"), 1.35e154, 1e200, 1e308):
         with pytest.raises(ValueError, match="finite and positive"):
             AwgnChannel(sigma)
+    AwgnChannel(1.34e154)
     BscChannel(0.0)
     BscChannel(0.5)
 
@@ -159,18 +162,6 @@ def checks_and_blocks(draw):
     h = random_regular_ldpc(n, m, w_c=w_c, seed=draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     block = rng.integers(0, 2, size=(draw(st.integers(0, 6)), n), dtype=np.uint8)
-    return h, block
-
-
-@st.composite
-def irregular_checks_and_blocks(draw):
-    """Any 0/1 parity check, zero rows, zero columns and empty shapes
-    included, and a (B, n) block of words for it."""
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
-    entries = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
-    h = BitMatrix.from_dense(entries, ncols=n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    block = rng.integers(0, 2, size=(draw(st.integers(0, 5)), n), dtype=np.uint8)
     return h, block
 
 

@@ -181,9 +181,24 @@ def variance_argv(path="{g}", **flags):
 
 
 AWGN_INF = dict(channel="awgn", param="inf", decoder="sum-product")
+# sigma^2 overflows: 1e308 made nan LLRs, 1e200 all-zero LLRs and BER 0
+AWGN_HUGE = dict(channel="awgn", param="1e308", decoder="sum-product")
+AWGN_SQUARE_INF = dict(channel="awgn", param="1e200", decoder="sum-product")
+
+# (command, argv, the work function it must not reach) for an output path
+# in a directory that does not exist
+OUT_IN_MISSING_DIR = [
+    ("catalog", ["catalog", "{dir}", "--out", "{nodir}"], "analyze_graph"),
+    ("export-alist", ["export-alist", "{g}", "{nodir}"], "export_alist"),
+    ("simulate", simulate_argv(out="{nodir}"), "run_experiments"),
+    ("variance", variance_argv(out="{nodir}"), "syndrome_statistics"),
+    ("extend", ["extend", "{g}", "--bits", "2", "--alist-out", "{nodir}"], "code_report"),
+]
 
 # (id, argv); "{g}" is a valid graph file, "{bad}" a triangle, "{missing}"
-# a path that does not exist.  Every case must be a declared error.
+# a path that does not exist, "{dir}" a directory holding both graph files
+# and "{nodir}" a file in a missing directory.  Every case must be a
+# declared error.
 BAD_INPUTS = [
     ("analyze-missing-file", ["analyze", "{missing}"]),
     ("analyze-bad-graph", ["analyze", "{bad}"]),
@@ -204,6 +219,10 @@ BAD_INPUTS = [
     ("simulate-awgn-inf", simulate_argv(**AWGN_INF)),
     ("simulate-awgn-inf-w2", simulate_argv(**AWGN_INF, workers="2")),
     ("simulate-awgn-zero", simulate_argv(**{**AWGN_INF, "param": "0"})),
+    ("simulate-awgn-square-overflow", simulate_argv(**AWGN_HUGE)),
+    ("simulate-awgn-square-overflow-w2", simulate_argv(**AWGN_HUGE, workers="2")),
+    ("simulate-awgn-square-inf", simulate_argv(**AWGN_SQUARE_INF)),
+    ("simulate-awgn-square-inf-w2", simulate_argv(**AWGN_SQUARE_INF, workers="2")),
     ("simulate-unknown-decoder", simulate_argv(decoder="turbo")),
     ("variance-missing-file", variance_argv("{missing}")),
     ("variance-rho-out-of-range", variance_argv(rho="0.7")),
@@ -213,22 +232,44 @@ BAD_INPUTS = [
     ("extend-missing-file", ["extend", "{missing}", "--bits", "2"]),
     ("extend-bits-negative", ["extend", "{g}", "--bits", "-1"]),
     ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
+    *[(f"{command}-out-in-missing-dir", argv) for command, argv, _ in OUT_IN_MISSING_DIR],
 ]
+
+
+def _fill(argv, heawood_path, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("0 1\n1 2\n2 0\n")
+    paths = {
+        "g": heawood_path,
+        "missing": str(tmp_path / "none.lcf"),
+        "bad": str(bad),
+        "out": str(tmp_path / "h.alist"),
+        "dir": str(tmp_path),
+        "nodir": str(tmp_path / "none" / "out.csv"),
+    }
+    return [arg.format(**paths) for arg in argv]
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in BAD_INPUTS], ids=[name for name, _ in BAD_INPUTS])
 def test_bad_input_is_a_declared_error(heawood_path, tmp_path, capsys, argv):
-    bad = tmp_path / "bad.edges"
-    bad.write_text("0 1\n1 2\n2 0\n")
-    paths = {"g": heawood_path, "missing": str(tmp_path / "none.lcf"), "bad": str(bad), "out": str(tmp_path / "h.alist")}
     try:
-        code = main([arg.format(**paths) for arg in argv])
+        code = main(_fill(argv, heawood_path, tmp_path))
     except SystemExit as exc:  # argparse rejects the command line itself
         code = exc.code
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert "Traceback" not in err
     assert err.startswith("error:" if code == 1 else "usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, work", [(argv, work) for _, argv, work in OUT_IN_MISSING_DIR], ids=[c for c, _, _ in OUT_IN_MISSING_DIR]
+)
+def test_missing_output_directory_stops_before_any_work(heawood_path, tmp_path, monkeypatch, capsys, argv, work):
+    monkeypatch.setattr(cli, work, _refuse)
+    assert main(_fill(argv, heawood_path, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: no such directory")
+    assert not (tmp_path / "none").exists()
 
 
 def test_simulate_writes_csv_and_meta(heawood_path, tmp_path):

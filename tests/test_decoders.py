@@ -15,6 +15,7 @@ from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.graphs import parse_lcf
 
 from oracles import _syndrome_zero, reference_gallager_a, reference_sum_product, support_lists
+from strategies import irregular_checks_and_blocks
 
 # the rate-boosted Heawood code has degree-1 bits, unlike random_regular_ldpc
 EXTENDED_HEAWOOD = extend_parity_check(build_code(parse_lcf("[5,-5]^7")), 3).H
@@ -105,9 +106,16 @@ def test_input_validation(heawood_code):
 
 @st.composite
 def blocks(draw):
-    """A parity check, a (B, n) block of hard words and LLRs for it, and a budget."""
-    if draw(st.booleans()):
+    """A parity check, a (B, n) block of hard words and LLRs for it, and a budget.
+
+    The check is the extended Heawood code, a random regular one, or any
+    0/1 matrix: zero rows, zero columns and m or n = 0 pad the message
+    slots of ``ParityChecks`` in every way they can be padded."""
+    kind = draw(st.sampled_from(["extended", "regular", "irregular"]))
+    if kind == "extended":
         h = EXTENDED_HEAWOOD
+    elif kind == "irregular":
+        h, _ = draw(irregular_checks_and_blocks())
     else:
         m = draw(st.integers(2, 8))
         w_c = draw(st.integers(1, min(3, m)))
@@ -124,7 +132,7 @@ def blocks(draw):
 
 
 @given(blocks())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_decode_block_matches_oracles_row_by_row(case):
     h, words, llr, max_iter = case
     check_bits, _ = support_lists(h)

@@ -133,3 +133,11 @@ def test_column_bits_agree_with_get(m):
     for j in range(m.ncols):
         for i in range(m.nrows):
             assert ((cols[j] >> i) & 1) == m.get(i, j)
+
+
+@given(bit_matrices(max_cols=70))
+def test_supports_agree_with_get(m):
+    supports = m.supports()
+    assert len(supports) == m.nrows
+    for i, support in enumerate(supports):
+        assert support == [j for j in range(m.ncols) if m.get(i, j)]
