@@ -29,7 +29,7 @@ from .codes import (
 )
 from .bounds import BitNodeGraph, BoundsReport, bit_node_graph, compute_bounds
 from .channel import AwgnChannel, BscChannel, f_t, syndrome, syndrome_variance_formula
-from .decoders import DecodeResult, decode_gallager_a, decode_sum_product
+from .decoders import DecodeResult, GallagerADecoder, SumProductDecoder
 from .experiments import ExperimentConfig, run_experiment, run_experiments, random_regular_ldpc
 from .analysis import AnalysisReport, analyze_graph, load_graph_file
 
@@ -45,15 +45,15 @@ __all__ = [
     "BscChannel",
     "DecodeResult",
     "ExperimentConfig",
+    "GallagerADecoder",
     "Graph",
     "LinearCode",
+    "SumProductDecoder",
     "analyze_graph",
     "bipartition",
     "bit_node_graph",
     "build_code",
     "compute_bounds",
-    "decode_gallager_a",
-    "decode_sum_product",
     "extend_parity_check",
     "f_t",
     "girth",

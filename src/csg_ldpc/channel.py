@@ -189,8 +189,14 @@ def llr_from_bsc(bits: np.ndarray, rho: float) -> np.ndarray:
 
 
 def llr_from_awgn(received: np.ndarray, sigma: float) -> np.ndarray:
-    """Channel LLRs 2 r / sigma^2 for BPSK over AWGN, clamped to +-``LLR_CLAMP``."""
+    """Channel LLRs 2 r / sigma^2 for BPSK over AWGN, clamped to +-``LLR_CLAMP``.
+
+    A tiny sigma overflows the quotient (sigma^2 subnormal) or divides by
+    zero (sigma^2 underflows to 0); the clamp maps both infinities to
+    +-``LLR_CLAMP``, so neither warns.
+    """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     received = np.asarray(received, dtype=np.float64)
-    return np.clip(2.0 * received / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.clip(2.0 * received / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)

@@ -41,6 +41,8 @@ def _load(path: str):
         return load_graph_file(path)
     except FileNotFoundError:
         raise SystemExit(_fail(f"no such file: {path}"))
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot read {path}: {exc.strerror or exc}"))
     except ValueError as exc:
         raise SystemExit(_fail(str(exc)))
 
@@ -55,8 +57,13 @@ def _load_code(path: str) -> tuple[Graph, LinearCode]:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an output path in a missing directory before any work starts."""
-    if out and not Path(out).parent.is_dir():
+    """Refuse an output path that is a directory or lies in a missing one
+    before any work starts."""
+    if not out:
+        return
+    if Path(out).is_dir():
+        raise SystemExit(_fail(f"output path is a directory: {out}"))
+    if not Path(out).parent.is_dir():
         raise SystemExit(_fail(f"no such directory: {Path(out).parent}"))
 
 

@@ -88,8 +88,11 @@ def build_code(g: Graph) -> LinearCode:
     """Build the LDPC code of a connected cubic bipartite graph.
 
     Raises NotConnectedError, NotCubicError or NotBipartiteError (each
-    distinct) when the input does not qualify.
+    distinct) when the input does not qualify; a graph with no vertices
+    is not connected.
     """
+    if g.vertex_count == 0:
+        raise NotConnectedError("graph has no vertices")
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
     if not is_cubic(g):

@@ -1,18 +1,21 @@
 """Hard-decision (Gallager A) and log-domain sum-product decoders.
 
-Each decoder has one message-passing engine, ``decode_block``, which
-decodes a (B, n) block of words in one set of numpy passes per iteration;
-``decode`` is its B = 1 case.  Messages live in the check slots of
+One message-passing engine, ``_EdgeStructure.decode_block``, decodes a
+(B, n) block of words in one set of numpy passes per iteration; ``decode``
+is its B = 1 case.  The two decoders differ only in their update rule: a
+start method checks the input and gives the iteration-0 estimate and the
+per-row arrays the rule carries, and a step method runs one iteration
+from those arrays.  Messages live in the check slots of
 ``channel.ParityChecks``, the one incidence table of H: reshaped, a
 message block is the check view, and the bit view gathers it through a
 table of each bit's slots (Richardson & Urbanke, *Modern Coding Theory*,
-2008, ch. 2, flooding schedule).  The engine keeps
-the indices of the rows still decoding: after each iteration it tests
-their estimates with ``channel.syndrome``, writes finished rows out and
-compacts the state, so every row stops at its own first zero syndrome and
-gets the same word and iteration count as if it were decoded alone.
-Construct a decoder once per matrix and hand it blocks when decoding many
-words: a lone word pays the full per-iteration numpy overhead.
+2008, ch. 2, flooding schedule).  The engine keeps the indices of the rows
+still decoding: after each iteration it tests their estimates with
+``channel.syndrome``, writes finished rows out and compacts the carried
+arrays, so every row stops at its own first zero syndrome and gets the
+same word and iteration count as if it were decoded alone.  Construct a
+decoder once per matrix and hand it blocks when decoding many words: a
+lone word pays the full per-iteration numpy overhead.
 """
 
 from __future__ import annotations
@@ -24,63 +27,18 @@ import numpy as np
 from .channel import LLR_CLAMP, ParityChecks, padded_groups, syndrome
 from .gf2 import BitMatrix
 
-__all__ = [
-    "DecodeResult",
-    "GallagerADecoder",
-    "SumProductDecoder",
-    "decode_gallager_a",
-    "decode_sum_product",
-]
+__all__ = ["DecodeResult", "GallagerADecoder", "SumProductDecoder"]
 
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass
 class DecodeResult:
-    """Decoder output: word estimate, iterations used, syndrome status.
-
-    ``bit_errors`` counts disagreements with the transmitted word when the
-    caller supplied it, else None.
-    """
+    """Decoder output: word estimate, iterations used, syndrome status."""
 
     word: np.ndarray
     iterations: int
     syndrome_zero: bool
-    bit_errors: int | None = None
-
-
-class _BlockState:
-    """Rows of a block still being decoded, and where finished rows go.
-
-    ``active`` holds the original row index of each live row; ``finish``
-    stores the rows whose estimate has zero syndrome and returns the mask
-    of rows that stay, with which the caller compacts its own state.
-    """
-
-    def __init__(self, checks: ParityChecks, est: np.ndarray):
-        self.checks = checks
-        self.words = est.copy()
-        self.iterations = np.zeros(len(est), dtype=np.int64)
-        self.syndrome_zero = np.zeros(len(est), dtype=bool)
-        self.active = np.arange(len(est))
-
-    def finish(self, est: np.ndarray, iteration: int) -> np.ndarray | None:
-        done = syndrome(self.checks, est)[1] == 0
-        if not done.any():
-            return None
-        rows = self.active[done]
-        self.words[rows] = est[done]
-        self.iterations[rows] = iteration
-        self.syndrome_zero[rows] = True
-        keep = ~done
-        self.active = self.active[keep]
-        return keep
-
-    def result(self, est: np.ndarray, max_iter: int):
-        """Rows still active after ``max_iter`` iterations end with their last estimate."""
-        self.words[self.active] = est
-        self.iterations[self.active] = max_iter
-        return self.words, self.iterations, self.syndrome_zero
 
 
 class _EdgeStructure:
@@ -89,12 +47,18 @@ class _EdgeStructure:
     message block reshaped to (B, m, w) is the check view, with padding
     slots masked off by ``check_mask``; ``slot_bit`` maps slots to bits
     (padding to bit 0), and row j of ``bit_slots``, masked by ``bit_mask``,
-    lists bit j's slots in ascending check order: the bit view."""
+    lists bit j's slots in ascending check order: the bit view.
+
+    Subclasses supply the update rule: ``_start(y)`` returns the iteration-0
+    estimate and a tuple of (B, ...) arrays, and ``_step(*arrays)`` returns
+    the next estimate and arrays."""
 
     def __init__(self, h: BitMatrix):
         self.n = h.ncols
         self.checks = ParityChecks(h)
         columns = self.checks.columns.T
+        if not self.n:  # no bits to pad with: no slots
+            columns = columns[:, :0]
         self.check_mask = columns < self.n
         edges = np.flatnonzero(self.check_mask)
         self.slot_bit = np.where(self.check_mask, columns, 0).ravel()
@@ -102,18 +66,43 @@ class _EdgeStructure:
         self.bit_slots = padded_groups(self.slot_bit[edges], edges, self.n, fill=0)
         self.bit_mask = np.arange(self.bit_slots.shape[1]) < self.bit_deg[:, None]
 
-    def _block(self, y: np.ndarray, dtype) -> np.ndarray:
-        y = np.asarray(y, dtype=dtype)
-        if y.ndim != 2 or y.shape[1] != self.n:
-            raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
-        return y
-
-    def decode(self, y: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None) -> DecodeResult:
+    def decode(self, y: np.ndarray, max_iter: int = 50) -> DecodeResult:
         """Decode one word: the B = 1 case of ``decode_block``."""
         words, iterations, ok = self.decode_block(np.asarray(y)[None], max_iter=max_iter)
-        word = words[0]
-        errors = int((word != np.asarray(sent, dtype=np.uint8)).sum()) if sent is not None else None
-        return DecodeResult(word=word, iterations=int(iterations[0]), syndrome_zero=bool(ok[0]), bit_errors=errors)
+        return DecodeResult(word=words[0], iterations=int(iterations[0]), syndrome_zero=bool(ok[0]))
+
+    def decode_block(self, y: np.ndarray, max_iter: int = 50):
+        """Decode a (B, n) block of received words.
+
+        Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
+        (B,) bool); row r equals ``decode(y[r], max_iter)``.
+        """
+        y = np.asarray(y)
+        if y.ndim != 2 or y.shape[1] != self.n:
+            raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
+        est, carried = self._start(y)
+        words = est.copy()
+        iterations = np.zeros(len(est), dtype=np.int64)
+        syndrome_zero = np.zeros(len(est), dtype=bool)
+        active = np.arange(len(est))
+        for it in range(max_iter + 1):
+            if it:
+                est, carried = self._step(*carried)
+            done = syndrome(self.checks, est)[1] == 0
+            if done.any():
+                rows = active[done]
+                words[rows] = est[done]
+                iterations[rows] = it
+                syndrome_zero[rows] = True
+                keep = ~done
+                active, est = active[keep], est[keep]
+                carried = tuple(a[keep] for a in carried)
+            if not len(active):
+                break
+        # rows still active after max_iter iterations end with their last estimate
+        words[active] = est
+        iterations[active] = max_iter
+        return words, iterations, syndrome_zero
 
 
 class GallagerADecoder(_EdgeStructure):
@@ -126,42 +115,35 @@ class GallagerADecoder(_EdgeStructure):
     decoding stops as soon as the estimate has zero syndrome.
     """
 
-    def decode_block(self, y: np.ndarray, max_iter: int = 50):
-        """Decode a (B, n) block of hard-decision words.
+    def __init__(self, h: BitMatrix):
+        super().__init__(h)
+        self.deg_other = self.bit_deg[self.slot_bit] - 1
+        self.quorum = self.bit_deg + 1
 
-        Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
-        (B,) bool); row r equals ``decode(y[r], max_iter)``.
-        """
-        y = self._block(y, np.uint8)
-        state = _BlockState(self.checks, y)
-        keep = state.finish(y, 0)
-        if keep is not None:
-            y = y[keep]
-        if max_iter == 0 or not len(y):
-            return state.result(y, 0)
-        est = y
-        received = y[:, self.slot_bit]
-        b2c = received
-        deg_other = self.bit_deg[self.slot_bit] - 1
-        quorum = self.bit_deg + 1
-        for it in range(1, max_iter + 1):
-            padded = np.where(self.check_mask, b2c.reshape(len(b2c), *self.check_mask.shape), 0)
-            parity = np.bitwise_xor.reduce(padded, axis=2)
-            c2b = (parity[:, :, None] ^ padded).reshape(len(b2c), -1)
-            incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0)
-            ones_in = incoming.sum(axis=2, dtype=np.int64)
-            votes = 2 * (ones_in + y)
-            est = np.where(votes > quorum, 1, np.where(votes < quorum, 0, y)).astype(np.uint8)
-            keep = state.finish(est, it)
-            if keep is not None:
-                y, est, received, ones_in, c2b = y[keep], est[keep], received[keep], ones_in[keep], c2b[keep]
-                if not len(y):
-                    break
+    def _start(self, y: np.ndarray):
+        """Hard-decision words: the estimate is the word itself."""
+        y = y.astype(np.uint8, copy=False)
+        return y, (y,)
+
+    def _step(self, y: np.ndarray, *previous: np.ndarray):
+        """One iteration; ``previous`` holds the last iteration's (received,
+        ones_in, c2b), and is empty on the first, which sends the received bits."""
+        if previous:
+            received, ones_in, c2b = previous
             ones_other = ones_in[:, self.slot_bit] - c2b
-            flip = np.where(received == 0, ones_other == deg_other, ones_other == 0)
+            flip = np.where(received == 0, ones_other == self.deg_other, ones_other == 0)
             msg = np.where(flip, 1 - received, received)
-            b2c = np.where(deg_other == 0, received, msg).astype(np.uint8)
-        return state.result(est, max_iter)
+            b2c = np.where(self.deg_other == 0, received, msg).astype(np.uint8)
+        else:
+            received = b2c = y[:, self.slot_bit]
+        padded = np.where(self.check_mask, b2c.reshape(len(b2c), *self.check_mask.shape), 0)
+        parity = np.bitwise_xor.reduce(padded, axis=2)
+        c2b = (parity[:, :, None] ^ padded).reshape(len(b2c), -1)
+        incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0)
+        ones_in = incoming.sum(axis=2, dtype=np.int64)
+        votes = 2 * (ones_in + y)
+        est = np.where(votes > self.quorum, 1, np.where(votes < self.quorum, 0, y)).astype(np.uint8)
+        return est, (y, received, ones_in, c2b)
 
 
 class SumProductDecoder(_EdgeStructure):
@@ -172,57 +154,33 @@ class SumProductDecoder(_EdgeStructure):
     to bit 0.  Early exit on zero syndrome.
     """
 
-    def decode_block(self, llr: np.ndarray, max_iter: int = 50):
-        """Decode a (B, n) block of channel LLRs, which must be finite.
-
-        Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
-        (B,) bool); row r equals ``decode(llr[r], max_iter)``.
-        """
-        llr = self._block(llr, np.float64)
+    def _start(self, llr: np.ndarray):
+        """Channel LLRs, which must be finite: the estimate is their sign."""
+        llr = llr.astype(np.float64, copy=False)
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
-        est = (llr < 0).astype(np.uint8)
-        state = _BlockState(self.checks, est)
-        keep = state.finish(est, 0)
-        if keep is not None:
-            llr, est = llr[keep], est[keep]
-        if max_iter == 0 or not len(llr):
-            return state.result(est, 0)
-        b2c = llr[:, self.slot_bit]
-        dmax = self.check_mask.shape[1]
-        for it in range(1, max_iter + 1):
-            th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-            padded = np.where(self.check_mask, th.reshape(len(th), *self.check_mask.shape), 1.0)
-            c2b_view = np.empty_like(padded)
-            for p in range(dmax):
-                extrinsic = np.ones(padded.shape[:2], dtype=np.float64)
-                for q in range(dmax):
-                    if q != p:
-                        extrinsic = extrinsic * padded[:, :, q]
-                c2b_view[:, :, p] = extrinsic
-            c2b_view = 2.0 * np.arctanh(np.clip(c2b_view, -_ONE_MINUS, _ONE_MINUS))
-            c2b = np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP).reshape(len(th), -1)
-            incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0.0)
-            total = llr + incoming.sum(axis=2)
-            est = (total < 0).astype(np.uint8)
-            keep = state.finish(est, it)
-            if keep is not None:
-                llr, est, total, c2b = llr[keep], est[keep], total[keep], c2b[keep]
-                if not len(llr):
-                    break
+        return (llr < 0).astype(np.uint8), (llr,)
+
+    def _step(self, llr: np.ndarray, *previous: np.ndarray):
+        """One iteration; ``previous`` holds the last iteration's (total, c2b),
+        and is empty on the first, which sends the channel LLRs."""
+        if previous:
+            total, c2b = previous
             b2c = total[:, self.slot_bit] - c2b
-        return state.result(est, max_iter)
-
-
-def decode_gallager_a(
-    h: BitMatrix, y: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None
-) -> DecodeResult:
-    """One-shot Gallager A decode; build GallagerADecoder directly for loops."""
-    return GallagerADecoder(h).decode(y, max_iter=max_iter, sent=sent)
-
-
-def decode_sum_product(
-    h: BitMatrix, llr: np.ndarray, max_iter: int = 50, sent: np.ndarray | None = None
-) -> DecodeResult:
-    """One-shot sum-product decode; build SumProductDecoder directly for loops."""
-    return SumProductDecoder(h).decode(llr, max_iter=max_iter, sent=sent)
+        else:
+            b2c = llr[:, self.slot_bit]
+        th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
+        padded = np.where(self.check_mask, th.reshape(len(th), *self.check_mask.shape), 1.0)
+        c2b_view = np.empty_like(padded)
+        dmax = self.check_mask.shape[1]
+        for p in range(dmax):
+            extrinsic = np.ones(padded.shape[:2], dtype=np.float64)
+            for q in range(dmax):
+                if q != p:
+                    extrinsic = extrinsic * padded[:, :, q]
+            c2b_view[:, :, p] = extrinsic
+        c2b_view = 2.0 * np.arctanh(np.clip(c2b_view, -_ONE_MINUS, _ONE_MINUS))
+        c2b = np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP).reshape(len(th), -1)
+        incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0.0)
+        total = llr + incoming.sum(axis=2)
+        return (total < 0).astype(np.uint8), (llr, total, c2b)

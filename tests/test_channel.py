@@ -144,6 +144,14 @@ def test_llr_from_awgn():
         llr_from_awgn(r, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+def test_llr_from_awgn_tiny_sigma_clamps_silently(sigma):
+    # sigma^2 is subnormal at 1e-155 (the quotient overflows) and 0 at 1e-200
+    r = np.array([1.0, -1.0, 0.99, -1.01])
+    assert llr_from_awgn(r, sigma).tolist() == [LLR_CLAMP, -LLR_CLAMP, LLR_CLAMP, -LLR_CLAMP]
+
+
 @given(st.integers(1, 8), st.floats(0.0, 0.5, allow_nan=False))
 @settings(max_examples=100)
 def test_f_t_range_and_monotonicity(t, rho):

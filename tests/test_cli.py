@@ -102,6 +102,17 @@ def test_catalog_skips_corrupt_file(tmp_path, capsys):
     assert "14A,7,3,4,6" in captured.out
 
 
+def test_catalog_skips_graphs_with_no_vertices(tmp_path, capsys):
+    lcf_file(tmp_path, "14A.lcf", "[5,-5]^7")
+    (tmp_path / "empty.edges").write_text("n=0\n")
+    (tmp_path / "comment.edges").write_text("# no edges\n")
+    assert main(["catalog", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "warning: skipping comment.edges" in captured.err
+    assert "warning: skipping empty.edges" in captured.err
+    assert captured.out.splitlines() == [CATALOG_HEADER, "14A,7,3,4,6,true,true,false"]
+
+
 def test_export_alist_round_trip(heawood_path, tmp_path, capsys):
     out = tmp_path / "h.alist"
     assert main(["export-alist", heawood_path, str(out)]) == 0
@@ -185,20 +196,35 @@ AWGN_INF = dict(channel="awgn", param="inf", decoder="sum-product")
 AWGN_HUGE = dict(channel="awgn", param="1e308", decoder="sum-product")
 AWGN_SQUARE_INF = dict(channel="awgn", param="1e200", decoder="sum-product")
 
-# (command, argv, the work function it must not reach) for an output path
-# in a directory that does not exist
-OUT_IN_MISSING_DIR = [
-    ("catalog", ["catalog", "{dir}", "--out", "{nodir}"], "analyze_graph"),
-    ("export-alist", ["export-alist", "{g}", "{nodir}"], "export_alist"),
-    ("simulate", simulate_argv(out="{nodir}"), "run_experiments"),
-    ("variance", variance_argv(out="{nodir}"), "syndrome_statistics"),
-    ("extend", ["extend", "{g}", "--bits", "2", "--alist-out", "{nodir}"], "code_report"),
+def _with(rows, placeholder, value):
+    """``rows`` with ``placeholder`` replaced by ``value`` in every argv."""
+    return [(name, [arg.replace(placeholder, value) for arg in argv], *rest) for name, argv, *rest in rows]
+
+
+# (command, argv, the work function it must not reach) for an output path "{o}"
+OUTPUT_ARGV = [
+    ("catalog", ["catalog", "{dir}", "--out", "{o}"], "analyze_graph"),
+    ("export-alist", ["export-alist", "{g}", "{o}"], "export_alist"),
+    ("simulate", simulate_argv(out="{o}"), "run_experiments"),
+    ("variance", variance_argv(out="{o}"), "syndrome_statistics"),
+    ("extend", ["extend", "{g}", "--bits", "2", "--alist-out", "{o}"], "code_report"),
+]
+OUT_IN_MISSING_DIR = _with(OUTPUT_ARGV, "{o}", "{nodir}")
+OUT_IS_DIR = _with(OUTPUT_ARGV, "{o}", "{dir}")
+
+# (command, argv) for every subcommand that reads one graph file "{x}"
+INPUT_ARGV = [
+    ("analyze", ["analyze", "{x}"]),
+    ("export-alist", ["export-alist", "{x}", "{out}"]),
+    ("simulate", simulate_argv("{x}")),
+    ("variance", variance_argv("{x}")),
+    ("extend", ["extend", "{x}", "--bits", "2"]),
 ]
 
-# (id, argv); "{g}" is a valid graph file, "{bad}" a triangle, "{missing}"
-# a path that does not exist, "{dir}" a directory holding both graph files
-# and "{nodir}" a file in a missing directory.  Every case must be a
-# declared error.
+# (id, argv); "{g}" is a valid graph file, "{bad}" a triangle, "{empty}" a
+# graph with no vertices, "{missing}" a path that does not exist, "{dir}" a
+# directory holding those graph files and "{nodir}" a file in a missing
+# directory.  Every case must be a declared error.
 BAD_INPUTS = [
     ("analyze-missing-file", ["analyze", "{missing}"]),
     ("analyze-bad-graph", ["analyze", "{bad}"]),
@@ -233,14 +259,20 @@ BAD_INPUTS = [
     ("extend-bits-negative", ["extend", "{g}", "--bits", "-1"]),
     ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
     *[(f"{command}-out-in-missing-dir", argv) for command, argv, _ in OUT_IN_MISSING_DIR],
+    *[(f"{command}-out-is-dir", argv) for command, argv, _ in OUT_IS_DIR],
+    *[(f"{command}-input-is-dir", argv) for command, argv in _with(INPUT_ARGV, "{x}", "{dir}")],
+    *[(f"{command}-empty-graph", argv) for command, argv in _with(INPUT_ARGV, "{x}", "{empty}")],
 ]
 
 
 def _fill(argv, heawood_path, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 1\n1 2\n2 0\n")
+    empty = tmp_path / "empty.edges"
+    empty.write_text("n=0\n")
     paths = {
         "g": heawood_path,
+        "empty": str(empty),
         "missing": str(tmp_path / "none.lcf"),
         "bad": str(bad),
         "out": str(tmp_path / "h.alist"),
@@ -270,6 +302,23 @@ def test_missing_output_directory_stops_before_any_work(heawood_path, tmp_path, 
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: no such directory")
     assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("argv, work", [(argv, work) for _, argv, work in OUT_IS_DIR], ids=[c for c, _, _ in OUT_IS_DIR])
+def test_directory_output_path_stops_before_any_work(heawood_path, tmp_path, monkeypatch, capsys, argv, work):
+    monkeypatch.setattr(cli, work, _refuse)
+    assert main(_fill(argv, heawood_path, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: output path is a directory")
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_awgn_tiny_sigma_is_silent(heawood_path, capsys):
+    # sigma^2 is subnormal at 1e-155 and 0 at 1e-200: every LLR clamps, nothing warns
+    for sigma in ("1e-155", "1e-200"):
+        assert main(simulate_argv(heawood_path, channel="awgn", param=sigma, decoder="sum-product", trials="10")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].split(",")[5:7] == ["0.0", "0.0"]  # ber, fer
 
 
 def test_simulate_writes_csv_and_meta(heawood_path, tmp_path):
