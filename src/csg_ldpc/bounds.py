@@ -4,7 +4,8 @@ Everything here is mechanical: the bit-adjacency graph, built from the
 bit pairs of each check, and its clique number bound the minimum distance,
 a greedy independent set bounds the dimension, and the second adjacency
 eigenvalue feeds the two eigenvalue-based distance bounds plus a coarser
-piecewise one.
+piecewise one.  That eigenvalue is sqrt(mu2), with mu2 the second
+eigenvalue of the Gram matrix H^T H from LAPACK's ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -104,25 +105,26 @@ def clique_number(g: Graph) -> int:
         for v in nbrs:
             adj_bits[u] |= 1 << v
     best = 1
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if cand == 0:
-            if size > best:
-                best = size
-            return
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            expand(size + 1, cand & adj_bits[v])
-            cand &= cand - 1
-
-    order = _degeneracy_order(g)
     later = 0
-    for v in reversed(order):
+    for v in reversed(_degeneracy_order(g)):
         later |= 1 << v
-        expand(1, adj_bits[v] & later)
+        best = _extend_clique(1, adj_bits[v] & later, adj_bits, best)
+    return best
+
+
+def _extend_clique(size: int, cand: int, adj_bits: list[int], best: int) -> int:
+    """The larger of ``best`` and the largest clique that grows a clique of
+    ``size`` vertices by vertices of the bitset ``cand``.  Not a closure:
+    a recursive closure is a reference cycle left for the collector.
+    """
+    if cand == 0:
+        return max(size, best)
+    while cand:
+        if size + cand.bit_count() <= best:
+            return best
+        v = (cand & -cand).bit_length() - 1
+        best = _extend_clique(size + 1, cand & adj_bits[v], adj_bits, best)
+        cand &= cand - 1
     return best
 
 
@@ -167,73 +169,50 @@ def dimension_bound_check(code: LinearCode, s: Sequence[int]) -> bool:
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending.
+    """Eigenvalues of a symmetric matrix, descending, from LAPACK's ``eigvalsh``.
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below 1e-10;
-    a symmetric input that fails to converge within 100 sweeps raises
-    RuntimeError (unconditional convergence makes that unreachable in
-    practice).
+    Raises ValueError for a non-square or non-symmetric input.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("matrix is not symmetric")
-    a = a.copy()
-    n = a.shape[0]
-    if n < 2:
-        return np.sort(np.diag(a))[::-1]
-    skip = 1e-14 * max(1.0, float(np.abs(a).max()))
-    off_diag = ~np.eye(n, dtype=bool)
-    for _ in range(100):
-        # sum the off-diagonal squares directly; subtracting the diagonal
-        # from the full Frobenius norm cancels catastrophically once the
-        # matrix is nearly diagonal and can leave off stuck above 1e-10
-        off = math.sqrt(float((a[off_diag] ** 2).sum()))
-        if off < 1e-10:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a))[::-1]
+    return np.linalg.eigvalsh(a)[::-1]
+
+
+def _snap(mu2: float) -> float:
+    """mu2 = lambda2**2, rounded to the nearest integer when within 1e-9.
+
+    Catalog graphs reach mu2 = 4 and 6 exactly, where the bounds change
+    branch or d1 is 0; eigen-solver rounding must not decide either.
+    """
+    nearest = round(mu2)
+    return float(nearest) if abs(mu2 - nearest) <= 1e-9 else mu2
 
 
 def tanner_bounds(n: int, lambda2: float) -> tuple[float, float]:
     """The two eigenvalue distance bounds for a (3,3)-regular Tanner graph.
 
     With mu2 = lambda2**2 they read n(6 - mu2)/(9 - mu2) and
-    2n(7 - mu2)/(3(9 - mu2)).  Only lambda2 < 3 (connected, non-degenerate)
+    2n(7 - mu2)/(3(9 - mu2)).  Only mu2 < 9 (connected, non-degenerate)
     is accepted.
     """
-    if lambda2 >= 3:
+    mu2 = _snap(lambda2 * lambda2)
+    if mu2 >= 9:
         raise ValueError("second eigenvalue must be below the degree 3")
-    mu2 = lambda2 * lambda2
     d1 = n * (6.0 - mu2) / (9.0 - mu2)
     d2 = 2.0 * n * (7.0 - mu2) / (3.0 * (9.0 - mu2))
     return d1, d2
 
 
 def piecewise_distance_bound(n: int, lambda2: float) -> float:
-    """Coarser spectral bound: 2n/5, 2n/9 or 4 by range of lambda2."""
-    if lambda2 <= 2.0:
+    """Coarser spectral bound: 2n/5, 2n/9 or 4 as mu2 = lambda2**2 is at
+    most 4, at most 6, or above."""
+    mu2 = _snap(lambda2 * lambda2)
+    if mu2 <= 4:
         return 2.0 * n / 5.0
-    if lambda2 <= math.sqrt(6.0):
+    if mu2 <= 6:
         return 2.0 * n / 9.0
     return 4.0
 
@@ -264,10 +243,15 @@ class BoundsReport:
 
 
 def compute_bounds(g: Graph, code: LinearCode) -> BoundsReport:
-    """Assemble the full BoundsReport for a catalog graph and its code."""
-    eigs = spectrum(adjacency_array(g))
-    lam2 = float(eigs[1])
-    mu2 = lam2 * lam2
+    """Assemble the full BoundsReport for a catalog graph and its code.
+
+    ``code.H`` is g's biadjacency, so lambda2 = sqrt(mu2) with mu2 the
+    second eigenvalue of H^T H (snapped like the bounds' own mu2, which
+    keeps rounding noise at mu2 = 0 out of the square root).
+    """
+    h = code.H.to_numpy().astype(np.float64)
+    mu2 = _snap(float(spectrum(h.T @ h)[1]))
+    lam2 = math.sqrt(mu2)
     d1, d2 = tanner_bounds(code.n, lam2)
     gamma = bit_node_graph(code)
     ind_set = independent_set_lower(gamma.graph)

@@ -193,10 +193,12 @@ def llr_from_awgn(received: np.ndarray, sigma: float) -> np.ndarray:
 
     A tiny sigma overflows the quotient (sigma^2 subnormal) or divides by
     zero (sigma^2 underflows to 0); the clamp maps both infinities to
-    +-``LLR_CLAMP``, so neither warns.
+    +-``LLR_CLAMP``, so neither warns.  A received 0 gives LLR 0 without
+    dividing, so 0 / 0 cannot turn it into NaN.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     received = np.asarray(received, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore"):
-        return np.clip(2.0 * received / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)
+        llr = np.divide(2.0 * received, sigma * sigma, out=np.zeros_like(received), where=received != 0.0)
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)

@@ -105,7 +105,9 @@ class Graph:
             seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return cls(tuple(tuple(sorted(a)) for a in nbrs))
+        # from a list, not a generator: CPython resizes a generator's tuple,
+        # and a resized tuple of <= 20 items grows a free list on release
+        return cls(tuple([tuple(sorted(a)) for a in nbrs]))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 Nothing here shares an algorithm with the code under test: distances come
 from a search over parity-check columns instead of a generator-space walk,
 girth from per-edge removal instead of BFS trees, decoders from plain
-dict-of-edges loops instead of vectorized gather/scatter.
+dict-of-edges loops instead of vectorized gather/scatter, eigenvalues from
+cyclic Jacobi rotations instead of LAPACK.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Sequence
 
@@ -131,6 +133,47 @@ def codeword_weights(generator_rows: Sequence[int]) -> list[int]:
                 word ^= generator_rows[b]
         weights.append(word.bit_count())
     return weights
+
+
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending.
+
+    Sweeps stop once the off-diagonal Frobenius norm drops below 1e-10;
+    failing to converge within 100 sweeps raises RuntimeError.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    if n < 2:
+        return np.sort(np.diag(a))[::-1]
+    skip = 1e-14 * max(1.0, float(np.abs(a).max()))
+    off_diag = ~np.eye(n, dtype=bool)
+    for _ in range(100):
+        # sum the off-diagonal squares directly; subtracting the diagonal
+        # from the full Frobenius norm cancels catastrophically once the
+        # matrix is nearly diagonal and can leave off stuck above 1e-10
+        off = math.sqrt(float((a[off_diag] ** 2).sum()))
+        if off < 1e-10:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+    else:
+        raise RuntimeError("Jacobi iteration did not converge")
+    return np.sort(np.diag(a))[::-1]
 
 
 def to_networkx(g: Graph):

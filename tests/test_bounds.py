@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from csg_ldpc.constructions import generalized_petersen
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph, adjacency_array, parse_lcf
 
-from oracles import bit_pairs_by_columns
+from oracles import bit_pairs_by_columns, jacobi_eigenvalues
 
 
 def complete_graph(n):
@@ -100,6 +101,17 @@ def test_clique_number_against_networkx(mask, n):
     assert clique_number(g) == expect
 
 
+def test_clique_number_leaves_no_reference_cycles(heawood_code):
+    gamma = bit_node_graph(heawood_code).graph
+    gc.disable()
+    try:
+        gc.collect()
+        assert clique_number(gamma) == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_independent_set_is_independent_and_large(heawood_code):
     gamma = bit_node_graph(heawood_code)
     s = independent_set_lower(gamma.graph)
@@ -138,13 +150,33 @@ def test_spectrum_input_validation():
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 7))
 @settings(max_examples=80)
-def test_spectrum_matches_lapack(seed, n):
+def test_spectrum_matches_jacobi_oracle(seed, n):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(n, n))
     a = (b + b.T) / 2.0
-    mine = spectrum(a)
-    lapack = np.sort(np.linalg.eigvalsh(a))[::-1]
-    assert np.allclose(mine, lapack, atol=1e-8)
+    assert np.allclose(spectrum(a), jacobi_eigenvalues(a), atol=1e-8)
+
+
+# mu2, the second eigenvalue of H^T H, of each catalog graph: an integer
+# except for 26A and 56C
+CATALOG_MU2 = {
+    "6A": 0.0, "8A": 1.0, "14A": 2.0, "16A": 3.0, "18A": 3.0, "20B": 4.0, "24A": 4.0,
+    "26A": (5.0 + math.sqrt(13.0)) / 2.0, "30A": 4.0, "32A": 5.0, "40A": 5.0, "48A": 6.0,
+    "56C": 3.0 + 2.0 * math.sqrt(2.0), "90A": 6.0,
+}
+
+
+def test_gram_lambda2_matches_full_adjacency(catalog):
+    assert set(catalog) == set(CATALOG_MU2)
+    for gid, (g, entry) in catalog.items():
+        report = compute_bounds(g, build_code(g))
+        assert report.lambda2 == pytest.approx(spectrum(adjacency_array(g))[1], abs=1e-9), gid
+        mu2 = CATALOG_MU2[gid]
+        if mu2.is_integer():
+            assert report.mu2 == mu2, gid
+        else:
+            assert report.mu2 == pytest.approx(mu2, abs=1e-9), gid
+        assert report.piecewise_bound <= entry["expected"]["d"], gid
 
 
 def test_tanner_bounds_formula_values():
@@ -153,6 +185,7 @@ def test_tanner_bounds_formula_values():
     assert d2 == pytest.approx(3.5)
     with pytest.raises(ValueError):
         tanner_bounds(7, 3.0)
+    assert tanner_bounds(45, 2.449489742783277)[0] == 0.0
 
 
 def test_heawood_spectral_quantities(heawood_code):
@@ -176,6 +209,9 @@ def test_piecewise_bound_branches():
     assert piecewise_distance_bound(45, 2.2) == 10.0
     assert piecewise_distance_bound(45, math.sqrt(6.0)) == 10.0
     assert piecewise_distance_bound(45, 2.5) == 4.0
+    # lambda2 a few ulps above 2 and sqrt(6), as an eigen-solver returns them
+    assert piecewise_distance_bound(45, 2.449489742783277) == 10.0
+    assert piecewise_distance_bound(15, 2.0000000000000036) == 6.0
 
 
 def test_predict_trivial():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 
@@ -121,7 +122,7 @@ def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
     assert run_experiments([]) == []
 
 
-class CountingPool(experiments.ProcessPoolExecutor):
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
     started = 0
 
     def __init__(self, *args, **kwargs):
@@ -132,7 +133,7 @@ class CountingPool(experiments.ProcessPoolExecutor):
 @pytest.mark.parametrize("workers,pools", [("2", 1), ("1", 0)])
 def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "started", 0)
     assert main([
         "simulate", str(data_dir / "24A.lcf"), "--channel", "bsc", "--param", "0.02,0.05,0.1",
@@ -140,6 +141,19 @@ def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers
     ]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert CountingPool.started == pools
+
+
+def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
+    proc = run_capped(
+        "import sys\n"
+        "from csg_ldpc.cli import main\n"
+        f"assert main(['catalog', {str(data_dir)!r}]) == 0\n"
+        f"assert main(['simulate', {str(data_dir / '24A.lcf')!r}, '--channel', 'bsc', '--param', '0.05',\n"
+        "             '--decoder', 'gallager-a', '--trials', '20', '--seed', '4', '--workers', '1']) == 0\n"
+        "print(*sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == ""
 
 
 def test_decoder_off_reproduces_channel_errors(heawood_h):
