@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the data/ catalog from named constructions and validate it.
 
-Every entry is rebuilt from its recipe, checked to be connected, cubic and
-bipartite, and its code parameters and duality flags are compared with the
-frozen expected values recorded below.  Entries that fail any check are
+Every entry is rebuilt from its recipe and run through
+``csg_ldpc.analysis.analyze_graph``, the function behind ``csg-ldpc
+catalog``: it refuses a graph that is not connected, cubic and bipartite,
+and its code parameters and duality flags are compared with the frozen
+expected values recorded below.  Entries that fail any check are
 reported and *not* written.  The manifest records the recipe and expected
 values for each shipped file.
 """
@@ -14,13 +16,13 @@ import json
 import sys
 from pathlib import Path
 
-from csg_ldpc.codes import build_code, is_lcd, is_self_orthogonal, minimum_distance
+from csg_ldpc.analysis import analyze_graph
 from csg_ldpc.constructions import (
     bipartite_double_cover,
     coxeter_graph,
     generalized_petersen,
 )
-from csg_ldpc.graphs import Graph, girth, is_connected, is_cubic, parse_lcf
+from csg_ldpc.graphs import Graph, parse_lcf
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -66,20 +68,17 @@ EDGE_RECIPES = {
 
 
 def validate(graph_id: str, g: Graph, expected, expect_so, expect_lcd) -> list[str]:
+    try:
+        report = analyze_graph(g, graph_id)
+    except ValueError as exc:
+        return [str(exc)]
     problems = []
-    if not is_connected(g):
-        problems.append("not connected")
-    if not is_cubic(g):
-        problems.append("not cubic")
-    if problems:
-        return problems
-    code = build_code(g)
-    got = (code.n, code.k, minimum_distance(code), girth(g))
+    got = (report.n, report.k, report.d, report.girth)
     if got != expected:
         problems.append(f"parameters {got} != expected {expected}")
-    if is_self_orthogonal(code) != expect_so:
+    if report.self_orthogonal != expect_so:
         problems.append("self-orthogonality flag mismatch")
-    if is_lcd(code) != expect_lcd:
+    if report.lcd != expect_lcd:
         problems.append("lcd flag mismatch")
     return problems
 

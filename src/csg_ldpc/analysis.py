@@ -12,9 +12,8 @@ from .codes import (
     EnumerationLimitExceeded,
     LinearCode,
     build_code,
+    hull_dimension,
     is_even_code,
-    is_lcd,
-    is_self_orthogonal,
     minimum_distance,
 )
 from .graphs import Graph, girth, load_edge_list, parse_lcf
@@ -115,6 +114,7 @@ def code_report(
     except EnumerationLimitExceeded as exc:
         d = None
         warnings.append(f"minimum distance not computed: {exc}")
+    hull = hull_dimension(code)
     return AnalysisReport(
         graph_id=graph_id,
         n=code.n,
@@ -122,8 +122,8 @@ def code_report(
         d=d,
         girth=code_girth,
         even=is_even_code(code),
-        self_orthogonal=is_self_orthogonal(code),
-        lcd=is_lcd(code),
+        self_orthogonal=hull == code.k,
+        lcd=hull == 0,
         bounds=bounds,
         warnings=warnings,
     )

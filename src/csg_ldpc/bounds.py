@@ -81,22 +81,14 @@ def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
     return bool(np.array_equal(h.T @ h, expected))
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    remaining = set(range(g.vertex_count))
-    deg = {v: g.degree(v) for v in remaining}
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
-        order.append(v)
-        remaining.remove(v)
-        for w in g.adjacency[v]:
-            if w in remaining:
-                deg[w] -= 1
-    return order
-
-
 def clique_number(g: Graph) -> int:
-    """Exact maximum clique size via branch and bound on bitset candidates."""
+    """Exact maximum clique size via branch and bound on bitset candidates.
+
+    Vertices are scanned in index order, each growing cliques only from its
+    higher-index neighbours.  That is exact for any order, since every
+    clique is found from its lowest-index vertex, and the candidate sets
+    stay within the maximum degree (6 on the bit-node graphs built here).
+    """
     n = g.vertex_count
     if n == 0:
         return 0
@@ -105,10 +97,8 @@ def clique_number(g: Graph) -> int:
         for v in nbrs:
             adj_bits[u] |= 1 << v
     best = 1
-    later = 0
-    for v in reversed(_degeneracy_order(g)):
-        later |= 1 << v
-        best = _extend_clique(1, adj_bits[v] & later, adj_bits, best)
+    for v in range(n):
+        best = _extend_clique(1, adj_bits[v] >> (v + 1) << (v + 1), adj_bits, best)
     return best
 
 

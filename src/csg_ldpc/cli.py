@@ -8,6 +8,7 @@ Randomized subcommands require an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -237,7 +238,10 @@ def _write_lines(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand names
+    its ``cmd_*`` handler, which ``main`` looks up at call time."""
     parser = argparse.ArgumentParser(
         prog="csg-ldpc",
         description="LDPC codes from cubic symmetric bipartite graphs",
@@ -249,18 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func="cmd_analyze")
 
     p = sub.add_parser("catalog", help="CSV table over a directory of graph files")
     p.add_argument("directory")
     p.add_argument("--out", default=None)
     p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func="cmd_catalog")
 
     p = sub.add_parser("export-alist", help="write the parity check in alist format")
     p.add_argument("path")
     p.add_argument("out")
-    p.set_defaults(func=cmd_export_alist)
+    p.set_defaults(func="cmd_export_alist")
 
     p = sub.add_parser("simulate", help="Monte-Carlo decoding over BSC or AWGN")
     p.add_argument("path")
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("variance", help="syndrome-weight variance, formula vs empirical")
     p.add_argument("path")
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_variance)
+    p.set_defaults(func="cmd_variance")
 
     p = sub.add_parser("extend", help="rate boost by appending identity columns to H")
     p.add_argument("path")
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--k-ceiling", type=int, default=MAX_DIMENSION_CEILING)
     p.add_argument("--alist-out", default=None)
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(func="cmd_extend")
 
     return parser
 
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1

@@ -9,7 +9,7 @@ itself (both node degrees equal 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf2 import BitMatrix
 from .graphs import (
@@ -48,13 +48,13 @@ class EnumerationLimitExceeded(RuntimeError):
     """Minimum-distance enumeration refused because 2**k is too large."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearCode:
     """Length, dimension, parity-check and generator matrices of a binary code.
 
     ``w_c`` / ``w_r`` hold the constant column / row weight of H when it is
-    regular, else None.  The minimum distance is cached after the first
-    computation; treat instances as immutable.
+    regular, else None.  Instances are immutable and hold no derived state:
+    the minimum distance is walked afresh on every call.
     """
 
     n: int
@@ -63,7 +63,6 @@ class LinearCode:
     G: BitMatrix
     w_c: int | None = None
     w_r: int | None = None
-    _distance: int | None = field(default=None, repr=False, compare=False)
 
 
 def _constant_weight(weights: list[int]) -> int | None:
@@ -120,10 +119,7 @@ def minimum_distance(code: LinearCode, ceiling: int = MAX_DIMENSION_CEILING) -> 
     convention; k beyond ``ceiling``, or beyond MAX_DIMENSION_CEILING
     whatever the ceiling asked for, raises EnumerationLimitExceeded.
     """
-    if code._distance is not None:
-        return code._distance
     if code.k == 0:
-        code._distance = code.n
         return code.n
     ceiling = min(ceiling, MAX_DIMENSION_CEILING)
     if code.k > ceiling:
@@ -138,7 +134,6 @@ def minimum_distance(code: LinearCode, ceiling: int = MAX_DIMENSION_CEILING) -> 
             best = w
             if best == 1:
                 break
-    code._distance = best
     return best
 
 
@@ -154,18 +149,19 @@ def is_even_code(code: LinearCode) -> bool:
     return all(r.bit_count() % 2 == 0 for r in code.G.rows)
 
 
-def _gram(code: LinearCode) -> BitMatrix:
-    return code.G.multiply(code.G.transpose())
+def hull_dimension(code: LinearCode) -> int:
+    """Dimension of the hull, the code's intersection with its dual.
+
+    Equals k - rank(G G^T) over GF(2).  This is the only place G G^T is
+    formed; both duality flags below are read off this number.
+    """
+    return code.k - code.G.multiply(code.G.transpose()).rank()
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
-    """True when the code is contained in its dual (G G^T = 0 over GF(2))."""
-    return _gram(code).is_zero()
-
-
-def hull_dimension(code: LinearCode) -> int:
-    """Dimension of the intersection with the dual: k - rank(G G^T)."""
-    return code.k - _gram(code).rank()
+    """True when the code is contained in its dual: the hull is the whole
+    code (G G^T = 0 over GF(2))."""
+    return hull_dimension(code) == code.k
 
 
 def is_lcd(code: LinearCode) -> bool:

@@ -9,6 +9,13 @@ from csg_ldpc.gf2 import BitMatrix
 
 
 @st.composite
+def parity_checks(draw):
+    """Any 0/1 parity check with 0-6 rows and 0-8 columns."""
+    n = draw(st.integers(0, 8))
+    return BitMatrix.from_rows(draw(st.lists(st.integers(0, 2 ** n - 1), max_size=6)), n)
+
+
+@st.composite
 def irregular_checks_and_blocks(draw):
     """Any 0/1 parity check, zero rows, zero columns and empty shapes
     included, and a (B, n) block of words for it."""

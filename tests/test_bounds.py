@@ -24,6 +24,7 @@ from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph, adjacency_array, parse_lcf
 
 from oracles import bit_pairs_by_columns, jacobi_eigenvalues
+from strategies import parity_checks
 
 
 def complete_graph(n):
@@ -41,13 +42,6 @@ def test_k33_bit_graph_flags_short_cycles():
     code = build_code(parse_lcf("[3,-3]^3"))
     gamma = bit_node_graph(code)
     assert not gamma.hypotheses_hold  # Tanner girth is 4
-
-
-@st.composite
-def parity_checks(draw):
-    """Any 0/1 parity check with 0-6 rows and 0-8 columns."""
-    n = draw(st.integers(0, 8))
-    return BitMatrix.from_rows(draw(st.lists(st.integers(0, 2 ** n - 1), max_size=6)), n)
 
 
 @given(parity_checks())

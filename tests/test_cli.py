@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -91,6 +92,18 @@ def test_catalog_over_data_directory(data_dir, capsys):
     assert len(lines) == 15  # header + the 14 shipped graphs
     assert lines[1].startswith("6A,3,2,2,4,")
     assert lines[-1].startswith("90A,45,11,10,10,")
+
+
+def test_second_catalog_pass_leaves_no_reference_cycles(data_dir, capsys):
+    assert main(["catalog", str(data_dir)]) == 0  # builds the parser once
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(["catalog", str(data_dir)]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count("\n") == 2 * 15
 
 
 def test_catalog_skips_corrupt_file(tmp_path, capsys):

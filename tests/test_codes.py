@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from csg_ldpc.codes import (
     EnumerationLimitExceeded,
@@ -24,7 +26,8 @@ from csg_ldpc.graphs import (
 )
 from csg_ldpc.constructions import generalized_petersen
 
-from oracles import codeword_weights, min_distance_by_column_search
+from oracles import codeword_weights, gf2_rank_dense, min_distance_by_column_search
+from strategies import parity_checks
 
 
 def test_heawood_code_parameters(heawood_code):
@@ -93,11 +96,13 @@ def test_minimum_distance_matches_column_search(heawood_code):
     assert minimum_distance(nauru) == min_distance_by_column_search(nauru.H) == 6
 
 
-def test_minimum_distance_is_cached():
-    code = build_code(parse_lcf("[5,-5]^7"))
-    assert code._distance is None
-    minimum_distance(code)
-    assert code._distance == 4
+def test_minimum_distance_ceiling_holds_after_a_full_walk(catalog):
+    # the answer depends on the code and the ceiling, never on earlier calls
+    code = build_code(catalog["90A"][0])
+    assert code.k == 11
+    assert minimum_distance(code) == 10
+    with pytest.raises(EnumerationLimitExceeded):
+        minimum_distance(code, ceiling=5)
 
 
 def test_enumeration_ceiling():
@@ -122,6 +127,28 @@ def test_duality_flags(heawood_code):
     assert hull_dimension(pappus) == 0
     nauru = build_code(parse_lcf("[5,-9,7,-7,9,-5]^4"))
     assert hull_dimension(nauru) == 2  # neither self-orthogonal nor LCD
+
+
+def assert_duality_matches_dense_gram(code):
+    g = code.G.to_numpy().astype(np.int64)
+    hull = code.k - gf2_rank_dense((g @ g.T) % 2)
+    assert hull_dimension(code) == hull
+    assert is_self_orthogonal(code) == (hull == code.k)
+    assert is_lcd(code) == (hull == 0)
+
+
+def test_duality_matches_dense_gram_on_catalog_and_extensions(catalog):
+    for gid, (g, _) in catalog.items():
+        code = build_code(g)
+        assert_duality_matches_dense_gram(code)
+        for l in sorted({1, code.n // 2 or 1, code.n}):
+            assert_duality_matches_dense_gram(extend_parity_check(code, l))
+
+
+@given(parity_checks())
+@settings(max_examples=200)
+def test_duality_matches_dense_gram_on_any_parity_check(h):
+    assert_duality_matches_dense_gram(code_from_parity_check(h))
 
 
 def test_even_flag_matches_enumeration(catalog):

@@ -1,12 +1,13 @@
-"""Exact CSV bytes of ``simulate`` and ``variance`` for fixed seeds.
+"""Exact output bytes of ``simulate``, ``variance``, ``catalog`` and ``analyze``.
 
-The expected text was produced by the command line before the channel
-noise and syndrome routines were merged into ``csg_ldpc.channel``; any
-change to the per-trial random stream, the batching of the variance
-path or the aggregation shows up here as a byte difference.  The two
-cases at seed 7700100000 were recorded while every trial still built its
-own ``default_rng((seed, i))``; they pin the block-derived generators on a
-seed of two uint32 words.
+The simulate and variance text was produced by the command line before
+the channel noise and syndrome routines were merged into
+``csg_ldpc.channel``; any change to the per-trial random stream, the
+batching of the variance path or the aggregation shows up here as a byte
+difference.  The two cases at seed 7700100000 were recorded while every
+trial still built its own ``default_rng((seed, i))``; they pin the
+block-derived generators on a seed of two uint32 words.  The catalog CSV
+and the analyze reports pin the parameters, duality flags and bounds.
 """
 
 import pytest
@@ -87,3 +88,236 @@ def test_csv_bytes_match_recorded_output(data_dir, capsys, command, expected):
     sub, graph, *rest = command.split()
     assert main([sub, str(data_dir / graph), *rest]) == 0
     assert capsys.readouterr().out == expected
+
+
+# recorded while clique_number still scanned a degeneracy order and the
+# duality flags each formed their own G G^T
+CATALOG_CSV = (
+    "id,n,k,d,girth,even,self_orth,lcd\n"
+    "6A,3,2,2,4,true,false,true\n"
+    "8A,4,0,4,4,true,true,true\n"
+    "14A,7,3,4,6,true,true,false\n"
+    "16A,8,0,8,6,true,true,true\n"
+    "18A,9,2,6,6,true,false,true\n"
+    "20B,10,4,4,6,true,false,true\n"
+    "24A,12,4,6,6,true,false,false\n"
+    "26A,13,0,13,6,true,true,true\n"
+    "30A,15,5,6,8,true,true,false\n"
+    "32A,16,0,16,6,true,true,true\n"
+    "40A,20,4,8,8,true,true,false\n"
+    "48A,24,6,10,8,true,false,false\n"
+    "56C,28,8,8,8,true,false,true\n"
+    "90A,45,11,10,10,true,true,false\n"
+)
+
+ANALYZE_TEXT = {
+    "6A.lcf": (
+        "graph:            6A\n"
+        "parameters:       [3, 2, 2]\n"
+        "girth:            4\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              yes\n"
+        "lambda2:          0.000000\n"
+        "distance bounds:  d1=2.0000 d2=1.5556 piecewise=1.2000\n"
+        "dimension bound:  2.5000\n"
+        "clique number:    3\n"
+        "independent set:  1\n"
+        "predicted [n,0,n]: no\n"
+        "warning: girth 4 < 6: bit pairs may share several checks, structural bound arguments do not apply\n"
+    ),
+    "8A.lcf": (
+        "graph:            8A\n"
+        "parameters:       [4, 0, 4]\n"
+        "girth:            4\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              yes\n"
+        "lambda2:          1.000000\n"
+        "distance bounds:  d1=2.5000 d2=2.0000 piecewise=1.6000\n"
+        "dimension bound:  3.3333\n"
+        "clique number:    4\n"
+        "independent set:  1\n"
+        "predicted [n,0,n]: yes\n"
+        "warning: girth 4 < 6: bit pairs may share several checks, structural bound arguments do not apply\n"
+    ),
+    "14A.lcf": (
+        "graph:            14A\n"
+        "parameters:       [7, 3, 4]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              no\n"
+        "lambda2:          1.414214\n"
+        "distance bounds:  d1=4.0000 d2=3.3333 piecewise=2.8000\n"
+        "dimension bound:  5.8333\n"
+        "clique number:    7\n"
+        "independent set:  1\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "16A.lcf": (
+        "graph:            16A\n"
+        "parameters:       [8, 0, 8]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              yes\n"
+        "lambda2:          1.732051\n"
+        "distance bounds:  d1=4.0000 d2=3.5556 piecewise=3.2000\n"
+        "dimension bound:  6.6667\n"
+        "clique number:    4\n"
+        "independent set:  2\n"
+        "predicted [n,0,n]: yes\n"
+    ),
+    "18A.lcf": (
+        "graph:            18A\n"
+        "parameters:       [9, 2, 6]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              yes\n"
+        "lambda2:          1.732051\n"
+        "distance bounds:  d1=4.5000 d2=4.0000 piecewise=3.6000\n"
+        "dimension bound:  7.5000\n"
+        "clique number:    3\n"
+        "independent set:  3\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "20B.lcf": (
+        "graph:            20B\n"
+        "parameters:       [10, 4, 4]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              yes\n"
+        "lambda2:          2.000000\n"
+        "distance bounds:  d1=4.0000 d2=4.0000 piecewise=4.0000\n"
+        "dimension bound:  8.3333\n"
+        "clique number:    4\n"
+        "independent set:  2\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "24A.lcf": (
+        "graph:            24A\n"
+        "parameters:       [12, 4, 6]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              no\n"
+        "lambda2:          2.000000\n"
+        "distance bounds:  d1=4.8000 d2=4.8000 piecewise=4.8000\n"
+        "dimension bound:  10.0000\n"
+        "clique number:    3\n"
+        "independent set:  4\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "26A.lcf": (
+        "graph:            26A\n"
+        "parameters:       [13, 0, 13]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              yes\n"
+        "lambda2:          2.074313\n"
+        "distance bounds:  d1=4.6972 d2=4.9765 piecewise=2.8889\n"
+        "dimension bound:  10.8333\n"
+        "clique number:    3\n"
+        "independent set:  3\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "30A.lcf": (
+        "graph:            30A\n"
+        "parameters:       [15, 5, 6]\n"
+        "girth:            8\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              no\n"
+        "lambda2:          2.000000\n"
+        "distance bounds:  d1=6.0000 d2=6.0000 piecewise=6.0000\n"
+        "dimension bound:  12.5000\n"
+        "clique number:    3\n"
+        "independent set:  5\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "32A.lcf": (
+        "graph:            32A\n"
+        "parameters:       [16, 0, 16]\n"
+        "girth:            6\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              yes\n"
+        "lambda2:          2.236068\n"
+        "distance bounds:  d1=4.0000 d2=5.3333 piecewise=3.5556\n"
+        "dimension bound:  13.3333\n"
+        "clique number:    3\n"
+        "independent set:  4\n"
+        "predicted [n,0,n]: yes\n"
+    ),
+    "40A.edges": (
+        "graph:            40A\n"
+        "parameters:       [20, 4, 8]\n"
+        "girth:            8\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              no\n"
+        "lambda2:          2.236068\n"
+        "distance bounds:  d1=5.0000 d2=6.6667 piecewise=4.4444\n"
+        "dimension bound:  16.6667\n"
+        "clique number:    3\n"
+        "independent set:  6\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "48A.edges": (
+        "graph:            48A\n"
+        "parameters:       [24, 6, 10]\n"
+        "girth:            8\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              no\n"
+        "lambda2:          2.449490\n"
+        "distance bounds:  d1=0.0000 d2=5.3333 piecewise=5.3333\n"
+        "dimension bound:  20.0000\n"
+        "clique number:    3\n"
+        "independent set:  7\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "56C.edges": (
+        "graph:            56C\n"
+        "parameters:       [28, 8, 8]\n"
+        "girth:            8\n"
+        "even code:        yes\n"
+        "self-orthogonal:  no\n"
+        "lcd:              yes\n"
+        "lambda2:          2.414214\n"
+        "distance bounds:  d1=1.5147 d2=6.8954 piecewise=6.2222\n"
+        "dimension bound:  23.3333\n"
+        "clique number:    3\n"
+        "independent set:  8\n"
+        "predicted [n,0,n]: no\n"
+    ),
+    "90A.lcf": (
+        "graph:            90A\n"
+        "parameters:       [45, 11, 10]\n"
+        "girth:            10\n"
+        "even code:        yes\n"
+        "self-orthogonal:  yes\n"
+        "lcd:              no\n"
+        "lambda2:          2.449490\n"
+        "distance bounds:  d1=0.0000 d2=10.0000 piecewise=10.0000\n"
+        "dimension bound:  37.5000\n"
+        "clique number:    3\n"
+        "independent set:  15\n"
+        "predicted [n,0,n]: no\n"
+    ),
+}
+
+
+def test_catalog_csv_bytes_match_recorded_output(data_dir, capsys):
+    assert main(["catalog", str(data_dir)]) == 0
+    assert capsys.readouterr().out == CATALOG_CSV
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TEXT))
+def test_analyze_text_matches_recorded_output(data_dir, capsys, name):
+    assert main(["analyze", str(data_dir / name)]) == 0
+    assert capsys.readouterr().out == ANALYZE_TEXT[name]
