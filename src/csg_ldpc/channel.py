@@ -3,8 +3,9 @@
 This module holds the package's only noise generator, ``transmit``, and
 its only syndrome routine, ``syndrome``.  Both take one word of shape (n,)
 or a block of words of shape (B, n): the decoders test their estimates
-with ``syndrome``, ``run_experiment`` draws each trial through
-``transmit``, and ``syndrome_statistics`` pushes whole blocks through both.
+with ``syndrome``, ``run_experiment`` draws each block of trials through
+``transmit`` from one generator per trial, and ``syndrome_statistics``
+pushes whole blocks through both from one generator.
 
 ``ParityChecks``, each check's column indices built once per H, is the
 one incidence table of H: ``syndrome`` gathers through it only the bits a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -72,18 +73,41 @@ class AwgnChannel:
 ChannelModel = Union[BscChannel, AwgnChannel]
 
 
-def transmit(word: np.ndarray, channel: ChannelModel, rng: np.random.Generator) -> np.ndarray:
+def transmit(
+    word: np.ndarray,
+    channel: ChannelModel,
+    rng: np.random.Generator | Iterable[np.random.Generator],
+) -> np.ndarray:
     """Send a codeword, or a (B, n) block of them, through the channel.
 
     BSC returns bits with i.i.d. flips; AWGN returns the real received
     values after BPSK mapping and Gaussian noise.  Noise has the shape of
     ``word`` and is drawn in row-major order, so a block receives the same
     noise as its rows sent one after another from the same generator.
+    ``rng`` may instead be an iterable of generators, one per row of a
+    block: row r is then drawn from the r-th, which must be drawn from
+    before the next is taken, and exactly B generators are taken from it.
+    The noise is drawn first and the channel map applied once to the
+    whole block either way.
     """
     word = np.asarray(word, dtype=np.uint8)
-    if isinstance(channel, BscChannel):
-        return word ^ (rng.random(word.shape) < channel.rho)
-    return 1.0 - 2.0 * word + channel.sigma * rng.standard_normal(word.shape)
+    bsc = isinstance(channel, BscChannel)
+    if isinstance(rng, np.random.Generator):
+        noise = rng.random(word.shape) if bsc else rng.standard_normal(word.shape)
+    else:
+        if word.ndim != 2:
+            raise ValueError(f"one generator per row needs a (B, n) block, got shape {word.shape}")
+        noise = np.empty(word.shape)
+        filled = 0
+        # rows first: zip stops at the last row without taking another generator
+        for row, generator in zip(noise, rng):
+            (generator.random if bsc else generator.standard_normal)(out=row)
+            filled += 1
+        if filled < len(noise):
+            raise ValueError(f"{filled} generators for a block of {len(noise)} rows")
+    if bsc:
+        return word ^ (noise < channel.rho)
+    return 1.0 - 2.0 * word + channel.sigma * noise
 
 
 def padded_groups(groups: np.ndarray, items: np.ndarray, ngroups: int, fill: int) -> np.ndarray:

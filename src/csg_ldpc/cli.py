@@ -19,6 +19,7 @@ from .analysis import analyze_graph, code_report, load_graph_file
 from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
+    MAX_ITERATIONS,
     RNG_FAMILY,
     ExperimentConfig,
     run_experiments,
@@ -273,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", choices=("gallager-a", "sum-product"), required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument(
+        "--max-iter", type=int, default=50, help=f"decoder iteration cap, 0 to {MAX_ITERATIONS} (default: 50)"
+    )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_simulate")

@@ -1,19 +1,25 @@
 """Hard-decision (Gallager A) and log-domain sum-product decoders.
 
-One message-passing engine, ``_EdgeStructure.decode_block``, decodes a
-(B, n) block of words in one set of numpy passes per iteration; ``decode``
-is its B = 1 case.  The two decoders differ only in their update rule: a
+One message-passing loop, ``_EdgeStructure.decode_stream``, decodes a
+stream of (B, n) blocks of words in one set of numpy passes per
+iteration; ``decode_block`` is its one-block case and ``decode`` the
+B = 1 case of that.  The two decoders differ only in their update rule: a
 start method checks the input and gives the iteration-0 estimate and the
-per-row arrays the rule carries, and a step method runs one iteration
-from those arrays.  Messages live in the check slots of
-``channel.ParityChecks``, the one incidence table of H: reshaped, a
-message block is the check view, and the bit view gathers it through a
-table of each bit's slots (Richardson & Urbanke, *Modern Coding Theory*,
-2008, ch. 2, flooding schedule).  The engine keeps the indices of the rows
-still decoding: after each iteration it tests their estimates with
-``channel.syndrome``, writes finished rows out and compacts the carried
-arrays, so every row stops at its own first zero syndrome and gets the
-same word and iteration count as if it were decoded alone.  Construct a
+per-row state the rule carries, as it stands before the first iteration,
+and a step method runs one iteration from that state.  Messages live in
+the check slots of ``channel.ParityChecks``, the one incidence table of
+H: reshaped, a message block is the check view, and the bit view gathers
+it through a table of each bit's slots (Richardson & Urbanke, *Modern
+Coding Theory*, 2008, ch. 2, flooding schedule).
+
+The loop keeps every active row's stream position and iteration count.
+Each pass it admits further blocks while fewer than ``BLOCK_ROWS`` rows
+are active, tests every active row's estimate with ``channel.syndrome``,
+hands out the rows that reached a zero syndrome or their ``max_iter``,
+compacts the carried state, and steps the rest.  So every row stops at
+its own first zero syndrome and gets the same word and iteration count as
+if it were decoded alone, while a row that runs to the cap shares each of
+its iterations with fresh rows instead of stepping alone.  Construct a
 decoder once per matrix and hand it blocks when decoding many words: a
 lone word pays the full per-iteration numpy overhead.
 """
@@ -21,6 +27,7 @@ lone word pays the full per-iteration numpy overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +37,10 @@ from .gf2 import BitMatrix
 __all__ = ["DecodeResult", "GallagerADecoder", "SumProductDecoder"]
 
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
+
+# rows a decode stream keeps in flight: it admits the next block whenever
+# fewer are active, so with blocks of this size at most 2 * BLOCK_ROWS - 1
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -50,8 +61,9 @@ class _EdgeStructure:
     lists bit j's slots in ascending check order: the bit view.
 
     Subclasses supply the update rule: ``_start(y)`` returns the iteration-0
-    estimate and a tuple of (B, ...) arrays, and ``_step(*arrays)`` returns
-    the next estimate and arrays."""
+    estimate and a tuple of (B, ...) state arrays, and ``_step(*arrays)``
+    returns the next estimate and arrays; the first step is no different
+    from any other."""
 
     def __init__(self, h: BitMatrix):
         self.n = h.ncols
@@ -72,37 +84,63 @@ class _EdgeStructure:
         return DecodeResult(word=words[0], iterations=int(iterations[0]), syndrome_zero=bool(ok[0]))
 
     def decode_block(self, y: np.ndarray, max_iter: int = 50):
-        """Decode a (B, n) block of received words.
+        """Decode a (B, n) block of received words: the one-block stream.
 
         Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
         (B,) bool); row r equals ``decode(y[r], max_iter)``.
         """
+        y = self._checked(y)
+        words = np.empty(y.shape, dtype=np.uint8)
+        iterations = np.empty(len(y), dtype=np.int64)
+        syndrome_zero = np.empty(len(y), dtype=bool)
+        for rows, *finished in self.decode_stream([y], max_iter=max_iter):
+            words[rows], iterations[rows], syndrome_zero[rows] = finished
+        return words, iterations, syndrome_zero
+
+    def decode_stream(self, blocks: Iterable[np.ndarray], max_iter: int = 50):
+        """Decode an iterable of (B, n) blocks as one stream of rows.
+
+        Before each iteration the stream admits further blocks while fewer
+        than ``BLOCK_ROWS`` rows are active, so rows that decode slowly
+        share their iterations with fresh ones; each block is read only
+        when it is admitted.  Each pass that finishes rows yields (rows,
+        words, iterations, syndrome_zero): the rows' positions in the
+        stream (counted over all blocks in order) and, for each, what
+        ``decode`` returns for it.
+        """
+        blocks = iter(blocks)
+        admitted = 0
+        # one array per quantity, one row per active word: stream positions,
+        # iteration counts, estimates, then the carried state
+        state = (np.zeros(0, dtype=np.int64),)
+        while True:
+            while len(state[0]) < BLOCK_ROWS and (block := next(blocks, None)) is not None:
+                est, carried = self._start(self._checked(block))
+                new = (np.arange(admitted, admitted + len(est)), np.zeros(len(est), dtype=np.int64), est, *carried)
+                admitted += len(est)
+                state = tuple(map(np.concatenate, zip(state, new))) if len(state[0]) else new
+            if not len(state[0]):
+                return
+            rows, iterations, est, *carried = state
+            done = syndrome(self.checks, est)[1] == 0
+            finished = done | (iterations == max_iter)
+            count = np.count_nonzero(finished)
+            if count == len(rows):  # nothing left to compact or step
+                yield rows, est, iterations, done
+                state = (rows[:0],)
+                continue
+            if count:
+                yield rows[finished], est[finished], iterations[finished], done[finished]
+                keep = ~finished
+                rows, iterations, *carried = (a[keep] for a in (rows, iterations, *carried))
+            est, carried = self._step(*carried)
+            state = (rows, iterations + 1, est, *carried)
+
+    def _checked(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y)
         if y.ndim != 2 or y.shape[1] != self.n:
             raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
-        est, carried = self._start(y)
-        words = est.copy()
-        iterations = np.zeros(len(est), dtype=np.int64)
-        syndrome_zero = np.zeros(len(est), dtype=bool)
-        active = np.arange(len(est))
-        for it in range(max_iter + 1):
-            if it:
-                est, carried = self._step(*carried)
-            done = syndrome(self.checks, est)[1] == 0
-            if done.any():
-                rows = active[done]
-                words[rows] = est[done]
-                iterations[rows] = it
-                syndrome_zero[rows] = True
-                keep = ~done
-                active, est = active[keep], est[keep]
-                carried = tuple(a[keep] for a in carried)
-            if not len(active):
-                break
-        # rows still active after max_iter iterations end with their last estimate
-        words[active] = est
-        iterations[active] = max_iter
-        return words, iterations, syndrome_zero
+        return y
 
 
 class GallagerADecoder(_EdgeStructure):
@@ -121,21 +159,21 @@ class GallagerADecoder(_EdgeStructure):
         self.quorum = self.bit_deg + 1
 
     def _start(self, y: np.ndarray):
-        """Hard-decision words: the estimate is the word itself."""
+        """Hard-decision words: the estimate is the word itself.  The state
+        is that of checks echoing the channel: each slot's incoming message
+        is its bit's received value, so the first step sends the received
+        bits."""
         y = y.astype(np.uint8, copy=False)
-        return y, (y,)
+        received = y[:, self.slot_bit]
+        return y, (y, received, y * self.bit_deg, received)
 
-    def _step(self, y: np.ndarray, *previous: np.ndarray):
-        """One iteration; ``previous`` holds the last iteration's (received,
-        ones_in, c2b), and is empty on the first, which sends the received bits."""
-        if previous:
-            received, ones_in, c2b = previous
-            ones_other = ones_in[:, self.slot_bit] - c2b
-            flip = np.where(received == 0, ones_other == self.deg_other, ones_other == 0)
-            msg = np.where(flip, 1 - received, received)
-            b2c = np.where(self.deg_other == 0, received, msg).astype(np.uint8)
-        else:
-            received = b2c = y[:, self.slot_bit]
+    def _step(self, y: np.ndarray, received: np.ndarray, ones_in: np.ndarray, c2b: np.ndarray):
+        """One iteration from the received bit at each slot and the last
+        iteration's (ones_in, c2b)."""
+        ones_other = ones_in[:, self.slot_bit] - c2b
+        flip = np.where(received == 0, ones_other == self.deg_other, ones_other == 0)
+        msg = np.where(flip, 1 - received, received)
+        b2c = np.where(self.deg_other == 0, received, msg).astype(np.uint8)
         padded = np.where(self.check_mask, b2c.reshape(len(b2c), *self.check_mask.shape), 0)
         parity = np.bitwise_xor.reduce(padded, axis=2)
         c2b = (parity[:, :, None] ^ padded).reshape(len(b2c), -1)
@@ -155,20 +193,17 @@ class SumProductDecoder(_EdgeStructure):
     """
 
     def _start(self, llr: np.ndarray):
-        """Channel LLRs, which must be finite: the estimate is their sign."""
+        """Channel LLRs, which must be finite: the estimate is their sign.
+        With every check message still zero, the first step sends the
+        channel LLRs."""
         llr = llr.astype(np.float64, copy=False)
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
-        return (llr < 0).astype(np.uint8), (llr,)
+        return (llr < 0).astype(np.uint8), (llr, llr, np.zeros((len(llr), self.check_mask.size)))
 
-    def _step(self, llr: np.ndarray, *previous: np.ndarray):
-        """One iteration; ``previous`` holds the last iteration's (total, c2b),
-        and is empty on the first, which sends the channel LLRs."""
-        if previous:
-            total, c2b = previous
-            b2c = total[:, self.slot_bit] - c2b
-        else:
-            b2c = llr[:, self.slot_bit]
+    def _step(self, llr: np.ndarray, total: np.ndarray, c2b: np.ndarray):
+        """One iteration from the last iteration's (total, c2b)."""
+        b2c = total[:, self.slot_bit] - c2b
         th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
         padded = np.where(self.check_mask, th.reshape(len(th), *self.check_mask.shape), 1.0)
         c2b_view = np.empty_like(padded)

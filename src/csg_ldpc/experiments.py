@@ -6,14 +6,23 @@ depend only on the seed and trial count, never on how trials are split
 across workers.  Aggregation sums integers, which makes the reduction
 order irrelevant and the output byte-stable.
 
-Each worker walks its trial range in blocks of ``_BLOCK`` trials: it
-draws trial i from its own generator as above, stacks the block's draws,
-and takes one syndrome, one LLR conversion and one ``decode_block`` call
-per block.  The block size is pinned by peak memory, not speed: on
-sum-product over 90A (2-CPU machine), 32 rows ran 10-20% slower than
-64, while 256 rows ran ~10% faster but raised the process's peak RSS by
-~6% over per-word decoding, past the 5% bound of the ``perfbench``
-simulate workloads; 64 rows stay within 1.2%.
+Each worker decodes its trial range as one stream of rows.  It cuts the
+range into blocks of ``decoders.BLOCK_ROWS`` (64) trials:
+``transmit`` draws each block's rows into one array, trial i from its own
+generator as above, and applies the channel once to the block; one
+syndrome call takes the block's received weights and one conversion its
+LLRs.  ``decode_stream`` takes a new block whenever fewer than 64 rows are
+still decoding, so a row that runs to the iteration cap shares its
+iterations with fresh rows rather than holding a whole block's pass to a
+few rows.  Each finished row's errors and flags go into integer sums, so
+the order in which rows finish cannot change a number.  The block size is
+pinned by peak memory, not speed: the working set is at most 127 active
+rows of decoder state and step temporaries plus one block of noise.  On
+sum-product over 90A (``simulate-sp``'s inputs, 2-CPU machine) that
+raised the peak RSS over 64-row blocks decoded one at a time from 36.5 to
+37.0-37.2 MB in a plain process and from 41.99 to 42.81 MB (+2.0%) in
+``perfbench``, inside the 5% bound of its simulate workloads; blocks of
+256 rows had cost ~6% over per-word decoding.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -21,7 +30,8 @@ all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
 fixed integer recurrences, so ``_trial_generators`` runs them for a
 whole block in numpy and sets each trial's PCG64 state on one reused
 generator.  The states, and so the draws, equal ``trial_rng``'s bit for
-bit, and ``transmit`` still makes every draw.
+bit, and ``transmit`` still makes every draw: it takes the generators one
+row at a time and never one past the block.
 
 ``run_experiments`` runs a whole sweep through one process pool: each
 config splits into at most ``min(worker_count, trials, os.cpu_count())``
@@ -41,11 +51,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channel import BscChannel, ChannelModel, ParityChecks, llr_from_awgn, llr_from_bsc, syndrome, transmit
-from .decoders import GallagerADecoder, SumProductDecoder
+from .decoders import BLOCK_ROWS, GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
 __all__ = [
     "RNG_FAMILY",
+    "MAX_ITERATIONS",
     "ExperimentConfig",
     "ExperimentResult",
     "SyndromeStats",
@@ -60,7 +71,9 @@ RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 
 DECODER_NAMES = ("gallager-a", "sum-product")
 
-_BLOCK = 64
+# the largest decoder iteration budget a config accepts: every row that
+# never reaches a zero syndrome is stepped this many times
+MAX_ITERATIONS = 1000
 
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20
@@ -154,7 +167,7 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
     seed_words = _words(master_seed)
     lo = start
     while lo < stop:
-        hi = min(stop, lo + _BLOCK, ((lo >> 32) + 1) << 32)
+        hi = min(stop, lo + BLOCK_ROWS, ((lo >> 32) + 1) << 32)
         low = lo & _MASK32
         columns = [np.full(hi - lo, w, np.uint32) for w in seed_words]
         columns.append(np.arange(low, low + hi - lo, dtype=np.uint32))
@@ -177,9 +190,9 @@ class ExperimentConfig:
     """One decoding experiment: parity check, channel, decoder, budget.
 
     ``max_iterations`` may be 0 to measure the raw channel (hard decisions
-    only).  ``worker_count`` > 1 splits trials over processes without
-    changing any number in the result; it is capped at the trial count
-    and the machine's CPU count.
+    only), and at most ``MAX_ITERATIONS``.  ``worker_count`` > 1 splits
+    trials over processes without changing any number in the result; it is
+    capped at the trial count and the machine's CPU count.
     """
 
     h: BitMatrix
@@ -195,8 +208,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}, expected {DECODER_NAMES}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        if not 0 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be in [0, {MAX_ITERATIONS}], got {self.max_iterations}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.master_seed < 0:
@@ -224,39 +237,45 @@ class ExperimentResult:
     undetected: int
 
 
+def _decoder_inputs(cfg: ExperimentConfig, checks: ParityChecks, start: int, stop: int, moments: np.ndarray):
+    """Yield the decoder input of each ``BLOCK_ROWS``-trial block of [start,
+    stop), adding the block's sum w and sum w^2 of received syndrome
+    weights into ``moments``."""
+    zero_block = np.zeros((BLOCK_ROWS, cfg.h.ncols), dtype=np.uint8)
+    bsc = isinstance(cfg.channel, BscChannel)
+    generators = _trial_generators(cfg.master_seed, start, stop)
+    for lo in range(start, stop, BLOCK_ROWS):
+        received = transmit(zero_block[:stop - lo], cfg.channel, generators)
+        hard = received if bsc else (received < 0).astype(np.uint8)
+        _, w = syndrome(checks, hard)
+        moments += (w.sum(), w @ w)
+        if cfg.decoder == "gallager-a":
+            yield hard
+        elif bsc:
+            yield llr_from_bsc(hard, cfg.channel.rho)
+        else:
+            yield llr_from_awgn(received, cfg.channel.sigma)
+
+
 def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
     """Partial sums for one trial range: bit errors, word errors, sum w,
-    sum w^2, detected and undetected decoder failures."""
-    gallager = cfg.decoder == "gallager-a"
-    decoder = GallagerADecoder(cfg.h) if gallager else SumProductDecoder(cfg.h)
-    zero_word = np.zeros(cfg.h.ncols, dtype=np.uint8)
-    bsc = isinstance(cfg.channel, BscChannel)
-    sums = np.zeros(6, dtype=np.int64)
-    generators = _trial_generators(cfg.master_seed, start, stop)
-    for lo in range(start, stop, _BLOCK):
-        received = np.stack([
-            transmit(zero_word, cfg.channel, next(generators))
-            for _ in range(lo, min(lo + _BLOCK, stop))
-        ])
-        hard = received if bsc else (received < 0).astype(np.uint8)
-        _, w = syndrome(decoder.checks, hard)
-        if gallager:
-            y = hard
-        elif bsc:
-            y = llr_from_bsc(hard, cfg.channel.rho)
-        else:
-            y = llr_from_awgn(received, cfg.channel.sigma)
-        words, _, syndrome_zero = decoder.decode_block(y, max_iter=cfg.max_iterations)
+    sum w^2, detected and undetected decoder failures.  Every sum is over
+    integers, so the order in which the stream finishes rows cannot
+    change it."""
+    decoder = (GallagerADecoder if cfg.decoder == "gallager-a" else SumProductDecoder)(cfg.h)
+    moments = np.zeros(2, dtype=np.int64)
+    outcomes = np.zeros(4, dtype=np.int64)
+    blocks = _decoder_inputs(cfg, decoder.checks, start, stop, moments)
+    for _, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=cfg.max_iterations):
         errs = words.sum(axis=1, dtype=np.int64)
-        sums += (
+        outcomes += (
             errs.sum(),
             np.count_nonzero(errs),
-            w.sum(),
-            w @ w,
             np.count_nonzero(~syndrome_zero),
             np.count_nonzero(syndrome_zero & (errs > 0)),
         )
-    return tuple(int(v) for v in sums)
+    bit_errors, word_errors, detected, undetected = outcomes.tolist()
+    return bit_errors, word_errors, *moments.tolist(), detected, undetected
 
 
 def _pool_size(worker_count: int, trials: int) -> int:

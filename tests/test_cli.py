@@ -250,6 +250,7 @@ BAD_INPUTS = [
     ("simulate-workers-0", simulate_argv(workers="0")),
     ("simulate-trials-0", simulate_argv(trials="0")),
     ("simulate-max-iter-negative", simulate_argv(max_iter="-1")),
+    ("simulate-max-iter-huge", simulate_argv(max_iter="1000000000")),
     ("simulate-seed-negative", simulate_argv(seed="-1")),
     ("simulate-empty-param", simulate_argv(param="")),
     ("simulate-param-text", simulate_argv(param="0.1,abc")),

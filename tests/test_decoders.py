@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csg_ldpc import decoders
 from csg_ldpc.channel import llr_from_bsc
 from csg_ldpc.codes import build_code, extend_parity_check
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
@@ -87,15 +90,20 @@ def test_input_validation(heawood_code):
     block[2, 4] = np.nan
     with pytest.raises(ValueError, match="finite"):
         sp.decode_block(block)
+    for decoder in (ga, sp):
+        with pytest.raises(ValueError, match="length"):
+            list(decoder.decode_stream([np.zeros((2, 7)), np.zeros((1, 6))]))
 
 
 @st.composite
 def blocks(draw):
-    """A parity check, a (B, n) block of hard words and LLRs for it, and a budget.
+    """A parity check, a (B, n) block of hard words and LLRs for it, a
+    budget, and cut points that split the block into uneven blocks.
 
     The check is the extended Heawood code, a random regular one, or any
     0/1 matrix: zero rows, zero columns and m or n = 0 pad the message
-    slots of ``ParityChecks`` in every way they can be padded."""
+    slots of ``ParityChecks`` in every way they can be padded.  Repeated
+    cut points make 0-row blocks."""
     kind = draw(st.sampled_from(["extended", "regular", "irregular"]))
     if kind == "extended":
         h = EXTENDED_HEAWOOD
@@ -113,26 +121,63 @@ def blocks(draw):
         llr = llr_from_bsc(words, draw(st.sampled_from([0.0, 0.05, 0.2])))
     else:
         llr = np.round(rng.normal(1.0, 1.5, size=words.shape), 2)
-    return h, words, llr, draw(st.sampled_from([0, 1, 7]))
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=4)))
+    return h, words, llr, draw(st.sampled_from([0, 1, 7])), cuts
 
 
-@given(blocks())
+def _split(block, cuts):
+    edges = [0, *cuts, len(block)]
+    return [block[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@given(blocks(), st.integers(1, 3))
 @settings(max_examples=120, deadline=None)
-def test_decode_block_matches_oracles_row_by_row(case):
-    h, words, llr, max_iter = case
+def test_decode_block_matches_oracles_row_by_row(case, in_flight):
+    h, words, llr, max_iter, cuts = case
     check_bits, _ = support_lists(h)
     for decoder, block, oracle in (
         (GallagerADecoder(h), words, reference_gallager_a),
         (SumProductDecoder(h), llr, reference_sum_product),
     ):
+        expected = [oracle(h, row.tolist(), max_iter=max_iter) for row in block]
         out, iterations, syndrome_zero = decoder.decode_block(block, max_iter=max_iter)
         assert out.shape == block.shape and out.dtype == np.uint8
         assert iterations.shape == syndrome_zero.shape == (len(block),)
         assert iterations.dtype == np.int64 and syndrome_zero.dtype == bool
-        for row, word, iters, ok in zip(block, out, iterations, syndrome_zero):
-            ref_word, ref_iters = oracle(h, row.tolist(), max_iter=max_iter)
+        for (ref_word, ref_iters), word, iters, ok in zip(expected, out, iterations, syndrome_zero):
             assert word.tolist() == ref_word and iters == ref_iters
             assert ok == _syndrome_zero(check_bits, ref_word)
+        # the stream, admitting blocks while fewer than in_flight rows are active
+        seen = []
+        with patch.object(decoders, "BLOCK_ROWS", in_flight):
+            for rows, out, iterations, syndrome_zero in decoder.decode_stream(_split(block, cuts), max_iter):
+                for r, word, iters, ok in zip(rows.tolist(), out, iterations, syndrome_zero):
+                    ref_word, ref_iters = expected[r]
+                    assert word.tolist() == ref_word and iters == ref_iters
+                    assert ok == _syndrome_zero(check_bits, ref_word)
+                seen += rows.tolist()
+        assert sorted(seen) == list(range(len(block)))
+
+
+@pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
+def test_stream_steps_capped_rows_together(nauru_code, monkeypatch, decoder_type):
+    # bits 0, 5 and 11 flipped: both decoders are still at a nonzero
+    # syndrome after 30 iterations
+    y = np.zeros(nauru_code.n, dtype=np.uint8)
+    y[[0, 5, 11]] = 1
+    row = y if decoder_type is GallagerADecoder else llr_from_bsc(y, 0.15)
+    decoder = decoder_type(nauru_code.H)
+    calls = []
+    step = decoder_type._step
+    monkeypatch.setattr(decoder_type, "_step", lambda self, *state: calls.append(1) or step(self, *state))
+    k, max_iter = 5, 30
+    finished = list(decoder.decode_stream([row[None]] * k, max_iter=max_iter))
+    # decoded one block at a time, the k capped rows would take k * max_iter steps
+    assert len(calls) <= max_iter + k
+    rows = np.concatenate([rows for rows, *_ in finished])
+    assert sorted(rows.tolist()) == list(range(k))
+    for _, _, iterations, syndrome_zero in finished:
+        assert (iterations == max_iter).all() and not syndrome_zero.any()
 
 
 def test_empty_block_returns_empty_arrays(heawood_code):

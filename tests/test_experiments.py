@@ -74,8 +74,10 @@ def test_config_validation(heawood_h):
         ExperimentConfig(**{**ok, "decoder": "turbo"})
     with pytest.raises(ValueError, match="trial"):
         ExperimentConfig(**{**ok, "trials": 0})
-    with pytest.raises(ValueError, match="max_iterations"):
-        ExperimentConfig(**{**ok, "max_iterations": -1})
+    for bad in (-1, experiments.MAX_ITERATIONS + 1, 10**9):
+        with pytest.raises(ValueError, match="max_iterations"):
+            ExperimentConfig(**{**ok, "max_iterations": bad})
+    ExperimentConfig(**{**ok, "max_iterations": experiments.MAX_ITERATIONS})
     with pytest.raises(ValueError, match="worker"):
         ExperimentConfig(**{**ok, "worker_count": 0})
     with pytest.raises(ValueError, match="seed"):

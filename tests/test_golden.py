@@ -66,6 +66,23 @@ GOLDEN = [
         "awgn,0.8,gallager-a,301,13,0.020071982281284605,0.0664451827242525,6.451827242524917,10.121838316722036\n"
         "awgn,0.9,gallager-a,301,13,0.03889811738648948,0.132890365448505,7.6544850498338874,10.586888150609084\n",
     ),
+    # --max-iter 3 leaves many rows at the cap, spread over the blocks of
+    # both spans; recorded while every 64-trial block decoded until its
+    # slowest row was done
+    (
+        "simulate 48A.edges --channel awgn --param 0.9,1.1 --decoder gallager-a"
+        " --max-iter 3 --trials 301 --seed 17 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.9,gallager-a,301,17,0.059800664451827246,0.33554817275747506,7.372093023255814,10.794418604651163\n"
+        "awgn,1.1,gallager-a,301,17,0.1273532668881506,0.574750830564784,9.03654485049834,9.555326688815063\n",
+    ),
+    (
+        "simulate 90A.lcf --channel bsc --param 0.08,0.12 --decoder sum-product"
+        " --max-iter 3 --trials 301 --seed 17 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "bsc,0.08,sum-product,301,17,0.0031007751937984496,0.046511627906976744,9.129568106312293,15.83982281284607\n"
+        "bsc,0.12,sum-product,301,17,0.014913252122554448,0.16611295681063123,12.524916943521594,17.210210409745294\n",
+    ),
     # girth 6; recorded with blocks of 200000 words, while 200001 trials span
     # three blocks of 2^20 // 12 words, so a block-size dependence shows here
     (
@@ -79,7 +96,8 @@ GOLDEN = [
 
 IDS = [
     "bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0",
-    "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "awgn-ga-w2-three-points", "variance",
+    "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "awgn-ga-w2-three-points",
+    "awgn-ga-w2-capped", "bsc-sp-w2-capped", "variance",
 ]
 
 
