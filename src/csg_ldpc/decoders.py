@@ -43,6 +43,24 @@ _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 BLOCK_ROWS = 64
 
 
+def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
+    """out[..., p] is the product of x[..., q] over every q != p, taken left
+    to right (the empty product is 1).  Each one starts from the product of
+    the slots left of p, shared with the next, so a degree-d check takes
+    about d^2 / 2 multiplies rather than d (d - 1)."""
+    out = np.empty_like(x)
+    degree = x.shape[-1]
+    prefix = None  # x[..., 0] * ... * x[..., p - 1]
+    for p in range(degree):
+        if p:
+            prefix = x[..., 0] if p == 1 else prefix * x[..., p - 1]
+        product = prefix
+        for q in range(p + 1, degree):
+            product = x[..., q] if product is None else product * x[..., q]
+        out[..., p] = 1.0 if product is None else product
+    return out
+
+
 @dataclass
 class DecodeResult:
     """Decoder output: word estimate, iterations used, syndrome status."""
@@ -206,15 +224,7 @@ class SumProductDecoder(_EdgeStructure):
         b2c = total[:, self.slot_bit] - c2b
         th = np.tanh(np.clip(b2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
         padded = np.where(self.check_mask, th.reshape(len(th), *self.check_mask.shape), 1.0)
-        c2b_view = np.empty_like(padded)
-        dmax = self.check_mask.shape[1]
-        for p in range(dmax):
-            extrinsic = np.ones(padded.shape[:2], dtype=np.float64)
-            for q in range(dmax):
-                if q != p:
-                    extrinsic = extrinsic * padded[:, :, q]
-            c2b_view[:, :, p] = extrinsic
-        c2b_view = 2.0 * np.arctanh(np.clip(c2b_view, -_ONE_MINUS, _ONE_MINUS))
+        c2b_view = 2.0 * np.arctanh(np.clip(_leave_one_out_products(padded), -_ONE_MINUS, _ONE_MINUS))
         c2b = np.clip(c2b_view, -LLR_CLAMP, LLR_CLAMP).reshape(len(th), -1)
         incoming = np.where(self.bit_mask, c2b[:, self.bit_slots], 0.0)
         total = llr + incoming.sum(axis=2)

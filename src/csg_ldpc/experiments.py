@@ -6,44 +6,55 @@ depend only on the seed and trial count, never on how trials are split
 across workers.  Aggregation sums integers, which makes the reduction
 order irrelevant and the output byte-stable.
 
-Each worker decodes its trial range as one stream of rows.  It cuts the
-range into blocks of ``decoders.BLOCK_ROWS`` (64) trials:
+Each worker decodes its share of a sweep as one stream of rows per
+(h, decoder, max_iterations): its spans of every config with that key
+follow one another, in config order, through one ``decode_stream``.  Each
+span is cut into blocks of ``decoders.BLOCK_ROWS`` (64) trials:
 ``transmit`` draws each block's rows into one array, trial i from its own
 generator as above, and applies the channel once to the block; one
 syndrome call takes the block's received weights and one conversion its
 LLRs.  ``decode_stream`` takes a new block whenever fewer than 64 rows are
 still decoding, so a row that runs to the iteration cap shares its
-iterations with fresh rows rather than holding a whole block's pass to a
-few rows.  Each finished row's errors and flags go into integer sums, so
-the order in which rows finish cannot change a number.  The block size is
-pinned by peak memory, not speed: the working set is at most 127 active
-rows of decoder state and step temporaries plus one block of noise.  On
-sum-product over 90A (``simulate-sp``'s inputs, 2-CPU machine) that
-raised the peak RSS over 64-row blocks decoded one at a time from 36.5 to
-37.0-37.2 MB in a plain process and from 41.99 to 42.81 MB (+2.0%) in
-``perfbench``, inside the 5% bound of its simulate workloads; blocks of
-256 rows had cost ~6% over per-word decoding.
+iterations with fresh rows, those of the next config included, rather
+than holding a whole block's pass to a few rows.  Each finished row goes
+to its span by stream position and its errors and flags into that span's
+integer sums, so the order in which rows finish cannot change a number.
+The block size is pinned by peak memory, not speed: the working set is at
+most 127 active rows of decoder state and step temporaries plus one block
+of noise.  On sum-product over 90A (``simulate-sp``'s inputs, 2-CPU
+machine) that raised the peak RSS over 64-row blocks decoded one at a
+time from 36.5 to 37.0-37.2 MB in a plain process and from 41.99 to 42.81
+MB (+2.0%) in ``perfbench``, inside the 5% bound of its simulate
+workloads; blocks of 256 rows had cost ~6% over per-word decoding.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
 all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
-fixed integer recurrences, so ``_trial_generators`` runs them for a
-whole block in numpy and sets each trial's PCG64 state on one reused
-generator.  The states, and so the draws, equal ``trial_rng``'s bit for
-bit, and ``transmit`` still makes every draw: it takes the generators one
-row at a time and never one past the block.
+fixed integer recurrences, so ``_trial_generators`` runs them in numpy
+for up to ``_SEED_CHUNK`` (1024) trials per pass and sets each trial's
+PCG64 state on one reused generator.  The states, and so the draws, equal
+``trial_rng``'s bit for bit, and ``transmit`` still makes every draw: it
+takes the generators one row at a time and never one past the block.  On
+``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per trial, 2-CPU
+machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us of it the
+seed hashing; with 64-trial passes it took ~9.8 and ~2.5 us.  What is
+left, the per-trial state set and the draw, is the floor of this design.
 
-``run_experiments`` runs a whole sweep through one process pool: each
+``run_experiments`` runs a whole sweep with one task per worker: each
 config splits into at most ``min(worker_count, trials, os.cpu_count())``
-trial spans, and every (config, span) task goes to one pool of the
-largest such size, so a ``simulate`` call starts and joins its processes
-once, not once per channel parameter.  Results do not depend on the
-worker count, so extra processes would only cost forks; with one worker
-the tasks run in-process.  ``run_experiment`` is the one-config case.
+trial spans, the sweep starts one pool of the largest such size, and
+worker w takes span w of every config split that far.  So a ``simulate``
+call starts and joins its processes once, each worker builds one decoder
+per key and ends one stream tail, not one per channel parameter.  Results
+do not depend on the worker count, so extra processes would only cost
+forks; with one worker the task runs in-process.  ``run_experiment`` is
+the one-config case.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -78,6 +89,9 @@ MAX_ITERATIONS = 1000
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20
 
+# trials whose PCG64 seeds _trial_generators derives in one numpy pass
+_SEED_CHUNK = 1024
+
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
 # PCG64 LCG multiplier
@@ -93,8 +107,8 @@ _MASK128 = (1 << 128) - 1
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent generator for one trial; the split contract of the repo.
 
-    ``_run_range`` does not call it: ``_trial_generators`` derives the same
-    PCG64 states for a whole block, and the tests check them against it.
+    ``run_experiments`` does not call it: ``_trial_generators`` derives the
+    same PCG64 states in bulk, and the tests check them against it.
     """
     return np.random.default_rng((master_seed, trial_index))
 
@@ -109,13 +123,16 @@ def _words(value: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The constant each of ``count`` successive hashes XORs in, and the
-    one it multiplies by (the next constant of the sequence)."""
+    one it multiplies by (the next constant of the sequence).  Cached, so
+    both are read-only."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     sequence = np.array(consts, dtype=np.uint32)[:, None]
+    sequence.flags.writeable = False
     return sequence[:-1], sequence[1:]
 
 
@@ -157,9 +174,10 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
     state equals ``trial_rng(master_seed, i)``'s.
 
     Each yielded state must be drawn from before the next is requested.
-    Entropy is the seed's words followed by the index's; a block stops at
-    each multiple of 2^32, so all its indices share every word but the
-    lowest and the entropy array stays rectangular.  PCG64 then seeds by
+    Seeds are derived ``_SEED_CHUNK`` trials at a time.  Entropy is the
+    seed's words followed by the index's; a chunk stops at each multiple of
+    2^32, so all its indices share every word but the lowest and the
+    entropy array stays rectangular.  PCG64 then seeds by
     its setseq-128 recurrence on s = q0:q1 and inc = 2 (q2:q3) + 1.
     """
     bit_generator = np.random.PCG64(0)
@@ -167,7 +185,7 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
     seed_words = _words(master_seed)
     lo = start
     while lo < stop:
-        hi = min(stop, lo + BLOCK_ROWS, ((lo >> 32) + 1) << 32)
+        hi = min(stop, lo + _SEED_CHUNK, ((lo >> 32) + 1) << 32)
         low = lo & _MASK32
         columns = [np.full(hi - lo, w, np.uint32) for w in seed_words]
         columns.append(np.arange(low, low + hi - lo, dtype=np.uint32))
@@ -237,7 +255,7 @@ class ExperimentResult:
     undetected: int
 
 
-def _decoder_inputs(cfg: ExperimentConfig, checks: ParityChecks, start: int, stop: int, moments: np.ndarray):
+def _decoder_inputs(cfg: ExperimentConfig, start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
     """Yield the decoder input of each ``BLOCK_ROWS``-trial block of [start,
     stop), adding the block's sum w and sum w^2 of received syndrome
     weights into ``moments``."""
@@ -257,25 +275,38 @@ def _decoder_inputs(cfg: ExperimentConfig, checks: ParityChecks, start: int, sto
             yield llr_from_awgn(received, cfg.channel.sigma)
 
 
-def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, ...]:
-    """Partial sums for one trial range: bit errors, word errors, sum w,
-    sum w^2, detected and undetected decoder failures.  Every sum is over
-    integers, so the order in which the stream finishes rows cannot
-    change it."""
-    decoder = (GallagerADecoder if cfg.decoder == "gallager-a" else SumProductDecoder)(cfg.h)
-    moments = np.zeros(2, dtype=np.int64)
-    outcomes = np.zeros(4, dtype=np.int64)
-    blocks = _decoder_inputs(cfg, decoder.checks, start, stop, moments)
-    for _, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=cfg.max_iterations):
-        errs = words.sum(axis=1, dtype=np.int64)
-        outcomes += (
-            errs.sum(),
-            np.count_nonzero(errs),
-            np.count_nonzero(~syndrome_zero),
-            np.count_nonzero(syndrome_zero & (errs > 0)),
+def _run_spans(pieces: Sequence[tuple[ExperimentConfig, int, int]]) -> list[tuple[int, ...]]:
+    """Partial sums for each (config, start, stop) trial span of one
+    worker's share: bit errors, word errors, sum w, sum w^2, detected and
+    undetected decoder failures.
+
+    Spans that share (h, decoder, max_iterations) decode as one stream, in
+    order, so one span's slow rows step alongside the next span's fresh
+    ones; each finished row goes to its span by stream position.  Every sum
+    is over integers, so the order in which rows finish cannot change it.
+    """
+    moments = np.zeros((len(pieces), 2), dtype=np.int64)
+    outcomes = np.zeros((len(pieces), 4), dtype=np.int64)
+    streams: dict[tuple, list[int]] = {}
+    for i, (cfg, _, _) in enumerate(pieces):
+        streams.setdefault((cfg.h, cfg.decoder, cfg.max_iterations), []).append(i)
+    for (h, name, max_iterations), members in streams.items():
+        decoder = (GallagerADecoder if name == "gallager-a" else SumProductDecoder)(h)
+        blocks = itertools.chain.from_iterable(
+            _decoder_inputs(*pieces[i], decoder.checks, moments[i]) for i in members
         )
-    bit_errors, word_errors, detected, undetected = outcomes.tolist()
-    return bit_errors, word_errors, *moments.tolist(), detected, undetected
+        # the stream position at which each member's span ends
+        ends = np.cumsum([pieces[i][2] - pieces[i][1] for i in members])
+        owners = np.array(members)
+        for rows, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=max_iterations):
+            errs = words.sum(axis=1, dtype=np.int64)
+            wrong = errs > 0
+            span = owners[np.searchsorted(ends, rows, side="right")]
+            np.add.at(outcomes, span, np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1))
+    return [
+        (bit_errors, word_errors, *sums, detected, undetected)
+        for sums, (bit_errors, word_errors, detected, undetected) in zip(moments.tolist(), outcomes.tolist())
+    ]
 
 
 def _pool_size(worker_count: int, trials: int) -> int:
@@ -315,30 +346,37 @@ def _aggregate(cfg: ExperimentConfig, partials: list[tuple[int, ...]]) -> Experi
 
 
 def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
-    """Run every config's trials through one process pool and aggregate
+    """Run every config's trials with one task per worker and aggregate
     each config exactly.
 
-    Each config splits into ``_pool_size(worker_count, trials)`` spans; all
-    (config, span) tasks go to one pool of the largest such size, so a
-    sweep starts its processes once.  When that size is 1 the tasks run
-    in this process and no pool starts.
+    Each config splits into ``_pool_size(worker_count, trials)`` spans, and
+    the sweep uses the largest such size of workers.  Worker w takes span w
+    of every config split that far, as one task: its spans of one (h,
+    decoder, max_iterations) decode as one stream (``_run_spans``), so a
+    sweep starts its processes once and each worker ends one stream tail,
+    not one per point.  With one worker that task runs in this process and
+    no pool starts.
     """
     sizes = [_pool_size(cfg.worker_count, cfg.trials) for cfg in cfgs]
     spans = [_chunks(cfg.trials, size) for cfg, size in zip(cfgs, sizes)]
-    tasks = [(cfg, a, b) for cfg, cfg_spans in zip(cfgs, spans) for a, b in cfg_spans]
     workers = max(sizes, default=1)
+    shares = [
+        [(cfg, *cfg_spans[w]) for cfg, cfg_spans in zip(cfgs, spans) if w < len(cfg_spans)]
+        for w in range(workers)
+    ]
     if workers == 1:
-        partials = [_run_range(*task) for task in tasks]
+        partials = [_run_spans(shares[0])]
     else:
         # imported here so runs without a pool never load concurrent.futures,
         # logging or multiprocessing (~1.9 MB of RSS per CLI process)
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, *task) for task in tasks]
+            futures = [pool.submit(_run_spans, share) for share in shares]
             partials = [f.result() for f in futures]
-    done = iter(partials)
-    return [_aggregate(cfg, [next(done) for _ in cfg_spans]) for cfg, cfg_spans in zip(cfgs, spans)]
+    # each share lists its spans in config order
+    done = [iter(share) for share in partials]
+    return [_aggregate(cfg, [next(done[w]) for w in range(len(cfg_spans))]) for cfg, cfg_spans in zip(cfgs, spans)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -290,3 +290,16 @@ def reference_sum_product(
             for c in bit_checks[b]:
                 msg[(b, c)] = total[b] - cmsg[(c, b)]
     return est, max_iter
+
+
+def leave_one_out_products_loop(x: np.ndarray) -> np.ndarray:
+    """out[..., p] = 1 * x[..., 0] * ... (skipping p) ... * x[..., d - 1],
+    one fresh product per slot, multiplied left to right."""
+    out = np.empty_like(x)
+    for p in range(x.shape[-1]):
+        product = np.ones(x.shape[:-1], dtype=x.dtype)
+        for q in range(x.shape[-1]):
+            if q != p:
+                product = product * x[..., q]
+        out[..., p] = product
+    return out

@@ -12,7 +12,13 @@ from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.graphs import parse_lcf
 
-from oracles import _syndrome_zero, reference_gallager_a, reference_sum_product, support_lists
+from oracles import (
+    _syndrome_zero,
+    leave_one_out_products_loop,
+    reference_gallager_a,
+    reference_sum_product,
+    support_lists,
+)
 from strategies import irregular_checks_and_blocks
 
 # the rate-boosted Heawood code has degree-1 bits, unlike random_regular_ldpc
@@ -178,6 +184,18 @@ def test_stream_steps_capped_rows_together(nauru_code, monkeypatch, decoder_type
     assert sorted(rows.tolist()) == list(range(k))
     for _, _, iterations, syndrome_zero in finished:
         assert (iterations == max_iter).all() and not syndrome_zero.any()
+
+
+@given(st.integers(1, 7), st.integers(0, 5), st.integers(0, 6), st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_leave_one_out_products_equal_the_double_loop(degree, rows, checks, seed):
+    # tanh of clipped messages, with padding slots of exactly 1 as _step has them
+    rng = np.random.default_rng(seed)
+    x = np.tanh(rng.normal(0.0, 4.0, size=(rows, checks, degree)) / 2.0)
+    x[rng.random(x.shape) < 0.2] = 1.0
+    got = decoders._leave_one_out_products(x)
+    assert got.shape == x.shape and got.dtype == x.dtype
+    assert np.array_equal(got.view(np.uint64), leave_one_out_products_loop(x).view(np.uint64))
 
 
 def test_empty_block_returns_empty_arrays(heawood_code):

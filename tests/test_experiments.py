@@ -66,6 +66,30 @@ def test_block_generators_equal_trial_rng(seed, start, width, n):
         assert np.array_equal(z, trial_rng(seed, trial).standard_normal(n))
 
 
+def _chunk_widths(trials, chunk):
+    return [chunk] * (trials // chunk) + [trials % chunk] * bool(trials % chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**96 + 3])
+def test_seed_chunks_equal_trial_rng_across_2_32(monkeypatch, chunk, seed):
+    monkeypatch.setattr(experiments, "_SEED_CHUNK", chunk)
+    widths = []
+    seeds = experiments._pcg64_seeds
+    monkeypatch.setattr(experiments, "_pcg64_seeds", lambda e: widths.append(e.shape[1]) or seeds(e))
+    for start, stop in ((0, 11), (2**32 - 7, 2**32 + 6)):
+        widths.clear()
+        generators = experiments._trial_generators(seed, start, stop)
+        for trial, g in zip(range(start, stop), generators):
+            draw = g.random(3) if trial % 2 else g.standard_normal(3)
+            rng = trial_rng(seed, trial)
+            assert np.array_equal(draw, rng.random(3) if trial % 2 else rng.standard_normal(3))
+        assert next(generators, None) is None
+        # full chunks, cut short only at 2^32 and at the stop
+        below = min(max(2**32 - start, 0), stop - start)
+        assert widths == _chunk_widths(below, chunk) + _chunk_widths(stop - start - below, chunk)
+
+
 def test_config_validation(heawood_h):
     ok = dict(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
               trials=10, master_seed=1)
@@ -126,10 +150,17 @@ def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
 
 class CountingPool(concurrent.futures.ProcessPoolExecutor):
     started = 0
+    workers = 0
+    tasks = 0
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, max_workers=None, **kwargs):
         type(self).started += 1
-        super().__init__(*args, **kwargs)
+        type(self).workers += max_workers
+        super().__init__(*args, max_workers=max_workers, **kwargs)
+
+    def submit(self, *args, **kwargs):
+        type(self).tasks += 1
+        return super().submit(*args, **kwargs)
 
 
 @pytest.mark.parametrize("workers,pools", [("2", 1), ("1", 0)])
@@ -143,6 +174,50 @@ def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers
     ]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert CountingPool.started == pools
+
+
+def test_sweep_sends_one_task_per_started_worker(data_dir, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    for name in ("started", "workers", "tasks"):
+        monkeypatch.setattr(CountingPool, name, 0)
+    assert main([
+        "simulate", str(data_dir / "24A.lcf"), "--channel", "bsc", "--param", "0.02,0.05,0.1",
+        "--decoder", "gallager-a", "--trials", "50", "--seed", "4", "--workers", "2",
+    ]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    # one task per worker, not one per (point, span)
+    assert (CountingPool.started, CountingPool.workers, CountingPool.tasks) == (1, 2, 2)
+
+
+def test_sweep_merges_stream_tails(monkeypatch):
+    # the Nauru code: each point ends with rows at the iteration cap
+    h = build_code(parse_lcf("[5,-9,7,-7,9,-5]^4")).H
+    cfgs = [
+        ExperimentConfig(h=h, channel=BscChannel(rho), decoder="gallager-a",
+                         trials=150, master_seed=11, max_iterations=20)
+        for rho in (0.05, 0.08, 0.1)
+    ]
+    calls = []
+    step = GallagerADecoder._step
+    monkeypatch.setattr(GallagerADecoder, "_step", lambda self, *state: calls.append(1) or step(self, *state))
+    alone = [run_experiment(cfg) for cfg in cfgs]
+    steps_alone = len(calls)
+    calls.clear()
+    assert run_experiments(cfgs) == alone
+    # a point's capped rows step alongside the next point's fresh ones
+    assert 0 < len(calls) < steps_alone
+
+
+@pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
+def test_shared_stream_sums_each_span_apart(heawood_h, decoder):
+    # one key, so one stream; short spans put most rows next to a span boundary
+    cfgs = [
+        ExperimentConfig(h=heawood_h, channel=BscChannel(0.3), decoder=decoder,
+                         trials=trials, master_seed=seed, max_iterations=2)
+        for seed, trials in enumerate((1, 2, 3, 1, 64, 65, 2))
+    ]
+    assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
 
 
 def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
