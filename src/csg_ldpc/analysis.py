@@ -18,7 +18,10 @@ from .codes import (
 )
 from .graphs import Graph, girth, load_edge_list, parse_lcf
 
-__all__ = ["AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
+__all__ = ["GRAPH_SUFFIXES", "AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
+
+# the graph-file extensions load_graph_file reads
+GRAPH_SUFFIXES = (".edges", ".lcf")
 
 
 @dataclass
@@ -140,14 +143,14 @@ def load_graph_file(path: str | Path) -> Graph:
     if not isinstance(path, Path):
         path = Path(path)
     text = path.read_text()
+    if path.suffix not in GRAPH_SUFFIXES:
+        raise ValueError(f"{path}: unknown extension, expected {' or '.join(GRAPH_SUFFIXES)}")
     if path.suffix == ".edges":
         return load_edge_list(text)
-    if path.suffix == ".lcf":
-        content = [
-            ln.strip() for ln in text.splitlines()
-            if ln.split("#", 1)[0].strip()
-        ]
-        if len(content) != 1:
-            raise ValueError(f"{path}: expected exactly one LCF line")
-        return parse_lcf(content[0].split("#", 1)[0].strip())
-    raise ValueError(f"{path}: unknown extension, expected .edges or .lcf")
+    content = [
+        ln.strip() for ln in text.splitlines()
+        if ln.split("#", 1)[0].strip()
+    ]
+    if len(content) != 1:
+        raise ValueError(f"{path}: expected exactly one LCF line")
+    return parse_lcf(content[0].split("#", 1)[0].strip())

@@ -1,7 +1,9 @@
 """Command line interface: analyze, catalog, export-alist, simulate, variance, extend.
 
-Exit codes: 0 on success, 1 for invalid inputs (bad graph, bad parameter),
-2 when a requested minimum distance exceeds the enumeration ceiling.
+Exit codes: 0 on success, 1 for invalid inputs (bad graph, bad parameter,
+unreadable or unwritable file), 2 when a requested minimum distance exceeds
+the enumeration ceiling.  Handlers raise ``ValueError`` or ``OSError`` for
+every declared error and ``main`` alone reports it as one ``error:`` line.
 Randomized subcommands require an explicit ``--seed``.
 """
 
@@ -15,10 +17,11 @@ from pathlib import Path
 
 from . import __version__
 from .alist import export_alist
-from .analysis import analyze_graph, code_report, load_graph_file
+from .analysis import GRAPH_SUFFIXES, analyze_graph, code_report, load_graph_file
 from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
+    DECODERS,
     MAX_ITERATIONS,
     RNG_FAMILY,
     ExperimentConfig,
@@ -38,24 +41,10 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _load(path: str):
-    try:
-        return load_graph_file(path)
-    except FileNotFoundError:
-        raise SystemExit(_fail(f"no such file: {path}"))
-    except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc.strerror or exc}"))
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
-
-
 def _load_code(path: str) -> tuple[Graph, LinearCode]:
     """The graph in ``path`` and its code; the graph is the code's Tanner graph."""
-    g = _load(path)
-    try:
-        return g, build_code(g)
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
+    g = load_graph_file(path)
+    return g, build_code(g)
 
 
 def _check_out(out: str | None) -> None:
@@ -64,22 +53,13 @@ def _check_out(out: str | None) -> None:
     if not out:
         return
     if Path(out).is_dir():
-        raise SystemExit(_fail(f"output path is a directory: {out}"))
+        raise ValueError(f"output path is a directory: {out}")
     if not Path(out).parent.is_dir():
-        raise SystemExit(_fail(f"no such directory: {Path(out).parent}"))
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+        raise ValueError(f"no such directory: {Path(out).parent}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load(args.path)
-    try:
-        report = analyze_graph(g, Path(args.path).stem, k_ceiling=args.k_ceiling)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = analyze_graph(load_graph_file(args.path), Path(args.path).stem, k_ceiling=args.k_ceiling)
     print(report.to_json() if args.format == "json" else report.to_text())
     if report.d is None:
         return 2
@@ -89,17 +69,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        return _fail(f"not a directory: {directory}")
+        raise ValueError(f"not a directory: {directory}")
     _check_out(args.out)
     files = sorted(
-        [p for p in directory.iterdir() if p.suffix in (".edges", ".lcf")],
+        [p for p in directory.iterdir() if p.suffix in GRAPH_SUFFIXES],
         key=lambda p: p.stem,
     )
     rows = []
     for path in files:
         try:
-            g = load_graph_file(path)
-            report = analyze_graph(g, path.stem, k_ceiling=args.k_ceiling)
+            g, code = _load_code(path)
+            # the table prints no bounds, so none are computed
+            report = code_report(code, path.stem, girth(g), bounds=None, warnings=[], k_ceiling=args.k_ceiling)
         except (ValueError, OSError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
@@ -112,14 +93,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             f"{r.graph_id},{r.n},{r.k},{d_text},{r.girth},"
             f"{_fmt_bool(r.even)},{_fmt_bool(r.self_orthogonal)},{_fmt_bool(r.lcd)}"
         )
-    _write_lines(lines, args.out)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_export_alist(args: argparse.Namespace) -> int:
     _check_out(args.out)
     _, code = _load_code(args.path)
-    Path(args.out).write_text(export_alist(code.H))
+    _write(export_alist(code.H), args.out)
     return 0
 
 
@@ -127,9 +108,9 @@ def _parse_float_list(text: str, label: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise SystemExit(_fail(f"bad {label} list: {text!r}"))
+        raise ValueError(f"bad {label} list: {text!r}") from None
     if not values:
-        raise SystemExit(_fail(f"empty {label} list"))
+        raise ValueError(f"empty {label} list")
     return values
 
 
@@ -138,21 +119,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _, code = _load_code(args.path)
     params = _parse_float_list(args.param, "parameter")
     # every point is checked before any is decoded, and all share one pool
-    try:
-        cfgs = [
-            ExperimentConfig(
-                h=code.H,
-                channel=BscChannel(value) if args.channel == "bsc" else AwgnChannel(value),
-                decoder=args.decoder,
-                trials=args.trials,
-                master_seed=args.seed,
-                max_iterations=args.max_iter,
-                worker_count=args.workers,
-            )
-            for value in params
-        ]
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfgs = [
+        ExperimentConfig(
+            h=code.H,
+            channel=BscChannel(value) if args.channel == "bsc" else AwgnChannel(value),
+            decoder=args.decoder,
+            trials=args.trials,
+            master_seed=args.seed,
+            max_iterations=args.max_iter,
+            worker_count=args.workers,
+        )
+        for value in params
+    ]
     lines = [SIMULATE_HEADER]
     outcomes = []
     for value, result in zip(params, run_experiments(cfgs)):
@@ -162,7 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{result.ber!r},{result.fer!r},"
             f"{result.syndrome_mean!r},{result.syndrome_variance!r}"
         )
-    _write_lines(lines, args.out)
+    _write("\n".join(lines) + "\n", args.out)
     if args.out:
         meta = {
             "graph": str(args.path),
@@ -177,7 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "version": __version__,
             "outcomes": outcomes,
         }
-        Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _write(json.dumps(meta, indent=2) + "\n", str(args.out) + ".meta.json")
     return 0
 
 
@@ -187,12 +165,11 @@ def cmd_variance(args: argparse.Namespace) -> int:
     rhos = _parse_float_list(args.rho, "rho")
     # every input is checked before the first point is sampled
     for rho in rhos:
-        if not 0.0 <= rho <= 0.5:
-            return _fail(f"rho {rho} outside [0, 1/2]")
+        BscChannel(rho)
     if args.trials < 2:
-        return _fail("need at least two trials")
+        raise ValueError("need at least two trials")
     if args.seed < 0:
-        return _fail("seed must be non-negative")
+        raise ValueError("seed must be non-negative")
     flag = "girth<6" if girth(g) < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):
@@ -203,17 +180,14 @@ def cmd_variance(args: argparse.Namespace) -> int:
         lines.append(
             f"{rho!r},{formula!r},{stats.variance!r},{stats.variance_stderr!r},{flag}"
         )
-    _write_lines(lines, args.out)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
     _check_out(args.alist_out)
     g, code = _load_code(args.path)
-    try:
-        extended = extend_parity_check(code, args.bits)
-    except ValueError as exc:
-        return _fail(str(exc))
+    extended = extend_parity_check(code, args.bits)
     # the added degree-1 bits close no cycle: the girth is the base Tanner graph's
     report = code_report(
         extended,
@@ -225,18 +199,23 @@ def cmd_extend(args: argparse.Namespace) -> int:
     )
     print(report.to_json() if args.format == "json" else report.to_text())
     if args.alist_out:
-        Path(args.alist_out).write_text(export_alist(extended.H))
+        _write(export_alist(extended.H), args.alist_out)
     if report.d is None:
         return 2
     return 0
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout without one.  A write that
+    fails on flush raises an OSError with no file name; it gets ``out``."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        exc.filename = exc.filename or out
+        raise
 
 
 @functools.cache
@@ -271,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--channel", choices=("bsc", "awgn"), required=True)
     p.add_argument("--param", required=True, help="comma separated rho or sigma values")
-    p.add_argument("--decoder", choices=("gallager-a", "sum-product"), required=True)
+    p.add_argument("--decoder", choices=tuple(DECODERS), required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
@@ -301,12 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  A ``ValueError`` or ``OSError`` from it is a
+    declared error: one ``error:`` line on stderr and exit 1; any other
+    exception is a fault and keeps its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.func](args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except (ValueError, OSError) as exc:
+        reason = exc
+        if isinstance(exc, OSError) and exc.strerror:
+            reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc.strerror
+        print(f"error: {reason}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

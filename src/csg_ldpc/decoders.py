@@ -107,10 +107,11 @@ class _EdgeStructure:
         Returns (words (B, n) uint8, iterations (B,) int64, syndrome_zero
         (B,) bool); row r equals ``decode(y[r], max_iter)``.
         """
-        y = self._checked(y)
+        # decode_stream checks the block's shape as it admits it
+        y = np.asarray(y)
         words = np.empty(y.shape, dtype=np.uint8)
-        iterations = np.empty(len(y), dtype=np.int64)
-        syndrome_zero = np.empty(len(y), dtype=bool)
+        iterations = np.empty(y.shape[:1], dtype=np.int64)
+        syndrome_zero = np.empty(y.shape[:1], dtype=bool)
         for rows, *finished in self.decode_stream([y], max_iter=max_iter):
             words[rows], iterations[rows], syndrome_zero[rows] = finished
         return words, iterations, syndrome_zero

@@ -21,11 +21,7 @@ to its span by stream position and its errors and flags into that span's
 integer sums, so the order in which rows finish cannot change a number.
 The block size is pinned by peak memory, not speed: the working set is at
 most 127 active rows of decoder state and step temporaries plus one block
-of noise.  On sum-product over 90A (``simulate-sp``'s inputs, 2-CPU
-machine) that raised the peak RSS over 64-row blocks decoded one at a
-time from 36.5 to 37.0-37.2 MB in a plain process and from 41.99 to 42.81
-MB (+2.0%) in ``perfbench``, inside the 5% bound of its simulate
-workloads; blocks of 256 rows had cost ~6% over per-word decoding.
+of noise; 256-row blocks cost ~6% more peak RSS than per-word decoding.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -37,8 +33,8 @@ PCG64 state on one reused generator.  The states, and so the draws, equal
 takes the generators one row at a time and never one past the block.  On
 ``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per trial, 2-CPU
 machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us of it the
-seed hashing; with 64-trial passes it took ~9.8 and ~2.5 us.  What is
-left, the per-trial state set and the draw, is the floor of this design.
+seed hashing.  What is left, the per-trial state set and the draw, is the
+floor of this design.
 
 ``run_experiments`` runs a whole sweep with one task per worker: each
 config splits into at most ``min(worker_count, trials, os.cpu_count())``
@@ -66,6 +62,7 @@ from .decoders import BLOCK_ROWS, GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
 __all__ = [
+    "DECODERS",
     "RNG_FAMILY",
     "MAX_ITERATIONS",
     "ExperimentConfig",
@@ -80,7 +77,8 @@ __all__ = [
 
 RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 
-DECODER_NAMES = ("gallager-a", "sum-product")
+# each --decoder name and the class that decodes under it
+DECODERS = {"gallager-a": GallagerADecoder, "sum-product": SumProductDecoder}
 
 # the largest decoder iteration budget a config accepts: every row that
 # never reaches a zero syndrome is stepped this many times
@@ -222,8 +220,8 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.decoder not in DECODER_NAMES:
-            raise ValueError(f"unknown decoder {self.decoder!r}, expected {DECODER_NAMES}")
+        if self.decoder not in DECODERS:
+            raise ValueError(f"unknown decoder {self.decoder!r}, expected {tuple(DECODERS)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0 <= self.max_iterations <= MAX_ITERATIONS:
@@ -291,7 +289,7 @@ def _run_spans(pieces: Sequence[tuple[ExperimentConfig, int, int]]) -> list[tupl
     for i, (cfg, _, _) in enumerate(pieces):
         streams.setdefault((cfg.h, cfg.decoder, cfg.max_iterations), []).append(i)
     for (h, name, max_iterations), members in streams.items():
-        decoder = (GallagerADecoder if name == "gallager-a" else SumProductDecoder)(h)
+        decoder = DECODERS[name](h)
         blocks = itertools.chain.from_iterable(
             _decoder_inputs(*pieces[i], decoder.checks, moments[i]) for i in members
         )
@@ -315,13 +313,14 @@ def _pool_size(worker_count: int, trials: int) -> int:
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """``workers`` contiguous spans of [0, trials); callers pass at most
+    ``trials`` workers (``_pool_size``), so none is empty."""
     size, extra = divmod(trials, workers)
     spans = []
     start = 0
     for i in range(workers):
         stop = start + size + (1 if i < extra else 0)
-        if stop > start:
-            spans.append((start, stop))
+        spans.append((start, stop))
         start = stop
     return spans
 

@@ -216,7 +216,7 @@ def _with(rows, placeholder, value):
 
 # (command, argv, the work function it must not reach) for an output path "{o}"
 OUTPUT_ARGV = [
-    ("catalog", ["catalog", "{dir}", "--out", "{o}"], "analyze_graph"),
+    ("catalog", ["catalog", "{dir}", "--out", "{o}"], "code_report"),
     ("export-alist", ["export-alist", "{g}", "{o}"], "export_alist"),
     ("simulate", simulate_argv(out="{o}"), "run_experiments"),
     ("variance", variance_argv(out="{o}"), "syndrome_statistics"),
@@ -224,6 +224,10 @@ OUTPUT_ARGV = [
 ]
 OUT_IN_MISSING_DIR = _with(OUTPUT_ARGV, "{o}", "{nodir}")
 OUT_IS_DIR = _with(OUTPUT_ARGV, "{o}", "{dir}")
+# a device that accepts the open and fails every write with ENOSPC; the
+# catalog reads a directory of valid graphs, so no warning comes first
+FULL_DEVICE = "/dev/full"
+OUT_IS_FULL = _with(_with(OUTPUT_ARGV, "{o}", FULL_DEVICE), "{dir}", "{gdir}")
 
 # (command, argv) for every subcommand that reads one graph file "{x}"
 INPUT_ARGV = [
@@ -236,8 +240,9 @@ INPUT_ARGV = [
 
 # (id, argv); "{g}" is a valid graph file, "{bad}" a triangle, "{empty}" a
 # graph with no vertices, "{missing}" a path that does not exist, "{dir}" a
-# directory holding those graph files and "{nodir}" a file in a missing
-# directory.  Every case must be a declared error.
+# directory holding those graph files, "{gdir}" a directory holding only
+# "{g}" and "{nodir}" a file in a missing directory.  Every case must be a
+# declared error.
 BAD_INPUTS = [
     ("analyze-missing-file", ["analyze", "{missing}"]),
     ("analyze-bad-graph", ["analyze", "{bad}"]),
@@ -274,6 +279,7 @@ BAD_INPUTS = [
     ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
     *[(f"{command}-out-in-missing-dir", argv) for command, argv, _ in OUT_IN_MISSING_DIR],
     *[(f"{command}-out-is-dir", argv) for command, argv, _ in OUT_IS_DIR],
+    *[(f"{command}-out-is-full", argv) for command, argv, _ in OUT_IS_FULL],
     *[(f"{command}-input-is-dir", argv) for command, argv in _with(INPUT_ARGV, "{x}", "{dir}")],
     *[(f"{command}-empty-graph", argv) for command, argv in _with(INPUT_ARGV, "{x}", "{empty}")],
 ]
@@ -284,6 +290,9 @@ def _fill(argv, heawood_path, tmp_path):
     bad.write_text("0 1\n1 2\n2 0\n")
     empty = tmp_path / "empty.edges"
     empty.write_text("n=0\n")
+    gdir = tmp_path / "graphs"
+    gdir.mkdir(exist_ok=True)
+    (gdir / Path(heawood_path).name).write_text(Path(heawood_path).read_text())
     paths = {
         "g": heawood_path,
         "empty": str(empty),
@@ -291,6 +300,7 @@ def _fill(argv, heawood_path, tmp_path):
         "bad": str(bad),
         "out": str(tmp_path / "h.alist"),
         "dir": str(tmp_path),
+        "gdir": str(gdir),
         "nodir": str(tmp_path / "none" / "out.csv"),
     }
     return [arg.format(**paths) for arg in argv]
@@ -298,6 +308,8 @@ def _fill(argv, heawood_path, tmp_path):
 
 @pytest.mark.parametrize("argv", [argv for _, argv in BAD_INPUTS], ids=[name for name, _ in BAD_INPUTS])
 def test_bad_input_is_a_declared_error(heawood_path, tmp_path, capsys, argv):
+    if FULL_DEVICE in argv and not os.path.exists(FULL_DEVICE):
+        pytest.skip(f"{FULL_DEVICE} does not exist")
     try:
         code = main(_fill(argv, heawood_path, tmp_path))
     except SystemExit as exc:  # argparse rejects the command line itself
@@ -323,6 +335,23 @@ def test_directory_output_path_stops_before_any_work(heawood_path, tmp_path, mon
     monkeypatch.setattr(cli, work, _refuse)
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: output path is a directory")
+
+
+@pytest.mark.skipif(not os.path.exists(FULL_DEVICE), reason=f"{FULL_DEVICE} does not exist")
+@pytest.mark.parametrize("argv", [argv for _, argv, _ in OUT_IS_FULL], ids=[c for c, _, _ in OUT_IS_FULL])
+def test_failed_write_names_the_output_path(heawood_path, tmp_path, capsys, argv):
+    # the OSError of a failed flush carries no file name of its own
+    assert main(_fill(argv, heawood_path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {FULL_DEVICE}: ") and err.count("\n") == 1
+    assert "None" not in err
+
+
+def test_other_exceptions_keep_their_traceback(heawood_path, monkeypatch):
+    # only ValueError and OSError are declared errors; anything else is a fault
+    monkeypatch.setattr(cli, "analyze_graph", _refuse)
+    with pytest.raises(AssertionError, match="work started"):
+        main(["analyze", heawood_path])
 
 
 @pytest.mark.filterwarnings("error")
