@@ -30,7 +30,7 @@ from .codes import (
 from .bounds import BitNodeGraph, BoundsReport, bit_node_graph, compute_bounds
 from .channel import AwgnChannel, BscChannel, f_t, syndrome, syndrome_variance_formula
 from .decoders import DecodeResult, GallagerADecoder, SumProductDecoder
-from .experiments import ExperimentConfig, run_experiment, run_experiments, random_regular_ldpc
+from .experiments import ExperimentConfig, run_experiment, run_experiments
 from .analysis import AnalysisReport, analyze_graph, load_graph_file
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "load_graph_file",
     "minimum_distance",
     "parse_lcf",
-    "random_regular_ldpc",
     "run_experiment",
     "run_experiments",
     "syndrome",

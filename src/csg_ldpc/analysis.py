@@ -142,9 +142,10 @@ def load_graph_file(path: str | Path) -> Graph:
     # doubled CPython's interned-string table (~1 MB) in ~550 catalog passes
     if not isinstance(path, Path):
         path = Path(path)
-    text = path.read_text()
+    # the suffix is checked before any read, so /dev/zero is refused, not read
     if path.suffix not in GRAPH_SUFFIXES:
         raise ValueError(f"{path}: unknown extension, expected {' or '.join(GRAPH_SUFFIXES)}")
+    text = path.read_text()
     if path.suffix == ".edges":
         return load_edge_list(text)
     content = [

@@ -6,19 +6,20 @@ depend only on the seed and trial count, never on how trials are split
 across workers.  Aggregation sums integers, which makes the reduction
 order irrelevant and the output byte-stable.
 
-Each worker decodes its share of a sweep as one stream of rows per
-(h, decoder, max_iterations): its spans of every config with that key
-follow one another, in config order, through one ``decode_stream``.  Each
-span is cut into blocks of ``decoders.BLOCK_ROWS`` (64) trials:
+Each worker decodes its share of a sweep as one stream of rows: its span
+of every config follows the last, in config order, through one
+``decode_stream``.  Each span is cut into blocks of
+``decoders.BLOCK_ROWS`` (64) trials:
 ``transmit`` draws each block's rows into one array, trial i from its own
 generator as above, and applies the channel once to the block; one
 syndrome call takes the block's received weights and one conversion its
 LLRs.  ``decode_stream`` takes a new block whenever fewer than 64 rows are
 still decoding, so a row that runs to the iteration cap shares its
 iterations with fresh rows, those of the next config included, rather
-than holding a whole block's pass to a few rows.  Each finished row goes
-to its span by stream position and its errors and flags into that span's
-integer sums, so the order in which rows finish cannot change a number.
+than holding a whole block's pass to a few rows.  Every span is equally
+long, so a finished row's stream position names its config, and its
+errors and flags go into that config's integer sums: the order in which
+rows finish cannot change a number.
 The block size is pinned by peak memory, not speed: the working set is at
 most 127 active rows of decoder state and step temporaries plus one block
 of noise; 256-row blocks cost ~6% more peak RSS than per-word decoding.
@@ -36,15 +37,15 @@ machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us of it the
 seed hashing.  What is left, the per-trial state set and the draw, is the
 floor of this design.
 
-``run_experiments`` runs a whole sweep with one task per worker: each
-config splits into at most ``min(worker_count, trials, os.cpu_count())``
-trial spans, the sweep starts one pool of the largest such size, and
-worker w takes span w of every config split that far.  So a ``simulate``
-call starts and joins its processes once, each worker builds one decoder
-per key and ends one stream tail, not one per channel parameter.  Results
-do not depend on the worker count, so extra processes would only cost
-forks; with one worker the task runs in-process.  ``run_experiment`` is
-the one-config case.
+``run_experiments`` runs a sweep: configs that differ only in their
+channel, as ``simulate`` builds one per ``--param`` value.  Their one
+trial range splits into ``min(worker_count, trials, os.cpu_count())``
+spans, one task per worker, and worker w decodes span w of every config.
+So a ``simulate`` call starts and joins its processes once, and each
+worker builds one decoder and ends one stream tail, not one per channel
+parameter.  Results do not depend on the worker count, so extra processes
+would only cost forks; with one worker the task runs in-process.
+``run_experiment`` is the one-config case.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,7 +73,6 @@ __all__ = [
     "run_experiment",
     "run_experiments",
     "syndrome_statistics",
-    "random_regular_ldpc",
 ]
 
 RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
@@ -273,34 +273,28 @@ def _decoder_inputs(cfg: ExperimentConfig, start: int, stop: int, checks: Parity
             yield llr_from_awgn(received, cfg.channel.sigma)
 
 
-def _run_spans(pieces: Sequence[tuple[ExperimentConfig, int, int]]) -> list[tuple[int, ...]]:
-    """Partial sums for each (config, start, stop) trial span of one
-    worker's share: bit errors, word errors, sum w, sum w^2, detected and
-    undetected decoder failures.
+def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> list[tuple[int, ...]]:
+    """Partial sums of trials [start, stop) for each config of one sweep:
+    bit errors, word errors, sum w, sum w^2, detected and undetected
+    decoder failures.
 
-    Spans that share (h, decoder, max_iterations) decode as one stream, in
-    order, so one span's slow rows step alongside the next span's fresh
-    ones; each finished row goes to its span by stream position.  Every sum
-    is over integers, so the order in which rows finish cannot change it.
+    The configs' spans decode as one stream, in config order, so one
+    span's slow rows step alongside the next span's fresh ones; stream row
+    r is a trial of config r // (stop - start).  Every sum is over
+    integers, so the order in which rows finish cannot change it.
     """
-    moments = np.zeros((len(pieces), 2), dtype=np.int64)
-    outcomes = np.zeros((len(pieces), 4), dtype=np.int64)
-    streams: dict[tuple, list[int]] = {}
-    for i, (cfg, _, _) in enumerate(pieces):
-        streams.setdefault((cfg.h, cfg.decoder, cfg.max_iterations), []).append(i)
-    for (h, name, max_iterations), members in streams.items():
-        decoder = DECODERS[name](h)
-        blocks = itertools.chain.from_iterable(
-            _decoder_inputs(*pieces[i], decoder.checks, moments[i]) for i in members
-        )
-        # the stream position at which each member's span ends
-        ends = np.cumsum([pieces[i][2] - pieces[i][1] for i in members])
-        owners = np.array(members)
-        for rows, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=max_iterations):
-            errs = words.sum(axis=1, dtype=np.int64)
-            wrong = errs > 0
-            span = owners[np.searchsorted(ends, rows, side="right")]
-            np.add.at(outcomes, span, np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1))
+    first = cfgs[0]
+    decoder = DECODERS[first.decoder](first.h)
+    moments = np.zeros((len(cfgs), 2), dtype=np.int64)
+    outcomes = np.zeros((len(cfgs), 4), dtype=np.int64)
+    blocks = itertools.chain.from_iterable(
+        _decoder_inputs(cfg, start, stop, decoder.checks, moments[i]) for i, cfg in enumerate(cfgs)
+    )
+    for rows, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
+        errs = words.sum(axis=1, dtype=np.int64)
+        wrong = errs > 0
+        outcome = np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1)
+        np.add.at(outcomes, rows // (stop - start), outcome)
     return [
         (bit_errors, word_errors, *sums, detected, undetected)
         for sums, (bit_errors, word_errors, detected, undetected) in zip(moments.tolist(), outcomes.tolist())
@@ -345,37 +339,32 @@ def _aggregate(cfg: ExperimentConfig, partials: list[tuple[int, ...]]) -> Experi
 
 
 def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
-    """Run every config's trials with one task per worker and aggregate
-    each config exactly.
+    """Run a sweep, configs that differ only in their channel, with one
+    task per worker and aggregate each config exactly.
 
-    Each config splits into ``_pool_size(worker_count, trials)`` spans, and
-    the sweep uses the largest such size of workers.  Worker w takes span w
-    of every config split that far, as one task: its spans of one (h,
-    decoder, max_iterations) decode as one stream (``_run_spans``), so a
-    sweep starts its processes once and each worker ends one stream tail,
-    not one per point.  With one worker that task runs in this process and
-    no pool starts.
+    The shared trial range splits into ``_pool_size(worker_count, trials)``
+    spans, and worker w decodes span w of every config as one stream
+    (``_run_share``), so a sweep starts its processes once and each worker
+    ends one stream tail, not one per point.  With one worker that task
+    runs in this process and no pool starts.
     """
-    sizes = [_pool_size(cfg.worker_count, cfg.trials) for cfg in cfgs]
-    spans = [_chunks(cfg.trials, size) for cfg, size in zip(cfgs, sizes)]
-    workers = max(sizes, default=1)
-    shares = [
-        [(cfg, *cfg_spans[w]) for cfg, cfg_spans in zip(cfgs, spans) if w < len(cfg_spans)]
-        for w in range(workers)
-    ]
-    if workers == 1:
-        partials = [_run_spans(shares[0])]
+    if not cfgs:
+        return []
+    first = cfgs[0]
+    if any(replace(cfg, channel=first.channel) != first for cfg in cfgs):
+        raise ValueError("the configs of one sweep may differ only in their channel")
+    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials))
+    if len(spans) == 1:
+        partials = [_run_share(cfgs, *spans[0])]
     else:
         # imported here so runs without a pool never load concurrent.futures,
         # logging or multiprocessing (~1.9 MB of RSS per CLI process)
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_spans, share) for share in shares]
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            futures = [pool.submit(_run_share, cfgs, start, stop) for start, stop in spans]
             partials = [f.result() for f in futures]
-    # each share lists its spans in config order
-    done = [iter(share) for share in partials]
-    return [_aggregate(cfg, [next(done[w]) for w in range(len(cfg_spans))]) for cfg, cfg_spans in zip(cfgs, spans)]
+    return [_aggregate(cfg, [share[i] for share in partials]) for i, cfg in enumerate(cfgs)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -447,45 +436,3 @@ def syndrome_statistics(
         variance=variance,
         variance_stderr=float(np.std(boot_vars, ddof=1)),
     )
-
-
-def random_regular_ldpc(n: int, m: int, w_c: int = 3, seed: int = 0) -> BitMatrix:
-    """Random (w_c, w_r)-regular parity check by socket matching.
-
-    Each check contributes n*w_c/m sockets; columns draw w_c sockets and
-    redraw whenever a column would repeat a row.  Deterministic for a given
-    seed.  4-cycles are allowed, callers who care should inspect the girth.
-    """
-    if n < 1 or m < 1 or w_c < 1:
-        raise ValueError("dimensions must be positive")
-    if (n * w_c) % m != 0:
-        raise ValueError(f"infeasible degree sequence: {n}*{w_c} not divisible by {m}")
-    w_r = n * w_c // m
-    if w_r > n or w_c > m:
-        raise ValueError("degree exceeds matrix dimension")
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        sockets = list(np.repeat(np.arange(m), w_r))
-        columns: list[int] = []
-        failed = False
-        for _col in range(n):
-            placed = None
-            for _attempt in range(200):
-                picks = rng.choice(len(sockets), size=w_c, replace=False)
-                chosen = [sockets[i] for i in picks]
-                if len(set(chosen)) == w_c:
-                    placed = (sorted(picks, reverse=True), chosen)
-                    break
-            if placed is None:
-                failed = True
-                break
-            for i in placed[0]:
-                sockets.pop(i)
-            bits = 0
-            for row in placed[1]:
-                bits |= 1 << int(row)
-            columns.append(bits)
-        if not failed:
-            cols_matrix = BitMatrix(n, m, tuple(columns))
-            return cols_matrix.transpose()
-    raise RuntimeError("could not place all sockets without duplicate rows")

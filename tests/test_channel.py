@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from csg_ldpc.channel import (
     syndrome_variance_formula,
     transmit,
 )
-from csg_ldpc.experiments import _trial_generators, random_regular_ldpc, trial_rng
+from csg_ldpc.analysis import load_graph_file
+from csg_ldpc.codes import build_code
+from csg_ldpc.experiments import _trial_generators, trial_rng
 from csg_ldpc.gf2 import BitMatrix
 
 from oracles import support_lists
@@ -161,22 +164,13 @@ def test_f_t_range_and_monotonicity(t, rho):
     assert f_t(t + 1, rho) >= value - 1e-15
 
 
-@st.composite
-def checks_and_blocks(draw):
-    """A random regular parity check and a (B, n) block of words for it."""
-    m = draw(st.integers(2, 8))
-    w_c = draw(st.integers(1, min(3, m)))
-    n = m * draw(st.integers(1, 4))
-    h = random_regular_ldpc(n, m, w_c=w_c, seed=draw(st.integers(0, 2**16)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    block = rng.integers(0, 2, size=(draw(st.integers(0, 6)), n), dtype=np.uint8)
-    return h, block
-
-
 _IRREGULAR = BitMatrix.from_dense([[1, 1, 1, 0], [0, 0, 0, 0], [0, 1, 0, 0]])  # weights 3, 0, 1; column 3 empty
+# the largest shipped code, a full-size (3,3)-regular check
+_H_90A = build_code(load_graph_file(Path(__file__).resolve().parent.parent / "data" / "90A.lcf")).H
 
 
-@given(st.one_of(checks_and_blocks(), irregular_checks_and_blocks()))
+@given(irregular_checks_and_blocks())
+@example((_H_90A, np.random.default_rng(90).integers(0, 2, size=(5, 45), dtype=np.uint8)))
 @example((_IRREGULAR, np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 0]], dtype=np.uint8)))
 @example((_IRREGULAR, np.zeros((0, 4), dtype=np.uint8)))
 @settings(max_examples=150, deadline=None)

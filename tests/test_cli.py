@@ -70,6 +70,13 @@ def test_analyze_oversized_vertex_index_exits_1(run_capped, tmp_path):
     assert proc.stderr.startswith("error:") and "MemoryError" not in proc.stderr
 
 
+def test_unknown_extension_is_refused_before_any_read(run_capped):
+    # /dev/zero never ends: reading it first runs into the address-space cap
+    proc = run_capped("import sys\nfrom csg_ldpc.cli import main\nsys.exit(main(['analyze', '/dev/zero']))\n")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: /dev/zero: unknown extension"), proc.stderr
+
+
 def test_extend_k_ceiling_is_capped(run_capped, data_dir):
     # k = 30 here; without the cap --k-ceiling 60 starts a 2^30-step walk
     proc = run_capped(

@@ -9,7 +9,6 @@ from csg_ldpc import decoders
 from csg_ldpc.channel import llr_from_bsc
 from csg_ldpc.codes import build_code, extend_parity_check
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
-from csg_ldpc.experiments import random_regular_ldpc
 from csg_ldpc.graphs import parse_lcf
 
 from oracles import (
@@ -19,9 +18,9 @@ from oracles import (
     reference_sum_product,
     support_lists,
 )
-from strategies import irregular_checks_and_blocks
+from strategies import parity_checks
 
-# the rate-boosted Heawood code has degree-1 bits, unlike random_regular_ldpc
+# the rate-boosted Heawood code has degree-1 bits, unlike the catalog codes
 EXTENDED_HEAWOOD = extend_parity_check(build_code(parse_lcf("[5,-5]^7")), 3).H
 
 
@@ -106,20 +105,11 @@ def blocks(draw):
     """A parity check, a (B, n) block of hard words and LLRs for it, a
     budget, and cut points that split the block into uneven blocks.
 
-    The check is the extended Heawood code, a random regular one, or any
-    0/1 matrix: zero rows, zero columns and m or n = 0 pad the message
-    slots of ``ParityChecks`` in every way they can be padded.  Repeated
-    cut points make 0-row blocks."""
-    kind = draw(st.sampled_from(["extended", "regular", "irregular"]))
-    if kind == "extended":
-        h = EXTENDED_HEAWOOD
-    elif kind == "irregular":
-        h, _ = draw(irregular_checks_and_blocks())
-    else:
-        m = draw(st.integers(2, 8))
-        w_c = draw(st.integers(1, min(3, m)))
-        n = m * draw(st.integers(1, 3))
-        h = random_regular_ldpc(n, m, w_c=w_c, seed=draw(st.integers(0, 2**16)))
+    The check is the extended Heawood code or any 0/1 matrix: zero rows,
+    zero columns and m or n = 0 pad the message slots of ``ParityChecks``
+    in every way they can be padded.  Repeated cut points make 0-row
+    blocks."""
+    h = draw(st.one_of(st.just(EXTENDED_HEAWOOD), parity_checks()))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     rows = draw(st.integers(0, 6))
     words = (rng.random((rows, h.ncols)) < draw(st.sampled_from([0.05, 0.15, 0.3]))).astype(np.uint8)

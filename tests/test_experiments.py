@@ -21,7 +21,6 @@ from csg_ldpc.codes import build_code
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.experiments import (
     ExperimentConfig,
-    random_regular_ldpc,
     run_experiment,
     run_experiments,
     syndrome_statistics,
@@ -131,21 +130,37 @@ def test_worker_count_does_not_change_results(heawood_h):
 
 
 def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
-    # cap at 3 CPUs so the 3-worker config keeps three spans on any machine
+    # cap at 3 CPUs so the sweep keeps three spans on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfgs = [
-        ExperimentConfig(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
-                         trials=1, master_seed=3, worker_count=2),
-        ExperimentConfig(h=heawood_h, channel=AwgnChannel(0.7), decoder="sum-product",
-                         trials=301, master_seed=3, worker_count=2, max_iterations=3),
-        ExperimentConfig(h=heawood_h, channel=BscChannel(0.12), decoder="sum-product",
-                         trials=97, master_seed=8, worker_count=3),
-        ExperimentConfig(h=heawood_h, channel=AwgnChannel(0.9), decoder="gallager-a",
-                         trials=130, master_seed=2**40, worker_count=1, max_iterations=0),
+        ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
+                         trials=301, master_seed=3, worker_count=3, max_iterations=3)
+        for channel in (BscChannel(0.1), AwgnChannel(0.7), BscChannel(0.12), AwgnChannel(0.9))
     ]
     expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
     assert run_experiments(cfgs) == expected
     assert run_experiments([]) == []
+
+
+SWEEP_FIELDS = {
+    "h": build_code(parse_lcf("[5,-9,7,-7,9,-5]^4")).H,
+    "decoder": "sum-product",
+    "trials": 11,
+    "master_seed": 4,
+    "max_iterations": 3,
+    "worker_count": 2,
+}
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS)
+def test_sweep_refuses_configs_that_differ_beyond_the_channel(heawood_h, field):
+    base = ExperimentConfig(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
+                            trials=10, master_seed=1)
+    other = dataclasses.replace(base, channel=AwgnChannel(0.8), **{field: SWEEP_FIELDS[field]})
+    with pytest.raises(ValueError, match="may differ only in their channel"):
+        run_experiments([base, other])
+    with pytest.raises(ValueError, match="may differ only in their channel"):
+        run_experiments([base, base, other])
 
 
 class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -211,13 +226,16 @@ def test_sweep_merges_stream_tails(monkeypatch):
 
 @pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
 def test_shared_stream_sums_each_span_apart(heawood_h, decoder):
-    # one key, so one stream; short spans put most rows next to a span boundary
-    cfgs = [
-        ExperimentConfig(h=heawood_h, channel=BscChannel(0.3), decoder=decoder,
-                         trials=trials, master_seed=seed, max_iterations=2)
-        for seed, trials in enumerate((1, 2, 3, 1, 64, 65, 2))
-    ]
-    assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
+    # spans of 63 and 65 rows end inside a 64-row block and just past one;
+    # spans of 1 and 2 rows put every row next to a span boundary
+    channels = (BscChannel(0.3), AwgnChannel(0.8), BscChannel(0.2), AwgnChannel(1.1))
+    for trials in (1, 2, 63, 65):
+        cfgs = [
+            ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder,
+                             trials=trials, master_seed=trials, max_iterations=2)
+            for channel in channels
+        ]
+        assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
 
 
 def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
@@ -348,31 +366,3 @@ def test_syndrome_statistics_validation(heawood_h):
         syndrome_statistics(heawood_h, 0.7, trials=100, master_seed=0)
     with pytest.raises(ValueError):
         syndrome_statistics(heawood_h, 0.1, trials=1, master_seed=0)
-
-
-def test_random_regular_ldpc_degrees():
-    h = random_regular_ldpc(20, 10, w_c=3, seed=6)
-    assert (h.nrows, h.ncols) == (10, 20)
-    assert all(c.bit_count() == 3 for c in h.column_bits())
-    assert all(r.bit_count() == 6 for r in h.rows)
-    assert h == random_regular_ldpc(20, 10, w_c=3, seed=6)
-    assert h != random_regular_ldpc(20, 10, w_c=3, seed=7)
-
-
-@given(st.integers(2, 10), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
-def test_random_regular_ldpc_rank_nullity(m, w_c, ratio, seed):
-    h = random_regular_ldpc(m * ratio, m, w_c=min(w_c, m), seed=seed)
-    g = h.nullspace_basis()
-    assert g.nrows + h.rank() == h.ncols
-    assert g.rank() == g.nrows
-    assert g.multiply(h.transpose()).is_zero()
-
-
-def test_random_regular_ldpc_validation():
-    with pytest.raises(ValueError, match="divisible"):
-        random_regular_ldpc(10, 4)
-    with pytest.raises(ValueError):
-        random_regular_ldpc(0, 3)
-    with pytest.raises(ValueError, match="degree exceeds"):
-        random_regular_ldpc(4, 2, w_c=3)  # would need row weight 6 on 4 columns
