@@ -41,10 +41,14 @@ def export_alist(h: BitMatrix) -> str:
 
 
 def parse_alist(text: str) -> BitMatrix:
-    """Rebuild the matrix, cross-checking column and row sections."""
-    lines = [ln for ln in text.splitlines()]
+    """Rebuild the matrix, cross-checking column and row sections.
+
+    Lines are read by position: four header lines, then n column and m row
+    index lines, any of which is empty when its weight is 0; blank lines
+    past those are ignored.
+    """
     try:
-        tokens = [[int(t) for t in ln.split()] for ln in lines if ln.strip()]
+        tokens = [[int(t) for t in ln.split()] for ln in text.splitlines()]
     except ValueError as exc:
         raise AlistFormatError(f"non-integer token: {exc}") from None
     if len(tokens) < 4:
@@ -57,13 +61,14 @@ def parse_alist(text: str) -> BitMatrix:
     if len(tokens[1]) != 2:
         raise AlistFormatError("second line must hold the maximum weights")
     max_col, max_row = tokens[1]
-    col_weights = tokens[2] if n else []
-    row_weights = tokens[3] if m else []
+    col_weights, row_weights = tokens[2], tokens[3]
     if len(col_weights) != n:
         raise AlistFormatError(f"expected {n} column weights, got {len(col_weights)}")
     if len(row_weights) != m:
         raise AlistFormatError(f"expected {m} row weights, got {len(row_weights)}")
     body = tokens[4:]
+    while len(body) > n + m and not body[-1]:
+        body.pop()
     if len(body) != n + m:
         raise AlistFormatError(f"expected {n + m} index lines, got {len(body)}")
     rows = [0] * m

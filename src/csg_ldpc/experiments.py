@@ -6,23 +6,27 @@ depend only on the seed and trial count, never on how trials are split
 across workers.  Aggregation sums integers, which makes the reduction
 order irrelevant and the output byte-stable.
 
-Each worker decodes its share of a sweep as one stream of rows: its span
-of every config follows the last, in config order, through one
-``decode_stream``.  Each span is cut into blocks of
-``decoders.BLOCK_ROWS`` (64) trials:
-``transmit`` draws each block's rows into one array, trial i from its own
-generator as above, and applies the channel once to the block; one
-syndrome call takes the block's received weights and one conversion its
-LLRs.  ``decode_stream`` takes a new block whenever fewer than 64 rows are
-still decoding, so a row that runs to the iteration cap shares its
-iterations with fresh rows, those of the next config included, rather
-than holding a whole block's pass to a few rows.  Every span is equally
-long, so a finished row's stream position names its config, and its
-errors and flags go into that config's integer sums: the order in which
-rows finish cannot change a number.
+Each worker decodes its share of a sweep as one block-major stream of
+rows through one ``decode_stream``.  Its span is cut into blocks of
+``decoders.BLOCK_ROWS`` (64) trials.  A sweep's configs differ only in
+their channel, so trial i draws the same noise at every point: each block
+is drawn once per channel type, uniforms for BSC and normals for AWGN
+(``channel.draw_noise``), trial i from its own generator as above, and
+every config in turn applies its own rho or sigma to that one draw
+(``channel.apply_noise``) and feeds the block to the stream.  One
+syndrome call per config takes the block's received weights and one
+conversion its LLRs.  ``decode_stream`` takes a new block whenever fewer
+than 64 rows are still decoding, so a row that runs to the iteration cap
+shares its iterations with fresh rows, those of the next config
+included, rather than holding a whole block's pass to a few rows.  The
+span's full blocks come first, 64 rows per config, then its tail, equally
+long for each config, so a finished row's stream position names its
+config, and its errors and flags go into that config's integer sums: the
+order in which rows finish cannot change a number.
 The block size is pinned by peak memory, not speed: the working set is at
 most 127 active rows of decoder state and step temporaries plus one block
-of noise; 256-row blocks cost ~6% more peak RSS than per-word decoding.
+of noise per channel type; 256-row blocks cost ~6% more peak RSS than
+per-word decoding.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -30,12 +34,12 @@ all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
 fixed integer recurrences, so ``_trial_generators`` runs them in numpy
 for up to ``_SEED_CHUNK`` (1024) trials per pass and sets each trial's
 PCG64 state on one reused generator.  The states, and so the draws, equal
-``trial_rng``'s bit for bit, and ``transmit`` still makes every draw: it
+``trial_rng``'s bit for bit, and ``draw_noise`` still makes every draw: it
 takes the generators one row at a time and never one past the block.  On
 ``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per trial, 2-CPU
 machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us of it the
-seed hashing.  What is left, the per-trial state set and the draw, is the
-floor of this design.
+seed hashing.  What is left, the per-trial state set and the draw, is
+paid once per trial and channel type, however many points the sweep has.
 
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel, as ``simulate`` builds one per ``--param`` value.  Their one
@@ -51,14 +55,23 @@ would only cost forks; with one worker the task runs in-process.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import BscChannel, ChannelModel, ParityChecks, llr_from_awgn, llr_from_bsc, syndrome, transmit
+from .channel import (
+    BscChannel,
+    ChannelModel,
+    ParityChecks,
+    apply_noise,
+    draw_noise,
+    llr_from_awgn,
+    llr_from_bsc,
+    syndrome,
+    transmit,
+)
 from .decoders import BLOCK_ROWS, GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
@@ -253,24 +266,36 @@ class ExperimentResult:
     undetected: int
 
 
-def _decoder_inputs(cfg: ExperimentConfig, start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
-    """Yield the decoder input of each ``BLOCK_ROWS``-trial block of [start,
-    stop), adding the block's sum w and sum w^2 of received syndrome
-    weights into ``moments``."""
-    zero_block = np.zeros((BLOCK_ROWS, cfg.h.ncols), dtype=np.uint8)
-    bsc = isinstance(cfg.channel, BscChannel)
-    generators = _trial_generators(cfg.master_seed, start, stop)
+def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
+    """Yield, for each ``BLOCK_ROWS``-trial block of [start, stop), every
+    config's decoder input for that block in config order, adding each
+    config's sum w and sum w^2 of received syndrome weights into its row of
+    ``moments``.
+
+    The block's noise is drawn once per channel type in the sweep, from
+    that type's own ``_trial_generators``, and each config applies its own
+    channel to that one draw.
+    """
+    first = cfgs[0]
+    # the draw depends only on the channel's type: one channel stands for each
+    kinds = {type(cfg.channel): cfg.channel for cfg in cfgs}
+    generators = {kind: _trial_generators(first.master_seed, start, stop) for kind in kinds}
+    zero_block = np.zeros((BLOCK_ROWS, first.h.ncols), dtype=np.uint8)
     for lo in range(start, stop, BLOCK_ROWS):
-        received = transmit(zero_block[:stop - lo], cfg.channel, generators)
-        hard = received if bsc else (received < 0).astype(np.uint8)
-        _, w = syndrome(checks, hard)
-        moments += (w.sum(), w @ w)
-        if cfg.decoder == "gallager-a":
-            yield hard
-        elif bsc:
-            yield llr_from_bsc(hard, cfg.channel.rho)
-        else:
-            yield llr_from_awgn(received, cfg.channel.sigma)
+        sent = zero_block[:stop - lo]
+        noise = {kind: draw_noise(sent.shape, channel, generators[kind]) for kind, channel in kinds.items()}
+        for cfg, sums in zip(cfgs, moments):
+            bsc = isinstance(cfg.channel, BscChannel)
+            received = apply_noise(sent, cfg.channel, noise[type(cfg.channel)])
+            hard = received if bsc else (received < 0).astype(np.uint8)
+            _, w = syndrome(checks, hard)
+            sums += (w.sum(), w @ w)
+            if first.decoder == "gallager-a":
+                yield hard
+            elif bsc:
+                yield llr_from_bsc(hard, cfg.channel.rho)
+            else:
+                yield llr_from_awgn(received, cfg.channel.sigma)
 
 
 def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> list[tuple[int, ...]]:
@@ -278,23 +303,30 @@ def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> list[
     bit errors, word errors, sum w, sum w^2, detected and undetected
     decoder failures.
 
-    The configs' spans decode as one stream, in config order, so one
-    span's slow rows step alongside the next span's fresh ones; stream row
-    r is a trial of config r // (stop - start).  Every sum is over
-    integers, so the order in which rows finish cannot change it.
+    The configs decode as one block-major stream: each ``BLOCK_ROWS``-trial
+    block of the span is drawn once per channel type and then fed once per
+    config, in config order (``_decoder_inputs``), so one config's slow
+    rows step alongside the fresh rows of the next.  With span length s and
+    C configs, the full blocks take the first s // 64 * 64 * C stream rows,
+    64 per config in turn, and the last s % 64 trials of each config
+    follow, so a finished row's stream position names its config.  Every
+    sum is over integers, so the order in which rows finish cannot change it.
     """
     first = cfgs[0]
     decoder = DECODERS[first.decoder](first.h)
     moments = np.zeros((len(cfgs), 2), dtype=np.int64)
     outcomes = np.zeros((len(cfgs), 4), dtype=np.int64)
-    blocks = itertools.chain.from_iterable(
-        _decoder_inputs(cfg, start, stop, decoder.checks, moments[i]) for i, cfg in enumerate(cfgs)
-    )
+    per_block = BLOCK_ROWS * len(cfgs)
+    full = (stop - start) // BLOCK_ROWS * per_block
+    # with no tail block every row is below full; "or" keeps the division defined
+    tail = (stop - start) % BLOCK_ROWS or BLOCK_ROWS
+    blocks = _decoder_inputs(cfgs, start, stop, decoder.checks, moments)
     for rows, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
         errs = words.sum(axis=1, dtype=np.int64)
         wrong = errs > 0
         outcome = np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1)
-        np.add.at(outcomes, rows // (stop - start), outcome)
+        config = np.where(rows < full, rows % per_block // BLOCK_ROWS, (rows - full) // tail)
+        np.add.at(outcomes, config, outcome)
     return [
         (bit_errors, word_errors, *sums, detected, undetected)
         for sums, (bit_errors, word_errors, detected, undetected) in zip(moments.tolist(), outcomes.tolist())

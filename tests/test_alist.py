@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from csg_ldpc.alist import AlistFormatError, export_alist, parse_alist
 from csg_ldpc.codes import build_code, extend_parity_check
+from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import parse_lcf
 
 from strategies import parity_checks
@@ -51,6 +52,19 @@ def test_irregular_matrix_pads_with_zeros(heawood_code):
     # a weight-1 column is padded out to the maximum weight
     assert lines[4 + 7].split()[1:] == ["0", "0"]
     assert parse_alist(text) == ext.H
+
+
+@pytest.mark.parametrize("h", [
+    BitMatrix.from_rows([0, 0], 3),
+    BitMatrix(0, 3, ()),
+    BitMatrix.from_rows([0, 0], 0),
+    BitMatrix(0, 0, ()),
+], ids=["2x3-zero", "0x3", "2x0", "0x0"])
+def test_round_trip_with_zero_maximum_weight(h):
+    # every index line is empty, and so is a weight line with no entries
+    text = export_alist(h)
+    assert parse_alist(text) == h
+    assert parse_alist(text + "\n\n") == h
 
 
 def test_parse_rejects_corruption():

@@ -238,6 +238,51 @@ def test_shared_stream_sums_each_span_apart(heawood_h, decoder):
         assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
 
 
+@pytest.mark.parametrize("channels,kinds", [
+    ((BscChannel(0.05), BscChannel(0.1), BscChannel(0.2)), 1),
+    ((BscChannel(0.05), AwgnChannel(0.8), BscChannel(0.2)), 2),
+])
+def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, channels, kinds):
+    trials = 150
+    cfgs = [
+        ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
+                         trials=trials, master_seed=5, max_iterations=5)
+        for channel in channels
+    ]
+    alone = [run_experiment(cfg) for cfg in cfgs]
+    states = []
+    generators = experiments._trial_generators
+
+    def counted(*args):
+        for generator in generators(*args):
+            states.append(generator)
+            yield generator
+
+    monkeypatch.setattr(experiments, "_trial_generators", counted)
+    assert run_experiments(cfgs) == alone
+    # every point of one kind reads the same per-trial draw
+    assert len(states) == kinds * trials
+
+
+@pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
+def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, decoder):
+    def sweep(trials, workers):
+        return [
+            ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=trials,
+                             master_seed=trials, max_iterations=4, worker_count=workers)
+            for channel in (BscChannel(0.3), AwgnChannel(0.9), BscChannel(0.15))
+        ]
+
+    # 64 and 128 trials are whole blocks only; 129 leave a one-row tail
+    for trials in (64, 128, 129):
+        cfgs = sweep(trials, 1)
+        assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
+    # two spans of 65 and 64 trials: one with a one-row tail, one with none
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfgs = sweep(129, 2)
+    assert run_experiments(cfgs) == [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
+
+
 def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
     proc = run_capped(
         "import sys\n"
