@@ -3,7 +3,7 @@
 
 Every entry is rebuilt from its recipe and run through
 ``csg_ldpc.analysis.analyze_graph``, the function behind ``csg-ldpc
-catalog``: it refuses a graph that is not connected, cubic and bipartite,
+analyze``: it refuses a graph that is not connected, cubic and bipartite,
 and its code parameters and duality flags are compared with the frozen
 expected values recorded below.  Entries that fail any check are
 reported and *not* written.  The manifest records the recipe and expected

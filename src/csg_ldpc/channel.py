@@ -4,13 +4,12 @@ This module holds the package's only noise generator, ``transmit``, and
 its only syndrome routine, ``syndrome``.  Both take one word of shape (n,)
 or a block of words of shape (B, n): the decoders test their estimates
 with ``syndrome``, and ``syndrome_statistics`` pushes whole blocks through
-both from one generator.  ``transmit`` is two halves: ``draw_noise``
-draws the uniforms (BSC) or standard normals (AWGN), from one generator
-or one per row, and ``apply_noise`` maps the word through the channel
-with them, ``word ^ (noise < rho)`` or ``1 - 2 word + sigma noise``.  The
-draw depends on the channel's type only, so ``run_experiments`` draws
-each block of trials once per type, one generator per trial, and applies
-every ``--param`` point's channel to that one draw.
+both from one generator.  ``transmit`` draws uniforms (BSC) or standard
+normals (AWGN) from one generator and hands them to ``apply_noise``, the
+package's one channel map: ``word ^ (noise < rho)`` or
+``1 - 2 word + sigma noise``.  ``run_experiments`` draws its trials' noise
+itself, one generator per trial, and applies every ``--param`` point's
+channel to that one draw through the same ``apply_noise``.
 
 ``ParityChecks``, each check's column indices built once per H, is the
 one incidence table of H: ``syndrome`` gathers through it only the bits a
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "AwgnChannel",
     "ChannelModel",
     "ParityChecks",
-    "draw_noise",
     "apply_noise",
     "transmit",
     "syndrome",
@@ -80,63 +78,29 @@ class AwgnChannel:
 ChannelModel = Union[BscChannel, AwgnChannel]
 
 
-def draw_noise(
-    shape: tuple[int, ...],
-    channel: ChannelModel,
-    rng: np.random.Generator | Iterable[np.random.Generator],
-) -> np.ndarray:
-    """The noise half of ``transmit``: uniforms for a BSC, standard normals
-    for AWGN, of the given shape.
-
-    Only the channel's type matters, not its parameter, so one draw serves
-    every channel of that type.  Noise is drawn in row-major order, so a
-    block receives the same noise as its rows drawn one after another from
-    the same generator.  ``rng`` may instead be an iterable of generators,
-    one per row of a (B, n) block: row r is then drawn from the r-th, which
-    must be drawn from before the next is taken, and exactly B generators
-    are taken from it.
-    """
-    bsc = isinstance(channel, BscChannel)
-    if isinstance(rng, np.random.Generator):
-        return rng.random(shape) if bsc else rng.standard_normal(shape)
-    if len(shape) != 2:
-        raise ValueError(f"one generator per row needs a (B, n) block, got shape {shape}")
-    noise = np.empty(shape)
-    filled = 0
-    # rows first: zip stops at the last row without taking another generator
-    for row, generator in zip(noise, rng):
-        (generator.random if bsc else generator.standard_normal)(out=row)
-        filled += 1
-    if filled < len(noise):
-        raise ValueError(f"{filled} generators for a block of {len(noise)} rows")
-    return noise
-
-
 def apply_noise(word: np.ndarray, channel: ChannelModel, noise: np.ndarray) -> np.ndarray:
     """The channel-map half of ``transmit``: flip the bits whose uniform is
     below rho (BSC), or map 0 -> +1, 1 -> -1 and add sigma times the normal
-    (AWGN).  ``noise`` is ``draw_noise``'s for ``word``'s shape."""
+    (AWGN).  ``noise`` holds uniforms or standard normals of ``word``'s
+    shape, as ``transmit`` draws them."""
     word = np.asarray(word, dtype=np.uint8)
     if isinstance(channel, BscChannel):
         return word ^ (noise < channel.rho)
     return 1.0 - 2.0 * word + channel.sigma * noise
 
 
-def transmit(
-    word: np.ndarray,
-    channel: ChannelModel,
-    rng: np.random.Generator | Iterable[np.random.Generator],
-) -> np.ndarray:
+def transmit(word: np.ndarray, channel: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     """Send a codeword, or a (B, n) block of them, through the channel.
 
     BSC returns bits with i.i.d. flips; AWGN returns the real received
-    values after BPSK mapping and Gaussian noise.  It is ``draw_noise``
-    followed by ``apply_noise``: the noise is drawn first, from ``rng`` as
-    that function takes it, and the channel map applied once to the whole
-    block.
+    values after BPSK mapping and Gaussian noise.  The noise is drawn
+    first, in row-major order, so a block receives the same noise as its
+    rows sent one after another from the same generator; ``apply_noise``
+    then maps the whole block once.
     """
     word = np.asarray(word, dtype=np.uint8)
-    return apply_noise(word, channel, draw_noise(word.shape, channel, rng))
+    noise = rng.random(word.shape) if isinstance(channel, BscChannel) else rng.standard_normal(word.shape)
+    return apply_noise(word, channel, noise)
 
 
 def padded_groups(groups: np.ndarray, items: np.ndarray, ngroups: int, fill: int) -> np.ndarray:

@@ -98,9 +98,8 @@ def build_code(g: Graph) -> LinearCode:
         raise NotCubicError("graph is not 3-regular")
     sides = bipartition(g)
     left = sorted(sides.left)
+    # cubic and bipartite: 3 |left| = |E| = 3 |right|, so H is square
     right = sorted(sides.right)
-    if len(left) != len(right):
-        raise NotCubicError("colour classes differ in size")
     col_of = {v: j for j, v in enumerate(right)}
     rows = []
     for u in left:

@@ -8,25 +8,25 @@ order irrelevant and the output byte-stable.
 
 Each worker decodes its share of a sweep as one block-major stream of
 rows through one ``decode_stream``.  Its span is cut into blocks of
-``decoders.BLOCK_ROWS`` (64) trials.  A sweep's configs differ only in
-their channel, so trial i draws the same noise at every point: each block
-is drawn once per channel type, uniforms for BSC and normals for AWGN
-(``channel.draw_noise``), trial i from its own generator as above, and
-every config in turn applies its own rho or sigma to that one draw
-(``channel.apply_noise``) and feeds the block to the stream.  One
-syndrome call per config takes the block's received weights and one
-conversion its LLRs.  ``decode_stream`` takes a new block whenever fewer
-than 64 rows are still decoding, so a row that runs to the iteration cap
-shares its iterations with fresh rows, those of the next config
-included, rather than holding a whole block's pass to a few rows.  The
-span's full blocks come first, 64 rows per config, then its tail, equally
-long for each config, so a finished row's stream position names its
-config, and its errors and flags go into that config's integer sums: the
-order in which rows finish cannot change a number.
+``decoders.BLOCK_ROWS`` (64) trials.  A sweep's configs share one channel
+type and differ only in its parameter, so trial i draws the same noise at
+every point: each block is drawn once, uniforms for BSC and normals for
+AWGN, trial i's row from its own generator as above, and every config in
+turn applies its own rho or sigma to that one draw
+(``channel.apply_noise``) and feeds the block to the stream.  This module
+is the one place that draws a sweep's noise.  One syndrome call per
+config takes the block's received weights and one conversion its LLRs.
+``decode_stream`` takes a new block whenever fewer than 64 rows are still
+decoding, so a row that runs to the iteration cap shares its iterations
+with fresh rows, those of the next config included, rather than holding
+a whole block's pass to a few rows.  The span's full blocks come first,
+64 rows per config, then its tail, equally long for each config, so a
+finished row's stream position names its config, and its errors and
+flags go into that config's integer sums: the order in which rows finish
+cannot change a number.
 The block size is pinned by peak memory, not speed: the working set is at
 most 127 active rows of decoder state and step temporaries plus one block
-of noise per channel type; 256-row blocks cost ~6% more peak RSS than
-per-word decoding.
+of noise; 256-row blocks cost ~6% more peak RSS than per-word decoding.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -34,22 +34,22 @@ all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
 fixed integer recurrences, so ``_trial_generators`` runs them in numpy
 for up to ``_SEED_CHUNK`` (1024) trials per pass and sets each trial's
 PCG64 state on one reused generator.  The states, and so the draws, equal
-``trial_rng``'s bit for bit, and ``draw_noise`` still makes every draw: it
-takes the generators one row at a time and never one past the block.  On
-``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per trial, 2-CPU
-machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us of it the
-seed hashing.  What is left, the per-trial state set and the draw, is
-paid once per trial and channel type, however many points the sweep has.
+``trial_rng``'s bit for bit, and ``_decoder_inputs`` still makes every
+draw: it takes the generators one row at a time and never one past the
+block.  On ``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per
+trial, 2-CPU machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us
+of it the seed hashing.  What is left, the per-trial state set and the
+draw, is paid once per trial, however many points the sweep has.
 
 ``run_experiments`` runs a sweep: configs that differ only in their
-channel, as ``simulate`` builds one per ``--param`` value.  Their one
-trial range splits into ``min(worker_count, trials, os.cpu_count())``
-spans, one task per worker, and worker w decodes span w of every config.
-So a ``simulate`` call starts and joins its processes once, and each
-worker builds one decoder and ends one stream tail, not one per channel
-parameter.  Results do not depend on the worker count, so extra processes
-would only cost forks; with one worker the task runs in-process.
-``run_experiment`` is the one-config case.
+channel's parameter, as ``simulate`` builds one per ``--param`` value.
+Their one trial range splits into ``min(worker_count, trials,
+os.cpu_count())`` spans, one task per worker, and worker w decodes span w
+of every config.  So a ``simulate`` call starts and joins its processes
+once, and each worker builds one decoder and ends one stream tail, not
+one per channel parameter.  Results do not depend on the worker count,
+so extra processes would only cost forks; with one worker the task runs
+in-process.  ``run_experiment`` is the one-config case.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .channel import (
     ChannelModel,
     ParityChecks,
     apply_noise,
-    draw_noise,
     llr_from_awgn,
     llr_from_bsc,
     syndrome,
@@ -243,6 +242,9 @@ class ExperimentConfig:
             raise ValueError("worker_count must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        if self.decoder == "sum-product" and isinstance(self.channel, BscChannel) and self.channel.rho == 0.5:
+            # every LLR would be 0, which the decoder reads as the all-zero word sent
+            raise ValueError("sum-product cannot decode a BSC at rho = 1/2: every channel LLR is 0")
 
 
 @dataclass(frozen=True)
@@ -272,21 +274,22 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
     config's sum w and sum w^2 of received syndrome weights into its row of
     ``moments``.
 
-    The block's noise is drawn once per channel type in the sweep, from
-    that type's own ``_trial_generators``, and each config applies its own
-    channel to that one draw.
+    The sweep has one channel type, so the block's noise is drawn once,
+    row r from trial lo + r's ``_trial_generators`` state, and each config
+    applies its own rho or sigma to that one draw.
     """
     first = cfgs[0]
-    # the draw depends only on the channel's type: one channel stands for each
-    kinds = {type(cfg.channel): cfg.channel for cfg in cfgs}
-    generators = {kind: _trial_generators(first.master_seed, start, stop) for kind in kinds}
+    bsc = isinstance(first.channel, BscChannel)
+    generators = _trial_generators(first.master_seed, start, stop)
     zero_block = np.zeros((BLOCK_ROWS, first.h.ncols), dtype=np.uint8)
     for lo in range(start, stop, BLOCK_ROWS):
         sent = zero_block[:stop - lo]
-        noise = {kind: draw_noise(sent.shape, channel, generators[kind]) for kind, channel in kinds.items()}
+        noise = np.empty(sent.shape)
+        # rows first: zip stops at the block's last row without taking the next state
+        for row, generator in zip(noise, generators):
+            (generator.random if bsc else generator.standard_normal)(out=row)
         for cfg, sums in zip(cfgs, moments):
-            bsc = isinstance(cfg.channel, BscChannel)
-            received = apply_noise(sent, cfg.channel, noise[type(cfg.channel)])
+            received = apply_noise(sent, cfg.channel, noise)
             hard = received if bsc else (received < 0).astype(np.uint8)
             _, w = syndrome(checks, hard)
             sums += (w.sum(), w @ w)
@@ -304,13 +307,14 @@ def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> list[
     decoder failures.
 
     The configs decode as one block-major stream: each ``BLOCK_ROWS``-trial
-    block of the span is drawn once per channel type and then fed once per
-    config, in config order (``_decoder_inputs``), so one config's slow
-    rows step alongside the fresh rows of the next.  With span length s and
-    C configs, the full blocks take the first s // 64 * 64 * C stream rows,
+    block of the span is drawn once and then fed once per config, in
+    config order (``_decoder_inputs``), so one config's slow rows step
+    alongside the fresh rows of the next.  With span length s and C
+    configs, the full blocks take the first s // 64 * 64 * C stream rows,
     64 per config in turn, and the last s % 64 trials of each config
     follow, so a finished row's stream position names its config.  Every
-    sum is over integers, so the order in which rows finish cannot change it.
+    sum is over integers, so the order in which rows finish cannot change
+    it.
     """
     first = cfgs[0]
     decoder = DECODERS[first.decoder](first.h)
@@ -371,8 +375,9 @@ def _aggregate(cfg: ExperimentConfig, partials: list[tuple[int, ...]]) -> Experi
 
 
 def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
-    """Run a sweep, configs that differ only in their channel, with one
-    task per worker and aggregate each config exactly.
+    """Run a sweep, configs that differ only in their channel's parameter
+    (one channel type), with one task per worker, and aggregate each
+    config exactly.
 
     The shared trial range splits into ``_pool_size(worker_count, trials)``
     spans, and worker w decodes span w of every config as one stream
@@ -383,8 +388,9 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     if not cfgs:
         return []
     first = cfgs[0]
-    if any(replace(cfg, channel=first.channel) != first for cfg in cfgs):
-        raise ValueError("the configs of one sweep may differ only in their channel")
+    kind = type(first.channel)
+    if any(type(cfg.channel) is not kind or replace(cfg, channel=first.channel) != first for cfg in cfgs):
+        raise ValueError("the configs of one sweep may differ only in their channel's parameter")
     spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials))
     if len(spans) == 1:
         partials = [_run_share(cfgs, *spans[0])]

@@ -21,7 +21,6 @@ from csg_ldpc.channel import (
 )
 from csg_ldpc.analysis import load_graph_file
 from csg_ldpc.codes import build_code
-from csg_ldpc.experiments import _trial_generators, trial_rng
 from csg_ldpc.gf2 import BitMatrix
 
 from oracles import support_lists
@@ -207,31 +206,3 @@ def test_transmit_block_matches_stacked_words(channel):
     rows = [transmit(np.zeros(9, dtype=np.uint8), channel, rng) for _ in range(5)]
     assert block.dtype == rows[0].dtype
     assert np.array_equal(block, np.stack(rows))
-
-
-@pytest.mark.parametrize("channel", [BscChannel(0.2), AwgnChannel(0.8)])
-@pytest.mark.parametrize("seed,start,rows", [
-    (5, 0, 0),
-    (5, 3, 1),
-    (5, 3, 64),
-    (2**40 + 1, 2**32 - 30, 64),  # indices cross to two uint32 words
-], ids=["0-rows", "1-row", "64-rows", "64-rows-across-2^32"])
-def test_transmit_draws_each_row_from_its_generator(channel, seed, start, rows):
-    n, stop = 9, start + rows
-    generators = _trial_generators(seed, start, stop + 1)
-    block = transmit(np.zeros((rows, n), dtype=np.uint8), channel, generators)
-    zero = np.zeros(n, dtype=np.uint8)
-    expected = [transmit(zero, channel, trial_rng(seed, i)) for i in range(start, stop)]
-    assert block.shape == (rows, n)
-    assert block.dtype == transmit(zero, channel, trial_rng(seed, 0)).dtype
-    assert np.array_equal(block, np.stack(expected) if rows else block)
-    # the block took exactly its own rows' generators
-    assert np.array_equal(next(generators).random(n), trial_rng(seed, stop).random(n))
-
-
-def test_transmit_needs_one_generator_per_row():
-    rngs = [np.random.default_rng(i) for i in range(3)]
-    with pytest.raises(ValueError, match="2 generators for a block of 3 rows"):
-        transmit(np.zeros((3, 4), dtype=np.uint8), BscChannel(0.1), iter(rngs[:2]))
-    with pytest.raises(ValueError, match="block"):
-        transmit(np.zeros(4, dtype=np.uint8), AwgnChannel(0.5), iter(rngs))

@@ -268,6 +268,8 @@ BAD_INPUTS = [
     ("simulate-param-text", simulate_argv(param="0.1,abc")),
     ("simulate-bsc-param-nan", simulate_argv(param="nan")),
     ("simulate-bsc-second-param", simulate_argv(param="0.05,0.7")),
+    # rho = 1/2 gives all-zero LLRs, which sum-product decoded to BER 0
+    ("simulate-bsc-half-sum-product", simulate_argv(param="0.45,0.5", decoder="sum-product")),
     ("simulate-awgn-inf", simulate_argv(**AWGN_INF)),
     ("simulate-awgn-inf-w2", simulate_argv(**AWGN_INF, workers="2")),
     ("simulate-awgn-zero", simulate_argv(**{**AWGN_INF, "param": "0"})),

@@ -105,6 +105,11 @@ def test_config_validation(heawood_h):
         ExperimentConfig(**{**ok, "worker_count": 0})
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(**{**ok, "master_seed": -2})
+    # at rho = 1/2 every LLR is 0, which sum-product would read as the sent word
+    with pytest.raises(ValueError, match="rho = 1/2"):
+        ExperimentConfig(**{**ok, "decoder": "sum-product", "channel": BscChannel(0.5)})
+    ExperimentConfig(**{**ok, "channel": BscChannel(0.5)})
+    ExperimentConfig(**{**ok, "decoder": "sum-product", "channel": BscChannel(0.45)})
 
 
 def test_noiseless_channel_gives_zero_rates(heawood_h):
@@ -132,17 +137,21 @@ def test_worker_count_does_not_change_results(heawood_h):
 def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
     # cap at 3 CPUs so the sweep keeps three spans on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    cfgs = [
-        ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
-                         trials=301, master_seed=3, worker_count=3, max_iterations=3)
-        for channel in (BscChannel(0.1), AwgnChannel(0.7), BscChannel(0.12), AwgnChannel(0.9))
-    ]
-    expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
-    assert run_experiments(cfgs) == expected
+    for channels in ((BscChannel(0.1), BscChannel(0.12)), (AwgnChannel(0.7), AwgnChannel(0.9))):
+        cfgs = [
+            ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
+                             trials=301, master_seed=3, worker_count=3, max_iterations=3)
+            for channel in channels
+        ]
+        expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
+        assert run_experiments(cfgs) == expected
     assert run_experiments([]) == []
 
 
+# each entry changes one field of the second config; the channel entry
+# changes its type, so the sweep would mix BSC and AWGN
 SWEEP_FIELDS = {
+    "channel": AwgnChannel(0.8),
     "h": build_code(parse_lcf("[5,-9,7,-7,9,-5]^4")).H,
     "decoder": "sum-product",
     "trials": 11,
@@ -156,10 +165,10 @@ SWEEP_FIELDS = {
 def test_sweep_refuses_configs_that_differ_beyond_the_channel(heawood_h, field):
     base = ExperimentConfig(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
                             trials=10, master_seed=1)
-    other = dataclasses.replace(base, channel=AwgnChannel(0.8), **{field: SWEEP_FIELDS[field]})
-    with pytest.raises(ValueError, match="may differ only in their channel"):
+    other = dataclasses.replace(base, **{"channel": BscChannel(0.2), field: SWEEP_FIELDS[field]})
+    with pytest.raises(ValueError, match="may differ only in their channel's parameter"):
         run_experiments([base, other])
-    with pytest.raises(ValueError, match="may differ only in their channel"):
+    with pytest.raises(ValueError, match="may differ only in their channel's parameter"):
         run_experiments([base, base, other])
 
 
@@ -228,21 +237,21 @@ def test_sweep_merges_stream_tails(monkeypatch):
 def test_shared_stream_sums_each_span_apart(heawood_h, decoder):
     # spans of 63 and 65 rows end inside a 64-row block and just past one;
     # spans of 1 and 2 rows put every row next to a span boundary
-    channels = (BscChannel(0.3), AwgnChannel(0.8), BscChannel(0.2), AwgnChannel(1.1))
-    for trials in (1, 2, 63, 65):
-        cfgs = [
-            ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder,
-                             trials=trials, master_seed=trials, max_iterations=2)
-            for channel in channels
-        ]
-        assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
+    for channels in ((BscChannel(0.3), BscChannel(0.2)), (AwgnChannel(0.8), AwgnChannel(1.1))):
+        for trials in (1, 2, 63, 65):
+            cfgs = [
+                ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder,
+                                 trials=trials, master_seed=trials, max_iterations=2)
+                for channel in channels
+            ]
+            assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
 
 
-@pytest.mark.parametrize("channels,kinds", [
-    ((BscChannel(0.05), BscChannel(0.1), BscChannel(0.2)), 1),
-    ((BscChannel(0.05), AwgnChannel(0.8), BscChannel(0.2)), 2),
+@pytest.mark.parametrize("channels", [
+    (BscChannel(0.05), BscChannel(0.1), BscChannel(0.2)),
+    (AwgnChannel(0.6), AwgnChannel(0.8), AwgnChannel(1.0)),
 ])
-def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, channels, kinds):
+def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, channels):
     trials = 150
     cfgs = [
         ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
@@ -250,37 +259,42 @@ def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, chan
         for channel in channels
     ]
     alone = [run_experiment(cfg) for cfg in cfgs]
-    states = []
+    starts, states = [], []
     generators = experiments._trial_generators
 
     def counted(*args):
+        starts.append(args)
         for generator in generators(*args):
             states.append(generator)
             yield generator
 
     monkeypatch.setattr(experiments, "_trial_generators", counted)
     assert run_experiments(cfgs) == alone
-    # every point of one kind reads the same per-trial draw
-    assert len(states) == kinds * trials
+    # one generator stream for the whole sweep, and every point reads the
+    # same per-trial draw
+    assert starts == [(5, 0, trials)]
+    assert len(states) == trials
 
 
 @pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
 def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, decoder):
-    def sweep(trials, workers):
+    def sweep(channels, trials, workers):
         return [
             ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=trials,
                              master_seed=trials, max_iterations=4, worker_count=workers)
-            for channel in (BscChannel(0.3), AwgnChannel(0.9), BscChannel(0.15))
+            for channel in channels
         ]
 
-    # 64 and 128 trials are whole blocks only; 129 leave a one-row tail
-    for trials in (64, 128, 129):
-        cfgs = sweep(trials, 1)
-        assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
-    # two spans of 65 and 64 trials: one with a one-row tail, one with none
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    cfgs = sweep(129, 2)
-    assert run_experiments(cfgs) == [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
+    for channels in ((BscChannel(0.3), BscChannel(0.15)), (AwgnChannel(0.9), AwgnChannel(0.6))):
+        # 64 and 128 trials are whole blocks only; 129 leave a one-row tail
+        for trials in (64, 128, 129):
+            cfgs = sweep(channels, trials, 1)
+            assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
+        # two spans of 65 and 64 trials: one with a one-row tail, one with none
+        cfgs = sweep(channels, 129, 2)
+        expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
+        assert run_experiments(cfgs) == expected
 
 
 def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
