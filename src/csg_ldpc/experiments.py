@@ -8,7 +8,7 @@ order irrelevant and the output byte-stable.
 
 Each worker decodes its share of a sweep as one block-major stream of
 rows through one ``decode_stream``.  Its span is cut into blocks of
-``decoders.BLOCK_ROWS`` (64) trials.  A sweep's configs share one channel
+``BLOCK_ROWS`` (64) trials.  A sweep's configs share one channel
 type and differ only in its parameter, so trial i draws the same noise at
 every point: each block is drawn once, uniforms for BSC and normals for
 AWGN, trial i's row from its own generator as above, and every config in
@@ -16,17 +16,18 @@ turn applies its own rho or sigma to that one draw
 (``channel.apply_noise``) and feeds the block to the stream.  This module
 is the one place that draws a sweep's noise.  One syndrome call per
 config takes the block's received weights and one conversion its LLRs.
-``decode_stream`` takes a new block whenever fewer than 64 rows are still
-decoding, so a row that runs to the iteration cap shares its iterations
-with fresh rows, those of the next config included, rather than holding
-a whole block's pass to a few rows.  The span's full blocks come first,
-64 rows per config, then its tail, equally long for each config, so a
-finished row's stream position names its config, and its errors and
-flags go into that config's integer sums: the order in which rows finish
-cannot change a number.
-The block size is pinned by peak memory, not speed: the working set is at
-most 127 active rows of decoder state and step temporaries plus one block
-of noise; 256-row blocks cost ~6% more peak RSS than per-word decoding.
+``decode_stream`` takes a new block whenever fewer than
+``decoders.IN_FLIGHT`` (128) rows are still decoding, so a row that runs
+to the iteration cap shares its iterations with fresh rows, those of the
+next config included, rather than holding a whole block's pass to a few
+rows.  The span's full blocks come first, 64 rows per config, then its
+tail, equally long for each config, so a finished row's stream position
+names its config, and its errors and flags go into that config's integer
+sums: the order in which rows finish cannot change a number.
+The noise block need not match the in-flight count: the working set is
+at most 191 active rows of decoder state and step temporaries plus one
+block of noise.  On 90A sum-product sweeps, 128-trial blocks cost ~1.6%
+more peak RSS and did not make them measurably faster.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -71,7 +72,7 @@ from .channel import (
     syndrome,
     transmit,
 )
-from .decoders import BLOCK_ROWS, GallagerADecoder, SumProductDecoder
+from .decoders import GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -95,6 +96,10 @@ DECODERS = {"gallager-a": GallagerADecoder, "sum-product": SumProductDecoder}
 # the largest decoder iteration budget a config accepts: every row that
 # never reaches a zero syndrome is stepped this many times
 MAX_ITERATIONS = 1000
+
+# trials per noise block: _decoder_inputs draws a sweep's noise, and feeds
+# every config's decoder input, this many trials at a time
+BLOCK_ROWS = 64
 
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csg_ldpc import decoders
-from csg_ldpc.channel import llr_from_bsc
+from csg_ldpc.analysis import load_graph_file
+from csg_ldpc.channel import AwgnChannel, BscChannel, llr_from_awgn, llr_from_bsc, transmit
 from csg_ldpc.codes import build_code, extend_parity_check
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
+from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import parse_lcf
 
 from oracles import (
@@ -98,6 +100,18 @@ def test_input_validation(heawood_code):
     for decoder in (ga, sp):
         with pytest.raises(ValueError, match="length"):
             list(decoder.decode_stream([np.zeros((2, 7)), np.zeros((1, 6))]))
+    # Gallager A takes hard decisions only: -1 would wrap to 255 as uint8,
+    # and 0.6 would truncate to 0
+    for bad in (np.array([-1, 1, 1, 1, 1, 1, 1]), np.array([0.6, 0, 0, 0, 0, 0, 0]), np.full(7, 2), np.full(7, np.nan)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ga.decode(bad)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ga.decode_block(np.stack([np.zeros(7), bad]))
+        with pytest.raises(ValueError, match="0 or 1"):
+            list(ga.decode_stream([np.zeros((2, 7), dtype=np.uint8), bad[None]]))
+    # bits of any dtype are accepted
+    for dtype in (bool, np.int64, np.float64):
+        assert ga.decode(np.eye(7, dtype=dtype)[0]).syndrome_zero
 
 
 @st.composite
@@ -145,7 +159,7 @@ def test_decode_block_matches_oracles_row_by_row(case, in_flight):
             assert ok == _syndrome_zero(check_bits, ref_word)
         # the stream, admitting blocks while fewer than in_flight rows are active
         seen = []
-        with patch.object(decoders, "BLOCK_ROWS", in_flight):
+        with patch.object(decoders, "IN_FLIGHT", in_flight):
             for rows, out, iterations, syndrome_zero in decoder.decode_stream(_split(block, cuts), max_iter):
                 for r, word, iters, ok in zip(rows.tolist(), out, iterations, syndrome_zero):
                     ref_word, ref_iters = expected[r]
@@ -181,11 +195,66 @@ def test_stream_steps_capped_rows_together(nauru_code, monkeypatch, decoder_type
 def test_leave_one_out_products_equal_the_double_loop(degree, rows, checks, seed):
     # tanh of clipped messages, with padding slots of exactly 1 as _step has them
     rng = np.random.default_rng(seed)
-    x = np.tanh(rng.normal(0.0, 4.0, size=(rows, checks, degree)) / 2.0)
+    # slot-major, as the check view has them: (degree, checks, rows)
+    x = np.tanh(rng.normal(0.0, 4.0, size=(degree, checks, rows)) / 2.0)
     x[rng.random(x.shape) < 0.2] = 1.0
     got = decoders._leave_one_out_products(x)
     assert got.shape == x.shape and got.dtype == x.dtype
-    assert np.array_equal(got.view(np.uint64), leave_one_out_products_loop(x).view(np.uint64))
+    expected = np.moveaxis(leave_one_out_products_loop(np.moveaxis(x, 0, -1)), -1, 0)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("in_flight", [1, decoders.IN_FLIGHT])
+@pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
+def test_yielded_arrays_stay_valid(nauru_code, decoder_type, in_flight):
+    # one-row blocks, then wider ones, more rows than are kept in flight:
+    # the stream admits, compacts and finishes rows in many passes, and
+    # with one row in flight every row is stepped by itself after the
+    # last one was handed out whole
+    rng = np.random.default_rng(41)
+    words = (rng.random((3 * decoders.IN_FLIGHT + 5, nauru_code.n)) < 0.2).astype(np.uint8)
+    block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.2)
+    decoder = decoder_type(nauru_code.H)
+    with patch.object(decoders, "IN_FLIGHT", in_flight):
+        blocks = [block[i:i + 1] for i in range(40)] + np.array_split(block[40:], 10)
+        # a small budget leaves many rows capped, so the words differ
+        yielded, copies = [], []
+        for arrays in decoder.decode_stream(blocks, max_iter=3):
+            yielded.append(arrays)
+            copies.append([a.copy() for a in arrays])
+    assert len(yielded) > 2
+    assert len({word.tobytes() for _, out, _, _ in copies for word in out}) > 10
+    # the stream is exhausted: no later pass may have written into them
+    for arrays, saved in zip(yielded, copies):
+        rows, words_out, iterations, syndrome_zero = arrays
+        assert words_out.shape == (len(rows), nauru_code.n) and words_out.dtype == np.uint8
+        for a, b in zip(arrays, saved):
+            assert np.array_equal(a, b)
+    assert sorted(np.concatenate([rows for rows, *_ in yielded]).tolist()) == list(range(len(block)))
+    result = decoder.decode(block[0])
+    assert result.word.shape == (nauru_code.n,) and result.word.dtype == np.uint8
+    assert result.word.flags.c_contiguous
+
+
+def test_block_wider_than_in_flight_matches_oracles(data_dir):
+    h = build_code(load_graph_file(data_dir / "90A.lcf")).H
+    rows = 300
+    assert rows > 2 * decoders.IN_FLIGHT
+    rng = np.random.default_rng(53)
+    zeros = np.zeros((rows, h.ncols), dtype=np.uint8)
+    words = transmit(zeros, BscChannel(0.08), rng)
+    received = transmit(zeros, AwgnChannel(0.8), rng)
+    check_bits, _ = support_lists(h)
+    for decoder, block, oracle in (
+        (GallagerADecoder(h), words, reference_gallager_a),
+        (SumProductDecoder(h), llr_from_bsc(words, 0.08), reference_sum_product),
+        (SumProductDecoder(h), llr_from_awgn(received, 0.8), reference_sum_product),
+    ):
+        out, iterations, syndrome_zero = decoder.decode_block(block, max_iter=50)
+        for row, word, iters, ok in zip(block, out, iterations, syndrome_zero):
+            ref_word, ref_iters = oracle(h, row.tolist(), max_iter=50)
+            assert word.tolist() == ref_word and iters == ref_iters
+            assert ok == _syndrome_zero(check_bits, ref_word)
 
 
 def test_empty_block_returns_empty_arrays(heawood_code):
@@ -236,6 +305,22 @@ def test_decoders_handle_degree_one_bits(heawood_code):
         soft = sp.decode(llr, max_iter=15)
         sref_word, sref_iters = reference_sum_product(ext.H, llr.tolist(), max_iter=15)
         assert soft.word.tolist() == sref_word and soft.iterations == sref_iters
+
+
+def test_gallager_counts_votes_past_a_byte():
+    # check i is bits 0 and i + 1, so bit 0 has degree 140 and its votes
+    # reach 2 * 141: counts must not wrap at 256
+    m = 140
+    h = BitMatrix.from_dense(np.hstack([np.ones((m, 1), dtype=int), np.eye(m, dtype=int)]).tolist())
+    rng = np.random.default_rng(37)
+    block = (rng.random((6, m + 1)) < rng.random((6, 1))).astype(np.uint8)
+    block[0] = 1
+    block[0, 0] = 0  # every check tells bit 0 it is 1
+    block[1] = 1
+    out, iterations, _ = GallagerADecoder(h).decode_block(block, max_iter=4)
+    for row, word, iters in zip(block, out, iterations):
+        ref_word, ref_iters = reference_gallager_a(h, row.tolist(), max_iter=4)
+        assert word.tolist() == ref_word and iters == ref_iters
 
 
 def test_sum_product_survives_saturated_llrs(heawood_code):

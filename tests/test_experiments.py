@@ -287,8 +287,9 @@ def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, d
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for channels in ((BscChannel(0.3), BscChannel(0.15)), (AwgnChannel(0.9), AwgnChannel(0.6))):
-        # 64 and 128 trials are whole blocks only; 129 leave a one-row tail
-        for trials in (64, 128, 129):
+        # 64, 128 and 192 trials are whole blocks only; 129 and 257 leave a
+        # one-row tail, 257 after more rows than the decoders keep in flight
+        for trials in (64, 128, 129, 192, 257):
             cfgs = sweep(channels, trials, 1)
             assert run_experiments(cfgs) == [run_experiment(cfg) for cfg in cfgs]
         # two spans of 65 and 64 trials: one with a one-row tail, one with none
