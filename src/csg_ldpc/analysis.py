@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import stat
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,10 +19,14 @@ from .codes import (
 )
 from .graphs import Graph, girth, load_edge_list, parse_lcf
 
-__all__ = ["GRAPH_SUFFIXES", "AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
+__all__ = ["GRAPH_SUFFIXES", "MAX_GRAPH_BYTES", "AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
 
 # the graph-file extensions load_graph_file reads
 GRAPH_SUFFIXES = (".edges", ".lcf")
+
+# the largest graph file load_graph_file reads: an edge list at the
+# MAX_VERTICES cap takes ~150 KB, so 1 MiB leaves room for comments
+MAX_GRAPH_BYTES = 1 << 20
 
 
 @dataclass
@@ -136,7 +141,9 @@ def load_graph_file(path: str | Path) -> Graph:
     """Load ``.edges`` or ``.lcf`` catalog files by extension.
 
     Comment lines starting with ``#`` are allowed in both formats; an
-    ``.lcf`` file must contain exactly one notation line.
+    ``.lcf`` file must contain exactly one notation line.  Anything but a
+    regular file of at most ``MAX_GRAPH_BYTES`` is refused before it is
+    opened.
     """
     # a Path is used as given: re-parsing interns its parts, a churn that
     # doubled CPython's interned-string table (~1 MB) in ~550 catalog passes
@@ -145,6 +152,13 @@ def load_graph_file(path: str | Path) -> Graph:
     # the suffix is checked before any read, so /dev/zero is refused, not read
     if path.suffix not in GRAPH_SUFFIXES:
         raise ValueError(f"{path}: unknown extension, expected {' or '.join(GRAPH_SUFFIXES)}")
+    # stat before the open: a FIFO would block it and a device such as
+    # /dev/zero (also behind a symlink) would never end the read
+    info = path.stat()
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file")
+    if info.st_size > MAX_GRAPH_BYTES:
+        raise ValueError(f"{path}: {info.st_size} bytes, above the {MAX_GRAPH_BYTES}-byte cap")
     text = path.read_text()
     if path.suffix == ".edges":
         return load_edge_list(text)

@@ -116,6 +116,7 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_out(args.out)
+    _check_out(args.out and args.out + ".meta.json")
     _, code = _load_code(args.path)
     params = _parse_float_list(args.param, "parameter")
     # every point is checked before any is decoded, and all share one pool

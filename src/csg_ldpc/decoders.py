@@ -24,17 +24,17 @@ row; a check of lower degree than w has padding slots, a fixed list that
 each step sets to the rule's neutral value (1 for the tanh products, 0
 for the parities) after its gather.  No code of the catalog has either.
 
-The loop keeps every active row's stream position and iteration count.
-Each pass it admits further blocks while fewer than ``IN_FLIGHT`` rows
-are active, tests every active row's estimate with ``channel.syndrome``,
-hands out the rows that reached a zero syndrome or their ``max_iter``,
-compacts the carried state along its row axis, and steps the rest.  So
-every row stops at its own first zero syndrome and gets the same word and
-iteration count as if it were decoded alone, while a row that runs to the
-cap shares each of its iterations with fresh rows instead of stepping
-alone.  Construct a decoder once per matrix and hand it blocks when
-decoding many words: a lone word pays the full per-iteration numpy
-overhead.
+The loop keeps every active row's label, an integer the caller hands in
+with its block, and its iteration count.  Each pass it admits further
+blocks while fewer than ``IN_FLIGHT`` rows are active, tests every active
+row's estimate with ``channel.syndrome``, hands out the rows that reached
+a zero syndrome or their ``max_iter`` with their labels, compacts the
+carried state along its row axis, and steps the rest.  So every row
+stops at its own first zero syndrome and gets the same word and iteration
+count as if it were decoded alone, while a row that runs to the cap
+shares each of its iterations with fresh rows instead of stepping alone.
+Construct a decoder once per matrix and hand it blocks when decoding many
+words: a lone word pays the full per-iteration numpy overhead.
 """
 
 from __future__ import annotations
@@ -128,57 +128,57 @@ class _EdgeStructure:
         words = np.empty(y.shape, dtype=np.uint8)
         iterations = np.empty(y.shape[:1], dtype=np.int64)
         syndrome_zero = np.empty(y.shape[:1], dtype=bool)
-        for rows, *finished in self.decode_stream([y], max_iter=max_iter):
+        for rows, *finished in self.decode_stream([(np.arange(iterations.size), y)], max_iter=max_iter):
             words[rows], iterations[rows], syndrome_zero[rows] = finished
         return words, iterations, syndrome_zero
 
-    def decode_stream(self, blocks: Iterable[np.ndarray], max_iter: int = 50):
-        """Decode an iterable of (B, n) blocks as one stream of rows.
+    def decode_stream(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]], max_iter: int = 50):
+        """Decode an iterable of (labels, y) pairs as one stream of rows: y
+        a (B, n) block and labels B integers the caller chooses, one a row.
 
         Before each iteration the stream admits further blocks while fewer
         than ``IN_FLIGHT`` rows are active, so rows that decode slowly
         share their iterations with fresh ones; each block is read only
-        when it is admitted.  Each pass that finishes rows yields (rows,
-        words, iterations, syndrome_zero): the rows' positions in the
-        stream (counted over all blocks in order) and, for each, what
-        ``decode`` returns for it, words as a (k, n) array.
+        when it is admitted.  Each pass that finishes rows yields (labels,
+        words, iterations, syndrome_zero): the rows' labels and, for each,
+        what ``decode`` returns for it, words as a (k, n) array.
         """
         blocks = iter(blocks)
-        admitted = 0
         # one array per quantity, each active word at the same place along
-        # the last axis: stream positions, iteration counts, estimates, then
-        # the carried state
+        # the last axis: labels, iteration counts, estimates, then the
+        # carried state
         state = (np.zeros(0, dtype=np.int64),)
         while True:
             while len(state[0]) < IN_FLIGHT and (block := next(blocks, None)) is not None:
-                est, carried = self._start(self._checked(block))
-                count = est.shape[1]
-                new = (np.arange(admitted, admitted + count), np.zeros(count, dtype=np.int64), est, *carried)
-                admitted += count
+                labels, y = self._checked(*block)
+                est, carried = self._start(y)
+                new = (labels, np.zeros(len(labels), dtype=np.int64), est, *carried)
                 state = tuple(np.concatenate(pair, axis=-1) for pair in zip(state, new)) if len(state[0]) else new
             if not len(state[0]):
                 return
-            rows, iterations, est, *carried = state
+            labels, iterations, est, *carried = state
             del state  # so compaction frees the uncompacted arrays before the step
             done = syndrome(self.checks, est.T)[1] == 0
             finished = done | (iterations == max_iter)
             count = np.count_nonzero(finished)
-            if count == len(rows):  # nothing left to compact or step
-                yield rows, est.T, iterations, done
-                state = (rows[:0],)
+            if count == len(labels):  # nothing left to compact or step
+                yield labels, est.T, iterations, done
+                state = (labels[:0],)
                 continue
             if count:
-                yield rows[finished], est[:, finished].T, iterations[finished], done[finished]
+                yield labels[finished], est[:, finished].T, iterations[finished], done[finished]
                 keep = np.flatnonzero(~finished)
-                rows, iterations, *carried = (a.take(keep, axis=-1) for a in (rows, iterations, *carried))
+                labels, iterations, *carried = (a.take(keep, axis=-1) for a in (labels, iterations, *carried))
             est, carried = self._step(*carried)
-            state = (rows, iterations + 1, est, *carried)
+            state = (labels, iterations + 1, est, *carried)
 
-    def _checked(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
+    def _checked(self, labels: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        labels, y = np.asarray(labels), np.asarray(y)
         if y.ndim != 2 or y.shape[1] != self.n:
             raise ValueError(f"word length does not match n={self.n}: got a block of shape {y.shape}")
-        return y
+        if labels.shape != y.shape[:1]:
+            raise ValueError(f"labels of shape {labels.shape} do not match a block of {len(y)} rows")
+        return labels, y
 
     def _messages(self, rows: int, dtype) -> np.ndarray:
         """A (S + 1, rows) message block whose last row, the one every

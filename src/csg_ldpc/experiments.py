@@ -20,10 +20,9 @@ config takes the block's received weights and one conversion its LLRs.
 ``decoders.IN_FLIGHT`` (128) rows are still decoding, so a row that runs
 to the iteration cap shares its iterations with fresh rows, those of the
 next config included, rather than holding a whole block's pass to a few
-rows.  The span's full blocks come first, 64 rows per config, then its
-tail, equally long for each config, so a finished row's stream position
-names its config, and its errors and flags go into that config's integer
-sums: the order in which rows finish cannot change a number.
+rows.  Each row goes in labelled with its config's index, so a finished
+row's errors and flags go into that config's integer sums: the order in
+which rows finish cannot change a number.
 The noise block need not match the in-flight count: the working set is
 at most 191 active rows of decoder state and step temporaries plus one
 block of noise.  On 90A sum-product sweeps, 128-trial blocks cost ~1.6%
@@ -275,9 +274,9 @@ class ExperimentResult:
 
 def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
     """Yield, for each ``BLOCK_ROWS``-trial block of [start, stop), every
-    config's decoder input for that block in config order, adding each
-    config's sum w and sum w^2 of received syndrome weights into its row of
-    ``moments``.
+    config's decoder input for that block in config order, each row
+    labelled with its config's index, adding each config's sum w and
+    sum w^2 of received syndrome weights into its row of ``moments``.
 
     The sweep has one channel type, so the block's noise is drawn once,
     row r from trial lo + r's ``_trial_generators`` state, and each config
@@ -293,53 +292,40 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
         # rows first: zip stops at the block's last row without taking the next state
         for row, generator in zip(noise, generators):
             (generator.random if bsc else generator.standard_normal)(out=row)
-        for cfg, sums in zip(cfgs, moments):
+        for c, (cfg, sums) in enumerate(zip(cfgs, moments)):
             received = apply_noise(sent, cfg.channel, noise)
             hard = received if bsc else (received < 0).astype(np.uint8)
             _, w = syndrome(checks, hard)
             sums += (w.sum(), w @ w)
             if first.decoder == "gallager-a":
-                yield hard
+                y = hard
             elif bsc:
-                yield llr_from_bsc(hard, cfg.channel.rho)
+                y = llr_from_bsc(hard, cfg.channel.rho)
             else:
-                yield llr_from_awgn(received, cfg.channel.sigma)
+                y = llr_from_awgn(received, cfg.channel.sigma)
+            yield np.full(len(y), c), y
 
 
-def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> list[tuple[int, ...]]:
-    """Partial sums of trials [start, stop) for each config of one sweep:
-    bit errors, word errors, sum w, sum w^2, detected and undetected
-    decoder failures.
+def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.ndarray:
+    """Integer sums over trials [start, stop) of one sweep as a (configs, 6)
+    int64 table, one row per config: bit errors, word errors, detected and
+    undetected decoder failures, sum w and sum w^2.
 
     The configs decode as one block-major stream: each ``BLOCK_ROWS``-trial
     block of the span is drawn once and then fed once per config, in
     config order (``_decoder_inputs``), so one config's slow rows step
-    alongside the fresh rows of the next.  With span length s and C
-    configs, the full blocks take the first s // 64 * 64 * C stream rows,
-    64 per config in turn, and the last s % 64 trials of each config
-    follow, so a finished row's stream position names its config.  Every
-    sum is over integers, so the order in which rows finish cannot change
-    it.
+    alongside the fresh rows of the next.  Every sum is over integers, so
+    the order in which rows finish cannot change it.
     """
     first = cfgs[0]
     decoder = DECODERS[first.decoder](first.h)
-    moments = np.zeros((len(cfgs), 2), dtype=np.int64)
-    outcomes = np.zeros((len(cfgs), 4), dtype=np.int64)
-    per_block = BLOCK_ROWS * len(cfgs)
-    full = (stop - start) // BLOCK_ROWS * per_block
-    # with no tail block every row is below full; "or" keeps the division defined
-    tail = (stop - start) % BLOCK_ROWS or BLOCK_ROWS
-    blocks = _decoder_inputs(cfgs, start, stop, decoder.checks, moments)
-    for rows, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
+    table = np.zeros((len(cfgs), 6), dtype=np.int64)
+    blocks = _decoder_inputs(cfgs, start, stop, decoder.checks, table[:, 4:])
+    for config, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
         errs = words.sum(axis=1, dtype=np.int64)
         wrong = errs > 0
-        outcome = np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1)
-        config = np.where(rows < full, rows % per_block // BLOCK_ROWS, (rows - full) // tail)
-        np.add.at(outcomes, config, outcome)
-    return [
-        (bit_errors, word_errors, *sums, detected, undetected)
-        for sums, (bit_errors, word_errors, detected, undetected) in zip(moments.tolist(), outcomes.tolist())
-    ]
+        np.add.at(table[:, :4], config, np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1))
+    return table
 
 
 def _pool_size(worker_count: int, trials: int) -> int:
@@ -360,9 +346,9 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _aggregate(cfg: ExperimentConfig, partials: list[tuple[int, ...]]) -> ExperimentResult:
-    """Sum one config's integer partials and derive its rates."""
-    bit_errors, word_errors, syn_sum, syn_sq, detected, undetected = (sum(col) for col in zip(*partials))
+def _aggregate(cfg: ExperimentConfig, row: list[int]) -> ExperimentResult:
+    """One config's rates from its row of the summed share tables."""
+    bit_errors, word_errors, detected, undetected, syn_sum, syn_sq = row
     t = cfg.trials
     mean = syn_sum / t
     variance = (syn_sq - syn_sum * syn_sum / t) / (t - 1) if t > 1 else 0.0
@@ -398,7 +384,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
         raise ValueError("the configs of one sweep may differ only in their channel's parameter")
     spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials))
     if len(spans) == 1:
-        partials = [_run_share(cfgs, *spans[0])]
+        table = _run_share(cfgs, *spans[0])
     else:
         # imported here so runs without a pool never load concurrent.futures,
         # logging or multiprocessing (~1.9 MB of RSS per CLI process)
@@ -406,8 +392,8 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
 
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(_run_share, cfgs, start, stop) for start, stop in spans]
-            partials = [f.result() for f in futures]
-    return [_aggregate(cfg, [share[i] for share in partials]) for i, cfg in enumerate(cfgs)]
+            table = sum(f.result() for f in futures)
+    return [_aggregate(cfg, row) for cfg, row in zip(cfgs, table.tolist())]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

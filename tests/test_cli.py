@@ -10,7 +10,9 @@ import pytest
 import csg_ldpc
 from csg_ldpc import cli
 from csg_ldpc.alist import parse_alist
+from csg_ldpc.analysis import MAX_GRAPH_BYTES, load_graph_file
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
+from csg_ldpc.graphs import MAX_VERTICES, parse_lcf
 
 
 def lcf_file(tmp_path, name, text):
@@ -354,6 +356,76 @@ def test_failed_write_names_the_output_path(heawood_path, tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith(f"error: {FULL_DEVICE}: ") and err.count("\n") == 1
     assert "None" not in err
+
+
+def test_simulate_checks_the_sidecar_path_before_decoding(heawood_path, tmp_path, monkeypatch, capsys):
+    # a sidecar path that is a directory used to fail only after every
+    # trial was decoded and the CSV written
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.meta.json").mkdir()
+    monkeypatch.setattr(cli, "run_experiments", _refuse)
+    assert main(simulate_argv(heawood_path, out=str(out))) == 1
+    assert capsys.readouterr().err.startswith("error: output path is a directory")
+    assert not out.exists()
+
+
+# (file name, how to make it) for special files a graph path may name: a
+# FIFO blocks its open until a writer comes, and /dev/zero, here behind a
+# .lcf symlink, never ends a read
+SPECIAL_GRAPHS = {
+    "fifo": ("g.edges", os.mkfifo),
+    "dev-zero-symlink": ("z.lcf", lambda path: path.symlink_to("/dev/zero")),
+}
+
+
+@pytest.mark.parametrize("kind", SPECIAL_GRAPHS)
+def test_special_graph_file_is_refused_before_it_is_opened(run_capped, heawood_path, tmp_path, capsys, kind):
+    name, make = SPECIAL_GRAPHS[kind]
+    graphs = tmp_path / "special"
+    graphs.mkdir()
+    (graphs / "14A.lcf").write_text(Path(heawood_path).read_text())
+    assert main(["catalog", str(graphs)]) == 0
+    valid_table = capsys.readouterr().out
+    special = graphs / name
+    make(special)
+    argvs = [_fill(argv, heawood_path, tmp_path) for _, argv in _with(INPUT_ARGV, "{x}", str(special))]
+    # one child runs every command, the catalog of the directory last, and
+    # prints each one's exit code, stdout and stderr
+    proc = run_capped(
+        "import contextlib, io, json\n"
+        "from csg_ldpc.cli import main\n"
+        f"for argv in {[*argvs, ['catalog', str(graphs)]]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    *commands, catalog = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(commands) == len(INPUT_ARGV)
+    for argv, (code, _, err) in zip(argvs, commands):
+        assert (code, err) == (1, f"error: {special}: not a regular file\n"), argv
+    # the catalog warns, skips the file and still prints the valid graph's row
+    assert catalog == [0, valid_table, f"warning: skipping {name}: {special}: not a regular file\n"]
+
+
+def test_graph_file_byte_cap(tmp_path):
+    # the largest graph the loaders take, as an edge list, fits well inside
+    g = parse_lcf(f"[5,-5]^{MAX_VERTICES // 2}")
+    edges = [f"{u} {v}\n" for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
+    largest = tmp_path / "largest.edges"
+    largest.write_text(f"n={MAX_VERTICES}\n" + "".join(edges))
+    assert largest.stat().st_size * 4 < MAX_GRAPH_BYTES
+    assert load_graph_file(largest) == g
+    # a valid LCF line padded with a comment to the cap, then one byte past it
+    lcf = tmp_path / "14A.lcf"
+    line = "[5,-5]^7\n"
+    lcf.write_text(line + "#" * (MAX_GRAPH_BYTES - len(line)))
+    assert load_graph_file(lcf).vertex_count == 14
+    with lcf.open("a") as f:
+        f.write("#")
+    with pytest.raises(ValueError, match=f"{MAX_GRAPH_BYTES + 1} bytes, above the {MAX_GRAPH_BYTES}-byte cap"):
+        load_graph_file(lcf)
 
 
 def test_other_exceptions_keep_their_traceback(heawood_path, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_input_validation(heawood_code):
         sp.decode_block(block)
     for decoder in (ga, sp):
         with pytest.raises(ValueError, match="length"):
-            list(decoder.decode_stream([np.zeros((2, 7)), np.zeros((1, 6))]))
+            list(decoder.decode_stream([(np.arange(2), np.zeros((2, 7))), (np.arange(1), np.zeros((1, 6)))]))
     # Gallager A takes hard decisions only: -1 would wrap to 255 as uint8,
     # and 0.6 would truncate to 0
     for bad in (np.array([-1, 1, 1, 1, 1, 1, 1]), np.array([0.6, 0, 0, 0, 0, 0, 0]), np.full(7, 2), np.full(7, np.nan)):
@@ -108,7 +109,7 @@ def test_input_validation(heawood_code):
         with pytest.raises(ValueError, match="0 or 1"):
             ga.decode_block(np.stack([np.zeros(7), bad]))
         with pytest.raises(ValueError, match="0 or 1"):
-            list(ga.decode_stream([np.zeros((2, 7), dtype=np.uint8), bad[None]]))
+            list(ga.decode_stream([(np.arange(2), np.zeros((2, 7), dtype=np.uint8)), (np.arange(1), bad[None])]))
     # bits of any dtype are accepted
     for dtype in (bool, np.int64, np.float64):
         assert ga.decode(np.eye(7, dtype=dtype)[0]).syndrome_zero
@@ -136,8 +137,9 @@ def blocks(draw):
 
 
 def _split(block, cuts):
+    """The block cut at ``cuts``, each piece labelled with its rows' indices."""
     edges = [0, *cuts, len(block)]
-    return [block[a:b] for a, b in zip(edges, edges[1:])]
+    return [(np.arange(a, b), block[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 @given(blocks(), st.integers(1, 3))
@@ -181,13 +183,39 @@ def test_stream_steps_capped_rows_together(nauru_code, monkeypatch, decoder_type
     step = decoder_type._step
     monkeypatch.setattr(decoder_type, "_step", lambda self, *state: calls.append(1) or step(self, *state))
     k, max_iter = 5, 30
-    finished = list(decoder.decode_stream([row[None]] * k, max_iter=max_iter))
+    finished = list(decoder.decode_stream([(np.array([i]), row[None]) for i in range(k)], max_iter=max_iter))
     # decoded one block at a time, the k capped rows would take k * max_iter steps
     assert len(calls) <= max_iter + k
     rows = np.concatenate([rows for rows, *_ in finished])
     assert sorted(rows.tolist()) == list(range(k))
     for _, _, iterations, syndrome_zero in finished:
         assert (iterations == max_iter).all() and not syndrome_zero.any()
+
+
+@pytest.mark.parametrize("in_flight", [1, decoders.IN_FLIGHT])
+@pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
+def test_stream_hands_each_row_back_under_its_label(nauru_code, decoder_type, in_flight):
+    # labels out of order, far apart and repeated across blocks: each row
+    # comes back once, under its own label, with what decode gives it
+    rng = np.random.default_rng(43)
+    words = (rng.random((300, nauru_code.n)) < 0.15).astype(np.uint8)
+    block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.15)
+    labels = rng.choice([2**40, 1000, -7, 40, 3], size=len(block))
+    decoder = decoder_type(nauru_code.H)
+    expected = Counter()
+    for label, y in zip(labels.tolist(), block):
+        result = decoder.decode(y, max_iter=5)
+        expected[label, result.word.tobytes(), result.iterations, result.syndrome_zero] += 1
+    edges = [0, 1, 64, 65, 200, 300]
+    got = Counter()
+    with patch.object(decoders, "IN_FLIGHT", in_flight):
+        pieces = [(labels[a:b], block[a:b]) for a, b in zip(edges, edges[1:])]
+        for out_labels, out, iterations, syndrome_zero in decoder.decode_stream(pieces, max_iter=5):
+            got.update(zip(out_labels.tolist(), (w.tobytes() for w in out), iterations.tolist(), syndrome_zero.tolist()))
+    assert got == expected
+    for wrong in (labels[:2], labels[:4], labels[:3, None]):
+        with pytest.raises(ValueError, match="labels"):
+            list(decoder.decode_stream([(wrong, block[:3])]))
 
 
 @given(st.integers(1, 7), st.integers(0, 5), st.integers(0, 6), st.integers(0, 2**16))
@@ -216,7 +244,9 @@ def test_yielded_arrays_stay_valid(nauru_code, decoder_type, in_flight):
     block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.2)
     decoder = decoder_type(nauru_code.H)
     with patch.object(decoders, "IN_FLIGHT", in_flight):
-        blocks = [block[i:i + 1] for i in range(40)] + np.array_split(block[40:], 10)
+        rows = np.arange(len(block))
+        blocks = [(rows[i:i + 1], block[i:i + 1]) for i in range(40)]
+        blocks += zip(np.array_split(rows[40:], 10), np.array_split(block[40:], 10))
         # a small budget leaves many rows capped, so the words differ
         yielded, copies = [], []
         for arrays in decoder.decode_stream(blocks, max_iter=3):
