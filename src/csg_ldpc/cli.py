@@ -58,7 +58,14 @@ def _check_out(out: str | None) -> None:
         raise ValueError(f"no such directory: {Path(out).parent}")
 
 
+def _check_k_ceiling(k_ceiling: int) -> None:
+    """Refuse a negative enumeration ceiling before any graph is read."""
+    if k_ceiling < 0:
+        raise ValueError(f"k-ceiling must be non-negative, got {k_ceiling}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_k_ceiling(args.k_ceiling)
     report = analyze_graph(load_graph_file(args.path), Path(args.path).stem, k_ceiling=args.k_ceiling)
     print(report.to_json() if args.format == "json" else report.to_text())
     if report.d is None:
@@ -67,6 +74,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    _check_k_ceiling(args.k_ceiling)
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
@@ -186,6 +194,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    _check_k_ceiling(args.k_ceiling)
     _check_out(args.alist_out)
     g, code = _load_code(args.path)
     extended = extend_parity_check(code, args.bits)

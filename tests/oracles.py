@@ -2,7 +2,7 @@
 
 Nothing here shares an algorithm with the code under test: distances come
 from a search over parity-check columns instead of a generator-space walk,
-girth from per-edge removal instead of BFS trees, decoders from plain
+girth from per-edge removal instead of growing balls, decoders from plain
 dict-of-edges loops instead of vectorized gather/scatter, eigenvalues from
 cyclic Jacobi rotations instead of LAPACK.
 """

@@ -257,6 +257,8 @@ BAD_INPUTS = [
     ("analyze-bad-graph", ["analyze", "{bad}"]),
     ("analyze-bad-format", ["analyze", "{g}", "--format", "xml"]),
     ("analyze-k-ceiling-text", ["analyze", "{g}", "--k-ceiling", "many"]),
+    ("analyze-k-ceiling-negative", ["analyze", "{g}", "--k-ceiling", "-5"]),
+    ("catalog-k-ceiling-negative", ["catalog", "{gdir}", "--k-ceiling", "-1"]),
     ("catalog-not-a-directory", ["catalog", "{missing}"]),
     ("export-alist-missing-file", ["export-alist", "{missing}", "{out}"]),
     ("export-alist-bad-graph", ["export-alist", "{bad}", "{out}"]),
@@ -288,6 +290,7 @@ BAD_INPUTS = [
     ("extend-missing-file", ["extend", "{missing}", "--bits", "2"]),
     ("extend-bits-negative", ["extend", "{g}", "--bits", "-1"]),
     ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
+    ("extend-k-ceiling-negative", ["extend", "{g}", "--bits", "2", "--k-ceiling", "-1"]),
     *[(f"{command}-out-in-missing-dir", argv) for command, argv, _ in OUT_IN_MISSING_DIR],
     *[(f"{command}-out-is-dir", argv) for command, argv, _ in OUT_IS_DIR],
     *[(f"{command}-out-is-full", argv) for command, argv, _ in OUT_IS_FULL],
@@ -346,6 +349,15 @@ def test_directory_output_path_stops_before_any_work(heawood_path, tmp_path, mon
     monkeypatch.setattr(cli, work, _refuse)
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: output path is a directory")
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for name, argv in BAD_INPUTS if name.endswith("-k-ceiling-negative")], ids=["analyze", "catalog", "extend"]
+)
+def test_negative_k_ceiling_stops_before_any_graph_is_read(heawood_path, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "load_graph_file", _refuse)
+    assert main(_fill(argv, heawood_path, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: k-ceiling must be non-negative")
 
 
 @pytest.mark.skipif(not os.path.exists(FULL_DEVICE), reason=f"{FULL_DEVICE} does not exist")

@@ -199,6 +199,55 @@ def test_girth_matches_removal_oracle_random(mask, n):
     assert girth(g) == girth_by_edge_removal(g)
 
 
+@st.composite
+def cycles_chords_and_trees(draw):
+    """Up to 30 vertices: disjoint cycles of length 3-20, then a few chords
+    between any two vertices, then the rest of the vertices hung as tree
+    edges or left isolated.  Forests, components of different girths and
+    odd and even girths up to 20 all come up."""
+    n = draw(st.integers(0, 30))
+    order = draw(st.permutations(range(n)))
+    edges: set[tuple[int, int]] = set()
+
+    def add(u, v):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+
+    used = 0
+    for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        if n - used < 3:
+            break
+        length = draw(st.integers(3, min(20, n - used)))
+        ring = order[used : used + length]
+        for i in range(length):
+            add(ring[i], ring[(i + 1) % length])
+        used += length
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            add(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    for i in range(max(used, 1), n):
+        if draw(st.booleans()):
+            add(order[i], order[draw(st.integers(0, i - 1))])
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(cycles_chords_and_trees())
+@settings(max_examples=300, deadline=None)
+def test_girth_matches_removal_oracle_up_to_30_vertices(g):
+    assert girth(g) == girth_by_edge_removal(g)
+
+
+def test_girth_of_bare_cycles():
+    cycles = [Graph.from_edges(length, [(i, (i + 1) % length) for i in range(length)]) for length in range(3, 41)]
+    assert [girth(c) for c in cycles] == list(range(3, 41))
+
+
+def test_girth_at_the_vertex_cap(run_capped):
+    proc = run_capped(f"from csg_ldpc import graphs\nprint(graphs.girth(graphs.parse_lcf('[5,-5]^{MAX_VERTICES // 2}')))\n")
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "6\n"
+
+
 def test_bipartition_heawood():
     g = parse_lcf("[5,-5]^7")
     sides = bipartition(g)
