@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_worker_count_does_not_change_results(heawood_h):
 
 def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
     # cap at 3 CPUs so the sweep keeps three spans on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     for channels in ((BscChannel(0.1), BscChannel(0.12)), (AwgnChannel(0.7), AwgnChannel(0.9))):
         cfgs = [
             ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
@@ -189,7 +190,7 @@ class CountingPool(concurrent.futures.ProcessPoolExecutor):
 
 @pytest.mark.parametrize("workers,pools", [("2", 1), ("1", 0)])
 def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers, pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "started", 0)
     assert main([
@@ -201,7 +202,7 @@ def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers
 
 
 def test_sweep_sends_one_task_per_started_worker(data_dir, monkeypatch, capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     for name in ("started", "workers", "tasks"):
         monkeypatch.setattr(CountingPool, name, 0)
@@ -285,7 +286,7 @@ def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, d
             for channel in channels
         ]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     for channels in ((BscChannel(0.3), BscChannel(0.15)), (AwgnChannel(0.9), AwgnChannel(0.6))):
         # 64, 128 and 192 trials are whole blocks only; 129 and 257 leave a
         # one-row tail, 257 after more rows than the decoders keep in flight
@@ -366,14 +367,78 @@ def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
 
 
 def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
-    cpus = os.cpu_count() or 1
+    cpus = experiments._usable_cpus()
     assert experiments._pool_size(100_000, 10**9) == cpus
     assert experiments._pool_size(1, 10**9) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
     assert experiments._pool_size(100_000, 5) == 5
     assert experiments._pool_size(100_000, 10**9) == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     assert experiments._pool_size(100_000, 10**9) == 1
+
+
+def test_usable_cpus_reads_the_affinity_mask_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert experiments._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiments._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._usable_cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+def test_one_usable_cpu_starts_no_pool(run_capped, data_dir):
+    # the child pins only itself to one CPU; the host may still have more
+    proc = run_capped(
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from csg_ldpc.cli import main\n"
+        f"assert main(['simulate', {str(data_dir / '24A.lcf')!r}, '--channel', 'bsc', '--param', '0.05,0.1',\n"
+        "             '--decoder', 'gallager-a', '--trials', '200', '--seed', '4', '--workers', '2']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="workers inherit the parent's modules only when forked")
+def test_pool_workers_import_nothing_their_parent_has_not(run_capped, data_dir):
+    # a module-level spy stands in for _run_share in each worker and
+    # reports the modules the real share imported, one write per worker so
+    # the two lines cannot interleave
+    proc = run_capped(
+        "import os, sys\n"
+        "from csg_ldpc import experiments\n"
+        "from csg_ldpc.cli import main\n"
+        "real = experiments._run_share\n"
+        "def spy(*args):\n"
+        "    before = set(sys.modules)\n"
+        "    table = real(*args)\n"
+        "    os.write(2, ' '.join(['imported:', *sorted(set(sys.modules) - before)]).encode() + b'\\n')\n"
+        "    return table\n"
+        "experiments._run_share = spy\n"
+        "experiments._usable_cpus = lambda: 2\n"
+        f"assert main(['simulate', {str(data_dir / '48A.edges')!r}, '--channel', 'awgn', '--param', '0.6,0.7',\n"
+        "             '--decoder', 'gallager-a', '--trials', '200', '--seed', '4', '--workers', '2']) == 0\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["imported:"] * 2
+
+
+def test_commands_without_a_sweep_never_load_numpy_random(run_capped, data_dir, tmp_path):
+    proc = run_capped(
+        "import sys\n"
+        "from csg_ldpc.cli import main\n"
+        f"assert main(['catalog', {str(data_dir)!r}]) == 0\n"
+        f"assert main(['analyze', {str(data_dir / '48A.edges')!r}]) == 0\n"
+        f"assert main(['export-alist', {str(data_dir / '24A.lcf')!r}, {str(tmp_path / '24A.alist')!r}]) == 0\n"
+        f"assert main(['extend', {str(data_dir / '14A.lcf')!r}, '--bits', '3']) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
 
 
 def test_awgn_channel_runs(heawood_h):
