@@ -44,13 +44,34 @@ draw, is paid once per trial, however many points the sweep has.
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
 Their one trial range splits into ``min(worker_count, trials, usable
-CPUs)`` spans, one task per worker, and worker w decodes span w of every
-config; the usable CPUs are the process's affinity mask where the OS has
-one, not the host's count.  So a ``simulate`` call starts and joins its
-processes once, and each worker builds one decoder and ends one stream
-tail, not one per channel parameter.  Results do not depend on the
-worker count, so extra processes would only cost forks; with one worker
-the task runs in-process.  ``run_experiment`` is the one-config case.
+CPUs, 1 + bit-decodes // 2^18)`` spans, one task per worker, and worker w
+decodes span w of every config; the usable CPUs are the process's
+affinity mask where the OS has one, not the host's count, and the
+bit-decodes are trials x configs x n.  So a ``simulate`` call starts and
+joins its processes once, and each worker builds one decoder and ends one
+stream tail, not one per channel parameter.  Results do not depend on the
+worker count, so ``worker_count`` is a ceiling, and a process past the
+first starts only when the sweep's work pays for its fork.  2^18
+bit-decodes per extra process is the measured crossover of one process
+against two on a 2-CPU machine (medians in ms; in a process that had run
+sweeps before, and in fresh ``simulate`` CLI calls, which also pay the
+pool's imports):
+
+===========================  ===========  ==========  ==========
+sweep                        bit-decodes  in process  fresh CLI
+                                          1 / 2       1 / 2
+===========================  ===========  ==========  ==========
+Gallager A, 48A, 3 x 2000    144k         54 / 53     401 / 446
+Gallager A, 48A, 3 x 4000    288k         99 / 81     450 / 469
+sum-product, 90A, 3 x 1000   135k         27 / 41     340 / 382
+sum-product, 90A, 3 x 2000   270k         59 / 60     415 / 441
+sum-product, 90A, 3 x 8000   1.08M        288 / 171   535 / 472
+===========================  ===========  ==========  ==========
+
+Below it a one-shot call never gains from a second process, and in
+process only Gallager A does, from ~150k (``_pool_size`` has the full
+table).  With one span the task runs in-process.
+``run_experiment`` is the one-config case.
 
 numpy 2.x loads ``numpy.random`` lazily, and every worker needs it.  So
 the pool branch imports it in the parent just before the pool starts:
@@ -116,6 +137,10 @@ _SAMPLE_ELEMENTS = 1 << 20
 
 # trials whose PCG64 seeds _trial_generators derives in one numpy pass
 _SEED_CHUNK = 1024
+
+# bit-decodes (trials x configs x n) of a sweep per process past the first:
+# a second process pays from about this much work (_pool_size)
+_WORK_PER_EXTRA_PROCESS = 1 << 18
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
@@ -235,7 +260,8 @@ class ExperimentConfig:
     ``max_iterations`` may be 0 to measure the raw channel (hard decisions
     only), and at most ``MAX_ITERATIONS``.  ``worker_count`` > 1 splits
     trials over processes without changing any number in the result; it is
-    capped at the trial count and the CPUs this process may run on.
+    capped at the trial count, the CPUs this process may run on and what
+    the sweep's work pays for (``_pool_size``).
     """
 
     h: BitMatrix
@@ -348,10 +374,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(worker_count: int, trials: int) -> int:
-    """Processes worth starting: never more than the trials or the CPUs
-    this process may run on (``_usable_cpus``)."""
-    return min(worker_count, trials, _usable_cpus())
+def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
+    """Processes worth starting: never more than the trials, the CPUs this
+    process may run on (``_usable_cpus``), or one plus one per
+    ``_WORK_PER_EXTRA_PROCESS`` (2^18) of the sweep's ``bit_decodes``
+    (trials x configs x n).  ``worker_count`` is only a ceiling.
+
+    The constant is the crossover of one process against two, measured on
+    a 2-CPU machine with 3-point sweeps, ``run_experiments`` in a process
+    that had run sweeps before (median of 11) and fresh ``simulate`` CLI
+    calls (median of 10), in ms:
+
+    ===========================  ===========  ==========  ==========
+    sweep                        bit-decodes  in process  fresh CLI
+                                              1 / 2       1 / 2
+    ===========================  ===========  ==========  ==========
+    Gallager A, 48A, 3 x 2000    144k         54 / 53     401 / 446
+    Gallager A, 48A, 3 x 4000    288k         99 / 81     450 / 469
+    Gallager A, 48A, 3 x 8000    576k         194 / 134   455 / 468
+    Gallager A, 48A, 3 x 32000   2.3M         805 / 469   902 / 719
+    sum-product, 90A, 3 x 1000   135k         27 / 41     340 / 382
+    sum-product, 90A, 3 x 2000   270k         59 / 60     415 / 441
+    sum-product, 90A, 3 x 4000   540k         147 / 102   427 / 452
+    sum-product, 90A, 3 x 8000   1.08M        288 / 171   535 / 472
+    ===========================  ===========  ==========  ==========
+
+    In process two pay from ~150k (Gallager A; 80 against 67 ms at 216k)
+    to ~270k (sum-product).  A one-shot CLI call also pays the pool's
+    imports, and two pay there only from ~0.5-1M.  2^18 is the top of the
+    in-process band: below it a one-shot call never gains from a second
+    process, and above it the pool starts as it did without the cap.
+    """
+    return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -391,11 +445,12 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     (one channel type), with one task per worker, and aggregate each
     config exactly.
 
-    The shared trial range splits into ``_pool_size(worker_count, trials)``
-    spans, and worker w decodes span w of every config as one stream
-    (``_run_share``), so a sweep starts its processes once and each worker
-    ends one stream tail, not one per point.  With one worker that task
-    runs in this process and no pool starts.  A pool's parent imports
+    The shared trial range splits into ``_pool_size(worker_count, trials,
+    bit_decodes)`` spans, and worker w decodes span w of every config as
+    one stream (``_run_share``), so a sweep starts its processes once and
+    each worker ends one stream tail, not one per point.  With one span,
+    which every sweep below 2^18 bit-decodes gets, that task runs in this
+    process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.
     """
@@ -405,7 +460,8 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     kind = type(first.channel)
     if any(type(cfg.channel) is not kind or replace(cfg, channel=first.channel) != first for cfg in cfgs):
         raise ValueError("the configs of one sweep may differ only in their channel's parameter")
-    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials))
+    work = first.trials * len(cfgs) * first.h.ncols
+    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials, work))
     if len(spans) == 1:
         table = _run_share(cfgs, *spans[0])
     else:

@@ -199,6 +199,23 @@ def test_syndrome_parity_survives_uint8_wrap():
         syndrome(h, np.zeros((2, 300), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("m", [255, 256])
+def test_syndrome_weight_of_every_check_odd_fits_its_accumulator(m):
+    # weights sum in the narrowest type that holds m: uint8 for 255 checks,
+    # uint16 for 256; check i touches bits i and i + 1 of 257
+    h = np.zeros((m, 257), dtype=np.uint8)
+    h[np.arange(m), np.arange(m)] = h[np.arange(m), np.arange(m) + 1] = 1
+    alternating = np.arange(257, dtype=np.uint8) % 2
+    block = np.stack([alternating, 1 - alternating, np.zeros(257, np.uint8)])
+    bits, weights = syndrome(h, block)
+    assert bits[:2].all()  # every check sees one 1 and one 0: all m are odd
+    assert weights.dtype == np.int64
+    assert np.array_equal(weights, bits.astype(np.int64).sum(axis=1))
+    assert weights.tolist() == [m, m, 0]
+    one_w = syndrome(h, alternating)[1]
+    assert type(one_w) is int and one_w == m
+
+
 @pytest.mark.parametrize("channel", [BscChannel(0.2), AwgnChannel(0.8)])
 def test_transmit_block_matches_stacked_words(channel):
     block = transmit(np.zeros((5, 9), dtype=np.uint8), channel, np.random.default_rng(21))

@@ -125,7 +125,40 @@ def test_noiseless_channel_gives_zero_rates(heawood_h):
     assert result.syndrome_variance == 0.0
 
 
-def test_worker_count_does_not_change_results(heawood_h):
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    started = 0
+    workers = 0
+    tasks = 0
+
+    def __init__(self, *args, max_workers=None, **kwargs):
+        type(self).started += 1
+        type(self).workers += max_workers
+        super().__init__(*args, max_workers=max_workers, **kwargs)
+
+    def submit(self, *args, **kwargs):
+        type(self).tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """``pooled(cpus)`` lets a sweep fan out to ``cpus`` processes however
+    small its work, and counts the pools it starts: it patches
+    ``_usable_cpus`` and ``_WORK_PER_EXTRA_PROCESS`` and returns
+    ``CountingPool`` with its counts at 0."""
+    def setup(cpus):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "_WORK_PER_EXTRA_PROCESS", 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        for name in ("started", "workers", "tasks"):
+            monkeypatch.setattr(CountingPool, name, 0)
+        return CountingPool
+
+    return setup
+
+
+def test_worker_count_does_not_change_results(heawood_h, pooled):
+    pool = pooled(3)
     base = ExperimentConfig(
         h=heawood_h, channel=BscChannel(0.08), decoder="gallager-a",
         trials=400, master_seed=17,
@@ -133,11 +166,12 @@ def test_worker_count_does_not_change_results(heawood_h):
     single = run_experiment(base)
     multi = run_experiment(dataclasses.replace(base, worker_count=3))
     assert single == multi  # exact, including the float fields
+    assert (pool.started, pool.workers) == (1, 3)
 
 
-def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
-    # cap at 3 CPUs so the sweep keeps three spans on any machine
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+def test_shared_pool_equals_one_config_at_a_time(heawood_h, pooled):
+    # 3 CPUs, so the sweep keeps three spans on any machine
+    pool = pooled(3)
     for channels in ((BscChannel(0.1), BscChannel(0.12)), (AwgnChannel(0.7), AwgnChannel(0.9))):
         cfgs = [
             ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product",
@@ -147,6 +181,7 @@ def test_shared_pool_equals_one_config_at_a_time(heawood_h, monkeypatch):
         expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
         assert run_experiments(cfgs) == expected
     assert run_experiments([]) == []
+    assert (pool.started, pool.workers) == (2, 6)
 
 
 # each entry changes one field of the second config; the channel entry
@@ -173,46 +208,44 @@ def test_sweep_refuses_configs_that_differ_beyond_the_channel(heawood_h, field):
         run_experiments([base, base, other])
 
 
-class CountingPool(concurrent.futures.ProcessPoolExecutor):
-    started = 0
-    workers = 0
-    tasks = 0
-
-    def __init__(self, *args, max_workers=None, **kwargs):
-        type(self).started += 1
-        type(self).workers += max_workers
-        super().__init__(*args, max_workers=max_workers, **kwargs)
-
-    def submit(self, *args, **kwargs):
-        type(self).tasks += 1
-        return super().submit(*args, **kwargs)
-
-
 @pytest.mark.parametrize("workers,pools", [("2", 1), ("1", 0)])
-def test_simulate_starts_at_most_one_pool(data_dir, monkeypatch, capsys, workers, pools):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(CountingPool, "started", 0)
+def test_simulate_starts_at_most_one_pool(data_dir, pooled, capsys, workers, pools):
+    pool = pooled(2)
     assert main([
         "simulate", str(data_dir / "24A.lcf"), "--channel", "bsc", "--param", "0.02,0.05,0.1",
         "--decoder", "gallager-a", "--trials", "50", "--seed", "4", "--workers", workers,
     ]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert CountingPool.started == pools
+    assert pool.started == pools
 
 
-def test_sweep_sends_one_task_per_started_worker(data_dir, monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    for name in ("started", "workers", "tasks"):
-        monkeypatch.setattr(CountingPool, name, 0)
+def test_sweep_sends_one_task_per_started_worker(data_dir, pooled, capsys):
+    pool = pooled(2)
     assert main([
         "simulate", str(data_dir / "24A.lcf"), "--channel", "bsc", "--param", "0.02,0.05,0.1",
         "--decoder", "gallager-a", "--trials", "50", "--seed", "4", "--workers", "2",
     ]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
     # one task per worker, not one per (point, span)
-    assert (CountingPool.started, CountingPool.workers, CountingPool.tasks) == (1, 2, 2)
+    assert (pool.started, pool.workers, pool.tasks) == (1, 2, 2)
+
+
+def test_gate_08_sweep_is_byte_identical_across_a_real_pool(data_dir, tmp_path, pooled):
+    # acceptance gate 08's argv; its sweep, 2 points x 2000 trials of 48A's
+    # 24 bits, is below the crossover, so both of the gate's own runs
+    # decode in process
+    args = [
+        "simulate", str(data_dir / "48A.edges"), "--channel", "bsc", "--param", "0.05,0.1",
+        "--decoder", "gallager-a", "--trials", "2000", "--seed", "7",
+    ]
+    assert 2000 * 2 * 24 < experiments._WORK_PER_EXTRA_PROCESS
+    out1, out4 = tmp_path / "workers1.csv", tmp_path / "workers4.csv"
+    pool = pooled(4)
+    assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+    assert pool.started == 0
+    assert main(args + ["--workers", "4", "--out", str(out4)]) == 0
+    assert (pool.started, pool.workers) == (1, 4)
+    assert out1.read_bytes() == out4.read_bytes()
 
 
 def test_sweep_merges_stream_tails(monkeypatch):
@@ -278,7 +311,7 @@ def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, chan
 
 
 @pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
-def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, decoder):
+def test_block_major_stream_counts_rows_at_block_edges(heawood_h, pooled, decoder):
     def sweep(channels, trials, workers):
         return [
             ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=trials,
@@ -286,7 +319,7 @@ def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, d
             for channel in channels
         ]
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    pool = pooled(2)
     for channels in ((BscChannel(0.3), BscChannel(0.15)), (AwgnChannel(0.9), AwgnChannel(0.6))):
         # 64, 128 and 192 trials are whole blocks only; 129 and 257 leave a
         # one-row tail, 257 after more rows than the decoders keep in flight
@@ -297,6 +330,7 @@ def test_block_major_stream_counts_rows_at_block_edges(heawood_h, monkeypatch, d
         cfgs = sweep(channels, 129, 2)
         expected = [run_experiment(dataclasses.replace(cfg, worker_count=1)) for cfg in cfgs]
         assert run_experiments(cfgs) == expected
+    assert (pool.started, pool.workers) == (2, 4)
 
 
 def test_runs_without_a_pool_never_import_it(run_capped, data_dir):
@@ -368,13 +402,29 @@ def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
 
 def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
     cpus = experiments._usable_cpus()
-    assert experiments._pool_size(100_000, 10**9) == cpus
-    assert experiments._pool_size(1, 10**9) == 1
+    work = 10**18  # past any work cap, so only the trials and CPUs bind
+    assert experiments._pool_size(100_000, 10**9, work) == cpus
+    assert experiments._pool_size(1, 10**9, work) == 1
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
-    assert experiments._pool_size(100_000, 5) == 5
-    assert experiments._pool_size(100_000, 10**9) == 64
+    assert experiments._pool_size(100_000, 5, work) == 5
+    assert experiments._pool_size(100_000, 10**9, work) == 64
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    assert experiments._pool_size(100_000, 10**9) == 1
+    assert experiments._pool_size(100_000, 10**9, work) == 1
+
+
+def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
+    per = experiments._WORK_PER_EXTRA_PROCESS
+    assert per == 1 << 18
+    trials = 10**9
+    for work, size in ((0, 1), (1, 1), (per - 1, 1), (per, 2), (per + 1, 2), (2 * per - 1, 2),
+                       (2 * per, 3), (10 * per, 11)):
+        assert experiments._pool_size(64, trials, work) == size, work
+    # --workers stays a ceiling: an absurd count starts no more than the work pays for
+    assert experiments._pool_size(10**12, trials, per - 1) == 1
+    assert experiments._pool_size(10**12, trials, 3 * per) == 4
+    assert experiments._pool_size(10**12, trials, 10**30) == 64
+    assert experiments._pool_size(1, trials, 10**30) == 1
 
 
 def test_usable_cpus_reads_the_affinity_mask_where_there_is_one(monkeypatch):
@@ -389,13 +439,33 @@ def test_usable_cpus_reads_the_affinity_mask_where_there_is_one(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
 def test_one_usable_cpu_starts_no_pool(run_capped, data_dir):
-    # the child pins only itself to one CPU; the host may still have more
+    # the child pins only itself to one CPU; the host may still have more.
+    # Any work pays for a second process, so only the mask holds it back
     proc = run_capped(
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from csg_ldpc import experiments\n"
+        "experiments._WORK_PER_EXTRA_PROCESS = 1\n"
         "from csg_ldpc.cli import main\n"
         f"assert main(['simulate', {str(data_dir / '24A.lcf')!r}, '--channel', 'bsc', '--param', '0.05,0.1',\n"
         "             '--decoder', 'gallager-a', '--trials', '200', '--seed', '4', '--workers', '2']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
+def test_one_shot_simulate_below_the_crossover_starts_no_pool(run_capped, data_dir):
+    # simulate-ga-w2's sweep, 3 x 2000 trials of 48A's 24 bits, at
+    # --workers 2 with 2 usable CPUs: only its work holds the pool back
+    proc = run_capped(
+        "import sys\n"
+        "from csg_ldpc import experiments\n"
+        "experiments._usable_cpus = lambda: 2\n"
+        "assert 3 * 2000 * 24 < experiments._WORK_PER_EXTRA_PROCESS\n"
+        "from csg_ldpc.cli import main\n"
+        f"assert main(['simulate', {str(data_dir / '48A.edges')!r}, '--channel', 'awgn', '--param', '0.5,0.6,0.7',\n"
+        "             '--decoder', 'gallager-a', '--trials', '2000', '--seed', '4', '--workers', '2']) == 0\n"
         "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -420,6 +490,7 @@ def test_pool_workers_import_nothing_their_parent_has_not(run_capped, data_dir):
         "    return table\n"
         "experiments._run_share = spy\n"
         "experiments._usable_cpus = lambda: 2\n"
+        "experiments._WORK_PER_EXTRA_PROCESS = 1\n"
         f"assert main(['simulate', {str(data_dir / '48A.edges')!r}, '--channel', 'awgn', '--param', '0.6,0.7',\n"
         "             '--decoder', 'gallager-a', '--trials', '200', '--seed', '4', '--workers', '2']) == 0\n"
     )
