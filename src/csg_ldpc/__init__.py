@@ -25,6 +25,7 @@ from .codes import (
     is_lcd,
     is_self_orthogonal,
     minimum_distance,
+    parity_check_of,
     tanner_graph,
 )
 from .bounds import BitNodeGraph, BoundsReport, bit_node_graph, compute_bounds
@@ -66,6 +67,7 @@ __all__ = [
     "load_edge_list",
     "load_graph_file",
     "minimum_distance",
+    "parity_check_of",
     "parse_lcf",
     "run_experiment",
     "run_experiments",

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .alist import export_alist
 from .analysis import GRAPH_SUFFIXES, analyze_graph, code_report, load_graph_file
-from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check
+from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check, parity_check_of
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     DECODERS,
@@ -107,8 +107,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_export_alist(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    _, code = _load_code(args.path)
-    _write(export_alist(code.H), args.out)
+    _write(export_alist(parity_check_of(load_graph_file(args.path))), args.out)
     return 0
 
 
@@ -125,12 +124,12 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_out(args.out)
     _check_out(args.out and args.out + ".meta.json")
-    _, code = _load_code(args.path)
+    h = parity_check_of(load_graph_file(args.path))
     params = _parse_float_list(args.param, "parameter")
     # every point is checked before any is decoded, and all share one pool
     cfgs = [
         ExperimentConfig(
-            h=code.H,
+            h=h,
             channel=BscChannel(value) if args.channel == "bsc" else AwgnChannel(value),
             decoder=args.decoder,
             trials=args.trials,
@@ -170,7 +169,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_variance(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    g, code = _load_code(args.path)
+    g = load_graph_file(args.path)
+    h = parity_check_of(g)
     rhos = _parse_float_list(args.rho, "rho")
     # every input is checked before the first point is sampled
     for rho in rhos:
@@ -182,10 +182,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
     flag = "girth<6" if girth(g) < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):
-        formula = syndrome_variance_formula(code.n, rho)
-        stats = syndrome_statistics(
-            code.H, rho, trials=args.trials, master_seed=args.seed, stream_index=index
-        )
+        formula = syndrome_variance_formula(h.ncols, rho)
+        stats = syndrome_statistics(h, rho, trials=args.trials, master_seed=args.seed, stream_index=index)
         lines.append(
             f"{rho!r},{formula!r},{stats.variance!r},{stats.variance_stderr!r},{flag}"
         )

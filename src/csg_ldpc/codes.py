@@ -1,10 +1,11 @@
 """Binary linear codes whose parity checks come from bipartite cubic graphs.
 
-A connected cubic bipartite graph on 2n vertices yields an n x n
-parity-check matrix H: rows are indexed by the left colour class in
-ascending vertex order, columns by the right class.  The resulting code has
-length n, dimension n - rank(H), and its Tanner graph is the source graph
-itself (both node degrees equal 3).
+A code is built in two steps.  ``parity_check_of`` takes a connected cubic
+bipartite graph on 2n vertices to its n x n biadjacency matrix H (rows: the
+left colour class in ascending vertex order; columns: the right class).
+``code_from_parity_check`` eliminates H over GF(2) for the dimension
+n - rank(H) and a generator matrix; ``build_code`` runs both.  The code's
+Tanner graph is the source graph itself (both node degrees equal 3).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "EnumerationLimitExceeded",
     "MAX_DIMENSION_CEILING",
     "build_code",
+    "parity_check_of",
     "code_from_parity_check",
     "minimum_distance",
     "tanner_graph",
@@ -52,49 +54,35 @@ class EnumerationLimitExceeded(RuntimeError):
 class LinearCode:
     """Length, dimension, parity-check and generator matrices of a binary code.
 
-    ``w_c`` / ``w_r`` hold the constant column / row weight of H when it is
-    regular, else None.  Instances are immutable and hold no derived state:
-    the minimum distance is walked afresh on every call.
+    Instances are immutable and hold no derived state: the minimum distance
+    is walked afresh on every call.
     """
 
     n: int
     k: int
     H: BitMatrix
     G: BitMatrix
-    w_c: int | None = None
-    w_r: int | None = None
-
-
-def _constant_weight(weights: list[int]) -> int | None:
-    return weights[0] if weights and len(set(weights)) == 1 else None
 
 
 def code_from_parity_check(h: BitMatrix) -> LinearCode:
     """Code with parity-check h; generator rows span the right nullspace."""
     g = h.nullspace_basis()
-    n = h.ncols
-    k = g.nrows
-    col_weights = [c.bit_count() for c in h.column_bits()]
-    row_weights = [r.bit_count() for r in h.rows]
-    return LinearCode(
-        n=n, k=k, H=h, G=g,
-        w_c=_constant_weight(col_weights),
-        w_r=_constant_weight(row_weights),
-    )
+    return LinearCode(n=h.ncols, k=g.nrows, H=h, G=g)
 
 
-def build_code(g: Graph) -> LinearCode:
-    """Build the LDPC code of a connected cubic bipartite graph.
+def parity_check_of(g: Graph) -> BitMatrix:
+    """Biadjacency matrix H of a connected cubic bipartite graph.
 
-    Raises NotConnectedError, NotCubicError or NotBipartiteError (each
-    distinct) when the input does not qualify; a graph with no vertices
-    is not connected.
+    Raises NotConnectedError, NotCubicError or NotBipartiteError, in that
+    order of precedence; a graph with no vertices is not connected.  Only a
+    graph that is not cubic pays for a connectivity search: for a cubic one,
+    ``bipartition``'s one search finds unreachable vertices and odd cycles.
     """
     if g.vertex_count == 0:
         raise NotConnectedError("graph has no vertices")
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
     if not is_cubic(g):
+        if not is_connected(g):
+            raise NotConnectedError("graph is not connected")
         raise NotCubicError("graph is not 3-regular")
     sides = bipartition(g)
     left = sorted(sides.left)
@@ -107,7 +95,12 @@ def build_code(g: Graph) -> LinearCode:
         for v in g.adjacency[u]:
             bits |= 1 << col_of[v]
         rows.append(bits)
-    return code_from_parity_check(BitMatrix(len(left), len(right), tuple(rows)))
+    return BitMatrix(len(left), len(right), tuple(rows))
+
+
+def build_code(g: Graph) -> LinearCode:
+    """The LDPC code of g: ``parity_check_of`` (and its errors), then elimination."""
+    return code_from_parity_check(parity_check_of(g))
 
 
 def minimum_distance(code: LinearCode, ceiling: int = MAX_DIMENSION_CEILING) -> int:

@@ -142,6 +142,19 @@ def test_spectrum_input_validation():
     assert spectrum(np.zeros((0, 0))).size == 0
 
 
+def test_spectrum_symmetry_test_reaches_the_last_row_block():
+    # 1100 rows make two blocks of ~2**20 entries; (1099, 1098) and its
+    # mirror both lie in the second, so only that block sees them
+    n = 1100
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=(n, n))
+    a = b + b.T
+    assert np.allclose(spectrum(a), np.sort(np.linalg.eigvalsh(a))[::-1])
+    a[n - 1, n - 2] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        spectrum(a)
+
+
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 7))
 @settings(max_examples=80)
 def test_spectrum_matches_jacobi_oracle(seed, n):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import csg_ldpc
-from csg_ldpc import cli
+from csg_ldpc import cli, codes
 from csg_ldpc.alist import parse_alist
 from csg_ldpc.analysis import MAX_GRAPH_BYTES, load_graph_file
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
@@ -318,6 +318,26 @@ def _fill(argv, heawood_path, tmp_path):
         "nodir": str(tmp_path / "none" / "out.csv"),
     }
     return [arg.format(**paths) for arg in argv]
+
+
+# the subcommands that read only H: eliminating it for the code would be
+# wasted work, most of their time at the vertex cap
+H_ONLY = [(command, argv) for command, argv, _ in OUTPUT_ARGV if command in ("export-alist", "simulate", "variance")]
+
+
+def _eliminate(*_args, **_kwargs):
+    raise AssertionError("an H-only subcommand eliminated H")
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in H_ONLY], ids=[command for command, _ in H_ONLY])
+def test_h_only_commands_never_eliminate(heawood_path, tmp_path, monkeypatch, argv):
+    written = []
+    for run in ("free", "patched"):
+        (tmp_path / run).mkdir()
+        assert main([arg.format(g=heawood_path, o=str(tmp_path / run / "out")) for arg in argv]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        monkeypatch.setattr(codes, "code_from_parity_check", _eliminate)
+    assert written[0] == written[1] and "out" in written[0]
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in BAD_INPUTS], ids=[name for name, _ in BAD_INPUTS])

@@ -12,8 +12,10 @@ from csg_ldpc.codes import (
     is_lcd,
     is_self_orthogonal,
     minimum_distance,
+    parity_check_of,
     tanner_graph,
 )
+from csg_ldpc import graphs
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import (
     Graph,
@@ -30,10 +32,15 @@ from oracles import codeword_weights, gf2_rank_dense, min_distance_by_column_sea
 from strategies import parity_checks
 
 
+def _weights(h):
+    """The sets of column and of row weights of h."""
+    return {c.bit_count() for c in h.column_bits()}, {r.bit_count() for r in h.rows}
+
+
 def test_heawood_code_parameters(heawood_code):
     code = heawood_code
     assert (code.n, code.k) == (7, 3)
-    assert code.w_c == 3 and code.w_r == 3
+    assert _weights(code.H) == ({3}, {3})
     assert minimum_distance(code) == 4
     assert code.H.multiply(code.G.transpose()).is_zero()
 
@@ -62,6 +69,25 @@ def test_build_code_error_types():
         build_code(hexagon)
     with pytest.raises(NotBipartiteError):
         build_code(generalized_petersen(5, 2))
+    # several faults at once: not connected, then not cubic, then not bipartite
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(NotCubicError):
+        build_code(triangle)
+    two_k4 = Graph.from_edges(8, [(a + o, b + o) for o in (0, 4) for a in range(4) for b in range(a + 1, 4)])
+    with pytest.raises(NotConnectedError):
+        build_code(two_k4)
+
+
+def test_valid_graph_is_searched_once(monkeypatch):
+    # a cubic graph skips is_connected: bipartition's search alone finds an
+    # unreachable vertex or an odd cycle
+    roots = []
+    search = graphs._bfs_forest
+    monkeypatch.setattr(graphs, "_bfs_forest", lambda g, root: roots.append(root) or search(g, root))
+    g = parse_lcf("[5,-5]^7")
+    h = parity_check_of(g)
+    assert roots == [0]
+    assert build_code(g).H == h
 
 
 def test_parity_check_rows_are_left_class_in_vertex_order(heawood_code):
@@ -163,7 +189,7 @@ def test_even_flag_matches_enumeration(catalog):
 def test_extend_parity_check_shapes(heawood_code):
     ext = extend_parity_check(heawood_code, 3)
     assert (ext.n, ext.k) == (10, 3)
-    assert ext.w_c is None  # mixed column weights 3 and 1
+    assert _weights(ext.H)[0] == {3, 1}  # mixed column weights
     assert ext.H.rows[0] == heawood_code.H.rows[0] | (1 << 7)
     assert ext.H.rows[4] == heawood_code.H.rows[4]
 
@@ -178,7 +204,7 @@ def test_extend_full_length_reaches_dimension_n():
     code = build_code(parse_lcf("[5,-5]^7"))
     ext = extend_parity_check(code, 7)
     assert (ext.n, ext.k) == (14, 7)
-    assert ext.w_r == 4
+    assert _weights(ext.H)[1] == {4}
     assert minimum_distance(ext) == 4
     assert min(codeword_weights(ext.G.rows)) == 4
 
@@ -194,4 +220,4 @@ def test_code_from_parity_check_irregular():
     h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     code = code_from_parity_check(h)
     assert code.n == 3 and code.k == 1
-    assert code.w_c is None and code.w_r == 2
+    assert _weights(code.H) == ({1, 2}, {2})
