@@ -20,6 +20,7 @@ from .codes import (
     LinearCode,
     build_code,
     extend_parity_check,
+    extended_parity_check,
     hull_dimension,
     is_even_code,
     is_lcd,
@@ -56,6 +57,7 @@ __all__ = [
     "build_code",
     "compute_bounds",
     "extend_parity_check",
+    "extended_parity_check",
     "f_t",
     "girth",
     "hull_dimension",

@@ -18,7 +18,14 @@ from pathlib import Path
 from . import __version__
 from .alist import export_alist
 from .analysis import GRAPH_SUFFIXES, analyze_graph, code_report, load_graph_file
-from .codes import MAX_DIMENSION_CEILING, LinearCode, build_code, extend_parity_check, parity_check_of
+from .codes import (
+    MAX_DIMENSION_CEILING,
+    LinearCode,
+    build_code,
+    code_from_parity_check,
+    extended_parity_check,
+    parity_check_of,
+)
 from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
 from .experiments import (
     DECODERS,
@@ -194,8 +201,9 @@ def cmd_variance(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     _check_k_ceiling(args.k_ceiling)
     _check_out(args.alist_out)
-    g, code = _load_code(args.path)
-    extended = extend_parity_check(code, args.bits)
+    g = load_graph_file(args.path)
+    # only the extended H is eliminated: the base code's dimension is never read
+    extended = code_from_parity_check(extended_parity_check(parity_check_of(g), args.bits))
     # the added degree-1 bits close no cycle: the girth is the base Tanner graph's
     report = code_report(
         extended,

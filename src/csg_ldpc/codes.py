@@ -36,6 +36,7 @@ __all__ = [
     "is_self_orthogonal",
     "is_lcd",
     "hull_dimension",
+    "extended_parity_check",
     "extend_parity_check",
 ]
 
@@ -161,18 +162,19 @@ def is_lcd(code: LinearCode) -> bool:
     return hull_dimension(code) == 0
 
 
-def extend_parity_check(code: LinearCode, l: int) -> LinearCode:
-    """Adjoin the first l columns of the identity to H, boosting the rate.
+def extended_parity_check(h: BitMatrix, l: int) -> BitMatrix:
+    """h with the first l columns of the identity adjoined, boosting the rate.
 
     The new bits hang off single checks as degree-1 leaves, so no new cycle
     appears in the Tanner graph.  Requires 1 <= l <= n.
     """
-    if not 1 <= l <= code.n:
-        raise ValueError(f"l must be in 1..{code.n}, got {l}")
-    rows = []
-    for i, r in enumerate(code.H.rows):
-        if i < l:
-            r |= 1 << (code.n + i)
-        rows.append(r)
-    extended = BitMatrix(code.H.nrows, code.n + l, tuple(rows))
-    return code_from_parity_check(extended)
+    if not 1 <= l <= h.ncols:
+        raise ValueError(f"l must be in 1..{h.ncols}, got {l}")
+    rows = tuple(r | 1 << (h.ncols + i) if i < l else r for i, r in enumerate(h.rows))
+    return BitMatrix(h.nrows, h.ncols + l, rows)
+
+
+def extend_parity_check(code: LinearCode, l: int) -> LinearCode:
+    """The code of ``extended_parity_check(code.H, l)``: one elimination,
+    of the extended H."""
+    return code_from_parity_check(extended_parity_check(code.H, l))

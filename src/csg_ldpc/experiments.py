@@ -17,16 +17,22 @@ turn applies its own rho or sigma to that one draw
 is the one place that draws a sweep's noise.  One syndrome call per
 config takes the block's received weights and one conversion its LLRs.
 ``decode_stream`` takes a new block whenever fewer than
-``decoders.IN_FLIGHT`` (128) rows are still decoding, so a row that runs
+``decoders.IN_FLIGHT`` (128) lanes are still decoding, so a row that runs
 to the iteration cap shares its iterations with fresh rows, those of the
 next config included, rather than holding a whole block's pass to a few
-rows.  Each row goes in labelled with its config's index, so a finished
-row's errors and flags go into that config's integer sums: the order in
-which rows finish cannot change a number.
+rows.  A lane is one row for sum-product and one uint64 word of up to 64
+rows for Gallager A, so a Gallager A block is one lane.  Each row goes in
+labelled with its config's index, so a finished row's errors and flags go
+into that config's integer sums: the order in which rows finish cannot
+change a number.
 The noise block need not match the in-flight count: the working set is
-at most 191 active rows of decoder state and step temporaries plus one
-block of noise.  On 90A sum-product sweeps, 128-trial blocks cost ~1.6%
-more peak RSS and did not make them measurably faster.
+at most 191 active lanes of decoder state and step temporaries plus one
+block of noise.  For sum-product that is 191 rows; on 90A sweeps,
+128-trial blocks cost ~1.6% more peak RSS and did not make them
+measurably faster.  For Gallager A it is 128 lanes, up to 8192 rows at
+1 + d bits of state per bit and row: all of ``simulate-ga-w2``'s 6000
+rows at once on 48A, and ~150 MB of peak RSS for 10,000 trials at the
+5000-bit vertex cap.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -61,16 +67,16 @@ pool's imports):
 sweep                        bit-decodes  in process  fresh CLI
                                           1 / 2       1 / 2
 ===========================  ===========  ==========  ==========
-Gallager A, 48A, 3 x 2000    144k         54 / 53     401 / 446
-Gallager A, 48A, 3 x 4000    288k         99 / 81     450 / 469
+Gallager A, 48A, 3 x 2000    144k         36 / 43     294 / 371
+Gallager A, 48A, 3 x 4000    288k         60 / 65     349 / 378
+Gallager A, 48A, 3 x 8000    576k         123 / 94    435 / 427
 sum-product, 90A, 3 x 1000   135k         27 / 41     340 / 382
 sum-product, 90A, 3 x 2000   270k         59 / 60     415 / 441
 sum-product, 90A, 3 x 8000   1.08M        288 / 171   535 / 472
 ===========================  ===========  ==========  ==========
 
-Below it a one-shot call never gains from a second process, and in
-process only Gallager A does, from ~150k (``_pool_size`` has the full
-table).  With one span the task runs in-process.
+Below it no call gains from a second process (``_pool_size`` has the
+full table).  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
 
 numpy 2.x loads ``numpy.random`` lazily, and every worker needs it.  So
@@ -383,27 +389,28 @@ def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     The constant is the crossover of one process against two, measured on
     a 2-CPU machine with 3-point sweeps, ``run_experiments`` in a process
     that had run sweeps before (median of 11) and fresh ``simulate`` CLI
-    calls (median of 10), in ms:
+    calls (median of 10), in ms; the Gallager A rows are medians of three
+    such runs of the bit-sliced decoder:
 
     ===========================  ===========  ==========  ==========
     sweep                        bit-decodes  in process  fresh CLI
                                               1 / 2       1 / 2
     ===========================  ===========  ==========  ==========
-    Gallager A, 48A, 3 x 2000    144k         54 / 53     401 / 446
-    Gallager A, 48A, 3 x 4000    288k         99 / 81     450 / 469
-    Gallager A, 48A, 3 x 8000    576k         194 / 134   455 / 468
-    Gallager A, 48A, 3 x 32000   2.3M         805 / 469   902 / 719
+    Gallager A, 48A, 3 x 2000    144k         36 / 43     294 / 371
+    Gallager A, 48A, 3 x 4000    288k         60 / 65     349 / 378
+    Gallager A, 48A, 3 x 8000    576k         123 / 94    435 / 427
+    Gallager A, 48A, 3 x 32000   2.3M         525 / 316   676 / 619
     sum-product, 90A, 3 x 1000   135k         27 / 41     340 / 382
     sum-product, 90A, 3 x 2000   270k         59 / 60     415 / 441
     sum-product, 90A, 3 x 4000   540k         147 / 102   427 / 452
     sum-product, 90A, 3 x 8000   1.08M        288 / 171   535 / 472
     ===========================  ===========  ==========  ==========
 
-    In process two pay from ~150k (Gallager A; 80 against 67 ms at 216k)
-    to ~270k (sum-product).  A one-shot CLI call also pays the pool's
-    imports, and two pay there only from ~0.5-1M.  2^18 is the top of the
-    in-process band: below it a one-shot call never gains from a second
-    process, and above it the pool starts as it did without the cap.
+    In process two pay from ~270k (sum-product) and from between 288k and
+    576k (Gallager A).  A one-shot CLI call also pays the pool's imports,
+    and two pay there only from ~0.5-1M.  2^18 is sum-product's in-process
+    crossover: below it no call gains from a second process, and above it
+    the pool starts as it did without the cap.
     """
     return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 

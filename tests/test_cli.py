@@ -553,6 +553,18 @@ def test_extend_bad_l(heawood_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_extend_eliminates_the_parity_check_once(heawood_path, monkeypatch, capsys):
+    # the report needs the extended code only, so the 7 x 7 base H is never
+    # eliminated; the one other elimination is the duality flags' rank of
+    # G G^T, which is k x k with k = 3
+    shapes = []
+    rref = codes.BitMatrix.rref
+    monkeypatch.setattr(codes.BitMatrix, "rref", lambda self: shapes.append((self.nrows, self.ncols)) or rref(self))
+    assert main(["extend", heawood_path, "--bits", "3"]) == 0
+    assert "[10, 3, 4]" in capsys.readouterr().out
+    assert sorted(shapes) == [(3, 3), (7, 10)]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

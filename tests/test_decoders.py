@@ -360,3 +360,99 @@ def test_sum_product_survives_saturated_llrs(heawood_code):
     result = SumProductDecoder(heawood_code.H).decode(llr)
     assert np.all(np.isfinite(llr))
     assert result.word.shape == (7,)
+
+
+# block sizes around Gallager A's 64-row lanes: one row, a lane short of
+# full, full, one over, and so on
+LANE_BOUNDARY_ROWS = (1, 63, 64, 65, 127, 129)
+
+# test_gallager_counts_votes_past_a_byte's matrix: check i is bits 0 and
+# i + 1, so a degree-140 bit sits next to 140 degree-1 bits
+DEGREE_140 = BitMatrix.from_dense(np.hstack([np.ones((140, 1), dtype=int), np.eye(140, dtype=int)]).tolist())
+
+
+def _spread_words(n, rows, seed, distinct=None):
+    """Hard words whose rows stop at different iterations: every fifth is
+    zero (iteration 0), every seventh has bit 0 flipped, and the rest flip
+    at rates spread from 0 to 0.3, some of them running to the cap.  With
+    ``distinct``, the rows are drawn from that many such words."""
+    rng = np.random.default_rng(seed)
+    count = rows if distinct is None else distinct
+    words = (rng.random((count, n)) < rng.random((count, 1)) * 0.3).astype(np.uint8)
+    words[1::7] = 0
+    words[1::7, :1] = 1
+    words[::5] = 0
+    return words if distinct is None else words[rng.integers(0, count, size=rows)]
+
+
+def _oracle(h, words, max_iter):
+    """``reference_gallager_a`` for each row, run once per distinct word."""
+    seen = {}
+    for row in words:
+        if row.tobytes() not in seen:
+            seen[row.tobytes()] = reference_gallager_a(h, row.tolist(), max_iter=max_iter)
+    return [seen[row.tobytes()] for row in words]
+
+
+def _assert_gallager_lanes_match_oracle(h, words, max_iter, cuts, expected):
+    """The block decoded whole (``decode_block``) and cut at ``cuts`` into
+    a stream with one lane and with the default lanes in flight: each row
+    comes back once, with the oracle's word and iteration count."""
+    check_bits, _ = support_lists(h)
+    decoder = GallagerADecoder(h)
+    out, iterations, syndrome_zero = decoder.decode_block(words, max_iter=max_iter)
+    for r, (word, iters, ok) in enumerate(zip(out, iterations, syndrome_zero)):
+        assert (word.tolist(), iters) == expected[r], r
+        assert ok == _syndrome_zero(check_bits, expected[r][0])
+    for in_flight in (1, decoders.IN_FLIGHT):
+        seen = []
+        with patch.object(decoders, "IN_FLIGHT", in_flight):
+            for labels, out, iterations, syndrome_zero in decoder.decode_stream(_split(words, cuts), max_iter):
+                for r, word, iters, ok in zip(labels.tolist(), out, iterations, syndrome_zero):
+                    assert (word.tolist(), iters) == expected[r], (in_flight, r)
+                    assert ok == _syndrome_zero(check_bits, expected[r][0])
+                seen += labels.tolist()
+        assert sorted(seen) == list(range(len(words))), in_flight
+
+
+@pytest.mark.parametrize("name", ["48A", "extended-heawood", "degree-140"])
+def test_gallager_lanes_match_the_oracle_at_lane_boundaries(name, data_dir):
+    h = {
+        "48A": lambda: build_code(load_graph_file(data_dir / "48A.edges")).H,
+        "extended-heawood": lambda: EXTENDED_HEAWOOD,
+        "degree-140": lambda: DEGREE_140,
+    }[name]()
+    # the degree-140 oracle is slow: its rows repeat 16 words
+    words = _spread_words(h.ncols, max(LANE_BOUNDARY_ROWS), seed=59, distinct=16 if name == "degree-140" else None)
+    for max_iter in (0, 1, 7):
+        expected = _oracle(h, words, max_iter)
+        if max_iter == 7:
+            # one lane holds rows that stop at several iterations
+            assert len({iters for _, iters in expected[:64]}) >= 3
+        for rows in LANE_BOUNDARY_ROWS:
+            cuts = [c for c in (1, 2, 37, 63, 66, 100, 128) if c < rows]
+            _assert_gallager_lanes_match_oracle(h, words[:rows], max_iter, cuts, expected[:rows])
+
+
+@given(parity_checks(), st.sampled_from(LANE_BOUNDARY_ROWS), st.sampled_from([0, 1, 7]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gallager_lanes_match_the_oracle_on_drawn_checks(h, rows, max_iter, data):
+    words = _spread_words(h.ncols, rows, seed=data.draw(st.integers(0, 2**16)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=4)))
+    _assert_gallager_lanes_match_oracle(h, words, max_iter, cuts, _oracle(h, words, max_iter))
+
+
+@given(st.integers(1, 20), st.integers(1, 21), st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_bit_sliced_rules_equal_counting_each_bit(degree, t, seed):
+    # (degree, 2) uint64 planes: 128 bit positions, each counted by hand
+    rng = np.random.default_rng(seed)
+    planes = rng.integers(0, 2**64, size=(degree, 2), dtype=np.uint64, endpoint=False)
+    planes[rng.random(planes.shape) < 0.3] = decoders._ALL_ONES
+    bits = np.unpackbits(planes.view(np.uint8), bitorder="little").reshape(degree, -1).astype(bool)
+    def unpacked(words):
+        return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), bitorder="little").astype(bool)
+    assert np.array_equal(unpacked(decoders._at_least(planes, t)), bits.sum(axis=0) >= t)
+    others = decoders._leave_one_out_ands(planes)
+    for p in range(degree):
+        assert np.array_equal(unpacked(others[p]), np.delete(bits, p, axis=0).all(axis=0))
