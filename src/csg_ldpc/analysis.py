@@ -6,8 +6,8 @@ import json
 import stat
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bounds import BoundsReport, compute_bounds
 from .codes import (
     MAX_DIMENSION_CEILING,
     EnumerationLimitExceeded,
@@ -18,6 +18,9 @@ from .codes import (
     minimum_distance,
 )
 from .graphs import Graph, girth, load_edge_list, parse_lcf
+
+if TYPE_CHECKING:
+    from .bounds import BoundsReport
 
 __all__ = ["GRAPH_SUFFIXES", "MAX_GRAPH_BYTES", "AnalysisReport", "analyze_graph", "code_report", "load_graph_file"]
 
@@ -85,6 +88,9 @@ def analyze_graph(g: Graph, graph_id: str, k_ceiling: int = MAX_DIMENSION_CEILIN
     Raises the graph validation errors unchanged; a dimension above the
     enumeration ceiling leaves ``d`` as None with a warning instead.
     """
+    # bounds brings numpy; imported here, the commands that print no bounds never load it
+    from .bounds import compute_bounds
+
     code = build_code(g)
     g_girth = girth(g)
     warnings: list[str] = []

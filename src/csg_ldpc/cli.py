@@ -5,6 +5,9 @@ unreadable or unwritable file), 2 when a requested minimum distance exceeds
 the enumeration ceiling.  Handlers raise ``ValueError`` or ``OSError`` for
 every declared error and ``main`` alone reports it as one ``error:`` line.
 Randomized subcommands require an explicit ``--seed``.
+
+Only ``simulate`` and ``variance`` import ``channel`` and ``experiments``,
+inside their handlers, so the other subcommands never load numpy.
 """
 
 from __future__ import annotations
@@ -25,16 +28,8 @@ from .codes import (
     extended_parity_check,
     parity_check_of,
 )
-from .channel import AwgnChannel, BscChannel, syndrome_variance_formula
-from .experiments import (
-    DECODERS,
-    MAX_ITERATIONS,
-    RNG_FAMILY,
-    ExperimentConfig,
-    run_experiments,
-    syndrome_statistics,
-)
 from .graphs import girth
+from .sweep import DECODER_NAMES, MAX_ITERATIONS, MAX_TRIAL_POINTS
 
 __all__ = ["main", "entry"]
 
@@ -62,6 +57,13 @@ def _check_k_ceiling(k_ceiling: int) -> None:
     """Refuse a negative enumeration ceiling before any graph is read."""
     if k_ceiling < 0:
         raise ValueError(f"k-ceiling must be non-negative, got {k_ceiling}")
+
+
+def _check_trial_points(trials: int, points: int) -> None:
+    """Refuse a Monte-Carlo run above ``MAX_TRIAL_POINTS`` trials x points
+    before any graph is read: at any measured rate it would not end."""
+    if trials * points > MAX_TRIAL_POINTS:
+        raise ValueError(f"{trials} trials x {points} points is above the ceiling of {MAX_TRIAL_POINTS}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -124,10 +126,14 @@ def _parse_float_list(text: str, label: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .channel import AwgnChannel, BscChannel
+    from .experiments import RNG_FAMILY, ExperimentConfig, run_experiments
+
     _check_out(args.out)
     _check_out(args.out and args.out + ".meta.json")
-    h = parity_check_of(load_graph_file(args.path))
     params = _parse_float_list(args.param, "parameter")
+    _check_trial_points(args.trials, len(params))
+    h = parity_check_of(load_graph_file(args.path))
     # every point is checked before any is decoded, and all share one pool
     cfgs = [
         ExperimentConfig(
@@ -169,11 +175,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def syndrome_statistics(*args, **kwargs):
+    """``experiments.syndrome_statistics``, imported when first called.
+    ``cmd_variance`` samples through this name, which perfbench's
+    failing-layer test replaces on ``cli``."""
+    from .experiments import syndrome_statistics
+
+    return syndrome_statistics(*args, **kwargs)
+
+
 def cmd_variance(args: argparse.Namespace) -> int:
+    from .channel import BscChannel, syndrome_variance_formula
+
     _check_out(args.out)
+    rhos = _parse_float_list(args.rho, "rho")
+    _check_trial_points(args.trials, len(rhos))
     g = load_graph_file(args.path)
     h = parity_check_of(g)
-    rhos = _parse_float_list(args.rho, "rho")
     # every input is checked before the first point is sampled
     for rho in rhos:
         BscChannel(rho)
@@ -261,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--channel", choices=("bsc", "awgn"), required=True)
     p.add_argument("--param", required=True, help="comma separated rho or sigma values")
-    p.add_argument("--decoder", choices=tuple(DECODERS), required=True)
+    p.add_argument("--decoder", choices=DECODER_NAMES, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(

@@ -53,12 +53,13 @@ Their one trial range splits into ``min(worker_count, trials, usable
 CPUs, 1 + bit-decodes // 2^18)`` spans, one task per worker, and worker w
 decodes span w of every config; the usable CPUs are the process's
 affinity mask where the OS has one, not the host's count, and the
-bit-decodes are trials x configs x n.  So a ``simulate`` call starts and
-joins its processes once, and each worker builds one decoder and ends one
-stream tail, not one per channel parameter.  Results do not depend on the
-worker count, so ``worker_count`` is a ceiling, and a process past the
-first starts only when the sweep's work pays for its fork.  2^18
-bit-decodes per extra process is the measured crossover of one process
+bit-decodes are trials x configs x n, halved for Gallager A.  So a
+``simulate`` call starts and joins its processes once, and each worker
+builds one decoder and ends one stream tail, not one per channel
+parameter.  Results do not depend on the worker count, so
+``worker_count`` is a ceiling, and a process past the first starts only
+when the sweep's work pays for its fork.  2^18 bit-decodes per extra
+process (2^19 for Gallager A) is the measured crossover of one process
 against two on a 2-CPU machine, below which no call gains from a second
 process; ``_pool_size`` holds the table it was read from.  With one span
 the task runs in-process.
@@ -71,8 +72,10 @@ workers inherit it instead of each importing its 19 modules (~17 ms)
 again on every sweep.  That pays in a process that runs more than one
 pooled sweep; a one-shot CLI call only moves the import from the
 children, where it ran in parallel, to the parent, and its wall time
-does not change.  The import stays in that branch: ``catalog``,
-``analyze``, ``export-alist`` and ``extend`` never load ``numpy.random``.
+does not change.  The import stays in that branch, and this module is
+imported only by ``simulate`` and ``variance``: ``catalog``,
+``export-alist`` and ``extend`` never load numpy, and ``analyze`` never
+loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -96,11 +99,11 @@ from .channel import (
 )
 from .decoders import GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
+from .sweep import DECODER_NAMES, MAX_ITERATIONS
 
 __all__ = [
     "DECODERS",
     "RNG_FAMILY",
-    "MAX_ITERATIONS",
     "ExperimentConfig",
     "ExperimentResult",
     "SyndromeStats",
@@ -112,12 +115,8 @@ __all__ = [
 
 RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 
-# each --decoder name and the class that decodes under it
-DECODERS = {"gallager-a": GallagerADecoder, "sum-product": SumProductDecoder}
-
-# the largest decoder iteration budget a config accepts: every row that
-# never reaches a zero syndrome is stepped this many times
-MAX_ITERATIONS = 1000
+# each --decoder name and the class that decodes under it, in DECODER_NAMES' order
+DECODERS = dict(zip(DECODER_NAMES, (GallagerADecoder, SumProductDecoder)))
 
 # trials per noise block: _decoder_inputs draws a sweep's noise, and feeds
 # every config's decoder input, this many trials at a time
@@ -132,6 +131,12 @@ _SEED_CHUNK = 1024
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
 # a second process pays from about this much work (_pool_size)
 _WORK_PER_EXTRA_PROCESS = 1 << 18
+
+# Gallager A bit-decodes that _pool_size counts as one: its sweeps gain
+# from a second process only past ~432k bit-decodes, against ~270k for
+# sum-product, so its crossover sits at 2^19 (524k), below the 576k where
+# two measured faster
+_GALLAGER_A_DISCOUNT = 2
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
@@ -365,39 +370,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
+def _pool_size(worker_count: int, trials: int, bit_decodes: int, decoder: str) -> int:
     """Processes worth starting: never more than the trials, the CPUs this
     process may run on (``_usable_cpus``), or one plus one per
     ``_WORK_PER_EXTRA_PROCESS`` (2^18) of the sweep's ``bit_decodes``
-    (trials x configs x n).  ``worker_count`` is only a ceiling.
+    (trials x configs x n); for ``decoder`` Gallager A,
+    ``_GALLAGER_A_DISCOUNT`` (2) of them count as one.  ``worker_count``
+    is only a ceiling.
 
-    The constant is the crossover of one process against two, measured on
-    a 2-CPU machine with 3-point sweeps, ``run_experiments`` in a process
-    that had run sweeps before (median of 11) and fresh ``simulate`` CLI
-    calls (median of 10), in ms; the Gallager A rows are medians of three
-    such runs of the bit-sliced decoder:
+    The constants are the crossovers of one process against two, measured
+    on a 2-CPU machine with 3-point sweeps, ``run_experiments`` in a
+    process that had run sweeps before (median of 11; of 21 where marked
+    with *) and fresh ``simulate`` CLI calls (median of 10), in ms:
 
     ===========================  ===========  ==========  ==========
     sweep                        bit-decodes  in process  fresh CLI
                                               1 / 2       1 / 2
     ===========================  ===========  ==========  ==========
-    Gallager A, 48A, 3 x 2000    144k         36 / 43     294 / 371
-    Gallager A, 48A, 3 x 4000    288k         60 / 65     349 / 378
-    Gallager A, 48A, 3 x 8000    576k         123 / 94    435 / 427
-    Gallager A, 48A, 3 x 32000   2.3M         525 / 316   676 / 619
-    sum-product, 90A, 3 x 1000   135k         27 / 41     340 / 382
-    sum-product, 90A, 3 x 2000   270k         59 / 60     415 / 441
-    sum-product, 90A, 3 x 4000   540k         147 / 102   427 / 452
-    sum-product, 90A, 3 x 8000   1.08M        288 / 171   535 / 472
+    Gallager A, 48A, 3 x 2000    144k         41 / 47     366 / 420
+    Gallager A, 48A, 3 x 4000    288k         78 / 80 *   397 / 440
+    Gallager A, 48A, 3 x 6000    432k         110 / 108 * 451 / 485
+    Gallager A, 48A, 3 x 8000    576k         142 / 120 * 467 / 470
+    Gallager A, 48A, 3 x 32000   2.3M         564 / 353   892 / 758
+    sum-product, 90A, 3 x 1000   135k         40 / 45     403 / 495
+    sum-product, 90A, 3 x 2000   270k         69 / 68 *   431 / 468
+    sum-product, 90A, 3 x 4000   540k         152 / 114   518 / 561
+    sum-product, 90A, 3 x 8000   1.08M        338 / 223   648 / 599
     ===========================  ===========  ==========  ==========
 
-    In process two pay from ~270k (sum-product) and from between 288k and
-    576k (Gallager A).  A one-shot CLI call also pays the pool's imports,
-    and two pay there only from ~0.5-1M.  2^18 is sum-product's in-process
-    crossover: below it no call gains from a second process, and above it
-    the pool starts as it did without the cap.
+    In process two pay from ~270k (sum-product) and from between 432k and
+    576k (Gallager A), so 2^18 and 2^19 are the crossovers.  A one-shot
+    CLI call also pays the pool's imports, and two pay there only from
+    ~0.6-1M: ``simulate`` imports numpy and the decoders either way, so
+    keeping them out of the other commands does not move that.  Below its
+    crossover no call gains from a second process, and above it the pool
+    starts as it did without the cap.
     """
-    return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
+    work = bit_decodes // _GALLAGER_A_DISCOUNT if decoder == "gallager-a" else bit_decodes
+    return min(worker_count, trials, _usable_cpus(), 1 + work // _WORK_PER_EXTRA_PROCESS)
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -441,8 +451,8 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     bit_decodes)`` spans, and worker w decodes span w of every config as
     one stream (``_run_share``), so a sweep starts its processes once and
     each worker ends one stream tail, not one per point.  With one span,
-    which every sweep below 2^18 bit-decodes gets, that task runs in this
-    process and no pool starts.  A pool's parent imports
+    which every sweep below 2^18 bit-decodes (2^19 for Gallager A) gets,
+    that task runs in this process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.
     """
@@ -453,7 +463,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     if any(type(cfg.channel) is not kind or replace(cfg, channel=first.channel) != first for cfg in cfgs):
         raise ValueError("the configs of one sweep may differ only in their channel's parameter")
     work = first.trials * len(cfgs) * first.h.ncols
-    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials, work))
+    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials, work, first.decoder))
     if len(spans) == 1:
         table = _run_share(cfgs, *spans[0])
     else:

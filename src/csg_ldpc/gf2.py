@@ -9,9 +9,10 @@ are immutable; every operation returns a fresh instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BitMatrix"]
 
@@ -62,6 +63,9 @@ class BitMatrix:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "BitMatrix":
+        # numpy is imported by the conversions alone, so GF(2) code loads none
+        import numpy as np
+
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array")
@@ -104,6 +108,8 @@ class BitMatrix:
 
     def to_numpy(self) -> np.ndarray:
         """Dense uint8 array view of the same matrix."""
+        import numpy as np
+
         nbytes = (self.ncols + 7) // 8
         raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in self.rows), dtype=np.uint8)
         return np.unpackbits(

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -350,6 +351,9 @@ def bipartition(g: Graph) -> Bipartition:
 
 def adjacency_array(g: Graph) -> np.ndarray:
     """Integer-valued adjacency matrix (float64, ready for eigensolvers)."""
+    # the one numpy user here: loading and walking graphs never imports it
+    import numpy as np
+
     n = g.vertex_count
     out = np.zeros((n, n), dtype=np.float64)
     for u, nbrs in enumerate(g.adjacency):

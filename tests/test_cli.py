@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import csg_ldpc
-from csg_ldpc import cli, codes
+from csg_ldpc import cli, codes, experiments
 from csg_ldpc.alist import parse_alist
 from csg_ldpc.analysis import MAX_GRAPH_BYTES, load_graph_file
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
 from csg_ldpc.graphs import MAX_VERTICES, parse_lcf
+from csg_ldpc.sweep import MAX_TRIAL_POINTS
 
 
 def lcf_file(tmp_path, name, text):
@@ -180,7 +181,7 @@ def _refuse(*_args, **_kwargs):
 
 def test_simulate_checks_every_param_before_decoding(heawood_path, monkeypatch, capsys):
     # 0.05 is valid; 0.7 is not, and must stop the run before 0.05 is decoded
-    monkeypatch.setattr(cli, "run_experiments", _refuse)
+    monkeypatch.setattr(experiments, "run_experiments", _refuse)
     code = main([
         "simulate", heawood_path, "--channel", "bsc", "--param", "0.05,0.7",
         "--decoder", "gallager-a", "--trials", "5", "--seed", "1", "--workers", "2",
@@ -223,13 +224,14 @@ def _with(rows, placeholder, value):
     return [(name, [arg.replace(placeholder, value) for arg in argv], *rest) for name, argv, *rest in rows]
 
 
-# (command, argv, the work function it must not reach) for an output path "{o}"
+# (command, argv, the work function it must not reach, as the handler looks
+# it up) for an output path "{o}"
 OUTPUT_ARGV = [
-    ("catalog", ["catalog", "{dir}", "--out", "{o}"], "code_report"),
-    ("export-alist", ["export-alist", "{g}", "{o}"], "export_alist"),
-    ("simulate", simulate_argv(out="{o}"), "run_experiments"),
-    ("variance", variance_argv(out="{o}"), "syndrome_statistics"),
-    ("extend", ["extend", "{g}", "--bits", "2", "--alist-out", "{o}"], "code_report"),
+    ("catalog", ["catalog", "{dir}", "--out", "{o}"], "csg_ldpc.cli.code_report"),
+    ("export-alist", ["export-alist", "{g}", "{o}"], "csg_ldpc.cli.export_alist"),
+    ("simulate", simulate_argv(out="{o}"), "csg_ldpc.experiments.run_experiments"),
+    ("variance", variance_argv(out="{o}"), "csg_ldpc.cli.syndrome_statistics"),
+    ("extend", ["extend", "{g}", "--bits", "2", "--alist-out", "{o}"], "csg_ldpc.cli.code_report"),
 ]
 OUT_IN_MISSING_DIR = _with(OUTPUT_ARGV, "{o}", "{nodir}")
 OUT_IS_DIR = _with(OUTPUT_ARGV, "{o}", "{dir}")
@@ -282,11 +284,13 @@ BAD_INPUTS = [
     ("simulate-awgn-square-inf", simulate_argv(**AWGN_SQUARE_INF)),
     ("simulate-awgn-square-inf-w2", simulate_argv(**AWGN_SQUARE_INF, workers="2")),
     ("simulate-unknown-decoder", simulate_argv(decoder="turbo")),
+    ("simulate-trial-points-over-ceiling", simulate_argv(param="0.1,0.2", trials=str(MAX_TRIAL_POINTS // 2 + 1))),
     ("variance-missing-file", variance_argv("{missing}")),
     ("variance-rho-out-of-range", variance_argv(rho="0.7")),
     ("variance-empty-rho", variance_argv(rho="")),
     ("variance-one-trial", variance_argv(trials="1")),
     ("variance-seed-negative", variance_argv(seed="-1")),
+    ("variance-trial-points-over-ceiling", variance_argv(trials=str(10**18))),
     ("extend-missing-file", ["extend", "{missing}", "--bits", "2"]),
     ("extend-bits-negative", ["extend", "{g}", "--bits", "-1"]),
     ("extend-bits-past-n", ["extend", "{g}", "--bits", "8"]),
@@ -358,7 +362,7 @@ def test_bad_input_is_a_declared_error(heawood_path, tmp_path, capsys, argv):
     "argv, work", [(argv, work) for _, argv, work in OUT_IN_MISSING_DIR], ids=[c for c, _, _ in OUT_IN_MISSING_DIR]
 )
 def test_missing_output_directory_stops_before_any_work(heawood_path, tmp_path, monkeypatch, capsys, argv, work):
-    monkeypatch.setattr(cli, work, _refuse)
+    monkeypatch.setattr(work, _refuse)
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: no such directory")
     assert not (tmp_path / "none").exists()
@@ -366,7 +370,7 @@ def test_missing_output_directory_stops_before_any_work(heawood_path, tmp_path, 
 
 @pytest.mark.parametrize("argv, work", [(argv, work) for _, argv, work in OUT_IS_DIR], ids=[c for c, _, _ in OUT_IS_DIR])
 def test_directory_output_path_stops_before_any_work(heawood_path, tmp_path, monkeypatch, capsys, argv, work):
-    monkeypatch.setattr(cli, work, _refuse)
+    monkeypatch.setattr(work, _refuse)
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: output path is a directory")
 
@@ -378,6 +382,20 @@ def test_negative_k_ceiling_stops_before_any_graph_is_read(heawood_path, tmp_pat
     monkeypatch.setattr(cli, "load_graph_file", _refuse)
     assert main(_fill(argv, heawood_path, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: k-ceiling must be non-negative")
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda trials: simulate_argv(param="0.1,0.2", trials=str(trials // 2)),
+    lambda trials: variance_argv(rho="0.1,0.2", trials=str(trials // 2)),
+], ids=["simulate", "variance"])
+def test_trial_point_ceiling_stops_before_any_graph_is_read(heawood_path, tmp_path, monkeypatch, capsys, make_argv):
+    monkeypatch.setattr(cli, "load_graph_file", _refuse)
+    # one trial-point past the ceiling is refused; at it the run goes on to read the graph
+    assert main(_fill(make_argv(MAX_TRIAL_POINTS + 2), heawood_path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"ceiling of {MAX_TRIAL_POINTS}" in err
+    with pytest.raises(AssertionError, match="work started"):
+        main(_fill(make_argv(MAX_TRIAL_POINTS), heawood_path, tmp_path))
 
 
 @pytest.mark.skipif(not os.path.exists(FULL_DEVICE), reason=f"{FULL_DEVICE} does not exist")
@@ -395,7 +413,7 @@ def test_simulate_checks_the_sidecar_path_before_decoding(heawood_path, tmp_path
     # trial was decoded and the CSV written
     out = tmp_path / "x.csv"
     (tmp_path / "x.csv.meta.json").mkdir()
-    monkeypatch.setattr(cli, "run_experiments", _refuse)
+    monkeypatch.setattr(experiments, "run_experiments", _refuse)
     assert main(simulate_argv(heawood_path, out=str(out))) == 1
     assert capsys.readouterr().err.startswith("error: output path is a directory")
     assert not out.exists()

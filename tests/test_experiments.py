@@ -28,6 +28,7 @@ from csg_ldpc.experiments import (
     trial_rng,
 )
 from csg_ldpc.graphs import parse_lcf
+from test_package import loaded_after
 
 
 @pytest.fixture(scope="module")
@@ -403,13 +404,15 @@ def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
 def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
     cpus = experiments._usable_cpus()
     work = 10**18  # past any work cap, so only the trials and CPUs bind
-    assert experiments._pool_size(100_000, 10**9, work) == cpus
-    assert experiments._pool_size(1, 10**9, work) == 1
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
-    assert experiments._pool_size(100_000, 5, work) == 5
-    assert experiments._pool_size(100_000, 10**9, work) == 64
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    assert experiments._pool_size(100_000, 10**9, work) == 1
+    for decoder in experiments.DECODERS:
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        assert experiments._pool_size(100_000, 10**9, work, decoder) == cpus
+        assert experiments._pool_size(1, 10**9, work, decoder) == 1
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
+        assert experiments._pool_size(100_000, 5, work, decoder) == 5
+        assert experiments._pool_size(100_000, 10**9, work, decoder) == 64
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        assert experiments._pool_size(100_000, 10**9, work, decoder) == 1
 
 
 def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
@@ -419,12 +422,21 @@ def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
     trials = 10**9
     for work, size in ((0, 1), (1, 1), (per - 1, 1), (per, 2), (per + 1, 2), (2 * per - 1, 2),
                        (2 * per, 3), (10 * per, 11)):
-        assert experiments._pool_size(64, trials, work) == size, work
+        assert experiments._pool_size(64, trials, work, "sum-product") == size, work
+    # a Gallager A sweep gains from a second process only past 432k
+    # bit-decodes (48A, 3 x 6000) and does by 576k (3 x 8000): its crossover is 2^19
+    ga = experiments._GALLAGER_A_DISCOUNT * per
+    assert 432_000 < ga < 576_000
+    for work, size in ((288_000, 1), (432_000, 1), (ga - 1, 1), (ga, 2), (576_000, 2), (2 * ga - 1, 2), (2 * ga, 3),
+                       (10 * ga, 11)):
+        assert experiments._pool_size(64, trials, work, "gallager-a") == size, work
+    # the CI sweep, 3 x 20000 trials of 48A's 24 bits, still starts a pool at 2 CPUs
+    assert experiments._pool_size(2, 20_000, 3 * 20_000 * 24, "gallager-a") == 2
     # --workers stays a ceiling: an absurd count starts no more than the work pays for
-    assert experiments._pool_size(10**12, trials, per - 1) == 1
-    assert experiments._pool_size(10**12, trials, 3 * per) == 4
-    assert experiments._pool_size(10**12, trials, 10**30) == 64
-    assert experiments._pool_size(1, trials, 10**30) == 1
+    assert experiments._pool_size(10**12, trials, per - 1, "sum-product") == 1
+    assert experiments._pool_size(10**12, trials, 3 * per, "sum-product") == 4
+    assert experiments._pool_size(10**12, trials, 10**30, "sum-product") == 64
+    assert experiments._pool_size(1, trials, 10**30, "sum-product") == 1
 
 
 def test_usable_cpus_reads_the_affinity_mask_where_there_is_one(monkeypatch):
@@ -510,6 +522,32 @@ def test_commands_without_a_sweep_never_load_numpy_random(run_capped, data_dir, 
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "False"
+
+
+def _run_main(*argv_lists) -> str:
+    """Source that imports ``main`` and runs each argv, each to exit 0."""
+    return "from csg_ldpc.cli import main\n" + "".join(f"assert main({argv!r}) == 0\n" for argv in argv_lists)
+
+
+def test_importing_the_cli_loads_no_numpy(run_capped):
+    loaded = loaded_after(run_capped, _run_main())
+    assert "csg_ldpc.cli" in loaded and "numpy" not in loaded
+
+
+def test_pure_python_commands_never_load_numpy(run_capped, data_dir, tmp_path):
+    graph = str(data_dir / "90A.lcf")
+    loaded = loaded_after(run_capped, _run_main(
+        ["catalog", str(data_dir)],
+        ["export-alist", graph, str(tmp_path / "90A.alist")],
+        ["extend", graph, "--bits", "8", "--alist-out", str(tmp_path / "extended.alist")],
+    ))
+    assert "csg_ldpc.codes" in loaded and "numpy" not in loaded
+
+
+def test_analyze_loads_no_simulation_module(run_capped, data_dir):
+    loaded = loaded_after(run_capped, _run_main(["analyze", str(data_dir / "48A.edges")]))
+    assert "csg_ldpc.bounds" in loaded
+    assert {"csg_ldpc.channel", "csg_ldpc.decoders", "csg_ldpc.experiments"}.isdisjoint(loaded)
 
 
 def test_awgn_channel_runs(heawood_h):
