@@ -6,6 +6,8 @@ a greedy independent set bounds the dimension, and the second adjacency
 eigenvalue feeds the two eigenvalue-based distance bounds plus a coarser
 piecewise one.  That eigenvalue is sqrt(mu2), with mu2 the second
 eigenvalue of the Gram matrix H^T H from LAPACK's ``eigvalsh``.
+``gram_matrix`` fills H^T H from the bit pairs of each check, as
+``bit_node_graph`` walks them, so no dense copy of H is ever made.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "BitNodeGraph",
     "BoundsReport",
     "bit_node_graph",
+    "gram_matrix",
     "verify_gram_identity",
     "clique_number",
     "independent_set_lower",
@@ -67,6 +70,21 @@ def bit_node_graph(code: LinearCode) -> BitNodeGraph:
     return BitNodeGraph(Graph.from_edges(code.n, pairs), hypotheses_hold)
 
 
+def gram_matrix(code: LinearCode) -> np.ndarray:
+    """H^T H over the integers, as float64 for ``eigvalsh``: entry (i, j)
+    counts the checks that hold both bits i and j, so the diagonal holds
+    the column weights and an entry of 2 or more is a Tanner 4-cycle.
+
+    Each check adds one to every ordered pair of its bits, a bit with
+    itself included, O(m w^2) for row weight w; counts are exact in
+    float64.  Only the n x n result is allocated: no dense copy of H.
+    """
+    gram = np.zeros((code.n, code.n))
+    for bits in code.H.supports():
+        gram[np.ix_(bits, bits)] += 1.0
+    return gram
+
+
 def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
     """Check H^T H = 3I + A(gamma) over the integers.
 
@@ -74,11 +92,10 @@ def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
     share more than one row, i.e. when the Tanner graph is bit-regular of
     degree 3 and 4-cycle free.
     """
-    h = code.H.to_numpy().astype(np.int64)
     expected = 3 * np.eye(code.n, dtype=np.int64) + adjacency_array(
         gamma.graph
     ).astype(np.int64)
-    return bool(np.array_equal(h.T @ h, expected))
+    return bool(np.array_equal(gram_matrix(code), expected))
 
 
 def clique_number(g: Graph) -> int:
@@ -244,8 +261,7 @@ def compute_bounds(g: Graph, code: LinearCode) -> BoundsReport:
     second eigenvalue of H^T H (snapped like the bounds' own mu2, which
     keeps rounding noise at mu2 = 0 out of the square root).
     """
-    h = code.H.to_numpy().astype(np.float64)
-    mu2 = _snap(float(spectrum(h.T @ h)[1]))
+    mu2 = _snap(float(spectrum(gram_matrix(code))[1]))
     lam2 = math.sqrt(mu2)
     d1, d2 = tanner_bounds(code.n, lam2)
     gamma = bit_node_graph(code)

@@ -10,13 +10,15 @@ with ``syndrome``.  ``transmit`` draws uniforms (BSC) or standard normals
 ``word ^ (noise < rho)`` or ``1 - 2 word + sigma noise``.
 ``run_experiments`` draws its trials' noise itself, one generator per
 trial, and applies every ``--param`` point's channel to that one draw
-through the same ``apply_noise``.  The decoders test their estimates for
-a zero syndrome on their own message slots.
+through the same ``apply_noise``.
 
-``ParityChecks``, each check's column indices built once per H, is the
-one incidence table of H: ``syndrome`` gathers through it only the bits a
-check touches (3 in a (3,3)-regular code, whatever n), and the decoders
-lay their messages out in its check slots.
+``ParityChecks``, each check's column indices built once per H from its
+row supports, is the one incidence table of H, and its ``parity`` the one
+check-parity routine: it gathers only the bits a check touches (3 in a
+(3,3)-regular code, whatever n).  ``syndrome`` and the decoders' zero
+syndrome test both call it, and the decoders lay their messages out in
+its check slots.  H is always a ``BitMatrix``; nothing here makes a dense
+copy of it.
 
 The closed-form syndrome moments use f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
 the probability that t independent flips have odd parity.  The variance
@@ -122,48 +124,52 @@ class ParityChecks:
     """The column indices of every check of a parity-check matrix H.
 
     ``columns`` is a read-only (max check degree, m) index table: entry
-    (p, i) is the p-th column of check i, in ascending column order.  A
-    check of lower degree, including a zero row, is padded with index n,
-    which ``syndrome`` maps to a row of zeros, so every row weight goes
-    through the same gather.  Build one per H and pass it to ``syndrome``
-    wherever H would go.
+    (p, i) is the p-th column of check i, in ascending column order, read
+    from ``h.supports()``.  A check of lower degree, including a zero row,
+    is padded with index n, which ``parity`` maps to a zero bit, so every
+    check goes through the same gather.  Build one per H and pass it to
+    ``syndrome`` wherever H would go.
     """
 
-    def __init__(self, h: BitMatrix | np.ndarray):
-        dense = h.to_numpy() if isinstance(h, BitMatrix) else np.asarray(h)
-        if dense.ndim != 2:
-            raise ValueError(f"expected a 2-d parity check, got shape {dense.shape}")
-        m, self.ncols = dense.shape
-        rows, cols = np.nonzero(dense)
-        columns = np.ascontiguousarray(padded_groups(rows, cols, m, fill=self.ncols).T)
+    def __init__(self, h: BitMatrix):
+        supports = h.supports()
+        self.ncols = h.ncols
+        rows = np.array([i for i, bits in enumerate(supports) for _ in bits], dtype=np.intp)
+        cols = np.array([j for bits in supports for j in bits], dtype=np.intp)
+        columns = np.ascontiguousarray(padded_groups(rows, cols, h.nrows, fill=self.ncols).T)
         columns.flags.writeable = False
         self.columns = columns
+
+    def parity(self, bits: np.ndarray) -> np.ndarray:
+        """Each check's parity over slot-major ``bits``: shape (n, ...) in,
+        (m, ...) out, for any dtype whose XOR is bitwise (uint8 or bool
+        bits, or uint64 words of 64 rows each).  The bits are copied once
+        with a zero row appended for the padded slots, then gathered by
+        whole contiguous rows and XORed over each check's slots."""
+        padded = np.zeros((self.ncols + 1,) + bits.shape[1:], dtype=bits.dtype)
+        padded[:-1] = bits
+        return np.bitwise_xor.reduce(padded.take(self.columns, axis=0), axis=0)
 
 
 # syndrome() on a BitMatrix reuses the table of the last few matrices seen
 _checks_of = lru_cache(maxsize=8)(ParityChecks)
 
 
-def syndrome(h: BitMatrix | np.ndarray | ParityChecks, y: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+def syndrome(h: BitMatrix | ParityChecks, y: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """Syndrome bits y H^T and their weight, for one word or a block of words.
 
-    ``h`` is a BitMatrix, its dense uint8 array, or its ``ParityChecks``;
-    callers that test many blocks against one H should build the latter
-    once.  ``y`` holds bits (0 or 1).  A word of shape (n,) gives (m,)
-    bits and an int weight; a block of shape (B, n) gives (B, m) bits and
-    int64 weights per row.  Each syndrome bit is the XOR of the bits its
-    check touches, gathered from a transposed copy of the block with a
-    zero row appended for the padded slots; the transposed layout makes
-    every gather a copy of whole contiguous rows of B bytes.
+    ``h`` is a BitMatrix or its ``ParityChecks``; callers that test many
+    blocks against one H should build the latter once.  ``y`` holds bits
+    (0 or 1).  A word of shape (n,) gives (m,) bits and an int weight; a
+    block of shape (B, n) gives (B, m) bits and int64 weights per row.
+    The bits are ``ParityChecks.parity`` of the transposed block.
     """
     if not isinstance(h, ParityChecks):
-        h = _checks_of(h) if isinstance(h, BitMatrix) else ParityChecks(h)
+        h = _checks_of(h)
     y = np.asarray(y, dtype=np.uint8)
     if y.ndim not in (1, 2) or y.shape[-1] != h.ncols:
         raise ValueError(f"expected words of length {h.ncols}, got shape {y.shape}")
-    padded = np.zeros((h.ncols + 1,) + y.shape[:-1], dtype=np.uint8)
-    padded[:-1] = y.T
-    parity = np.bitwise_xor.reduce(padded.take(h.columns, axis=0), axis=0)
+    parity = h.parity(y.T)
     # a weight is at most m, so it sums in the narrowest type that holds m
     # (~10x faster than summing in int64) and widens once
     weights = parity.sum(axis=0, dtype=np.min_scalar_type(len(parity))).astype(np.int64)

@@ -24,17 +24,19 @@ of H: with m checks of degree at most w, slot p * m + i (of S = w m)
 holds check i's p-th bit, so the messages reshaped to (w, m, L) are the
 check view, whose w (m, L) blocks are contiguous, and the bit view
 gathers them through a (d, n) table of each bit's slots in ascending
-check order, d the largest bit degree.  Every gather is a ``take`` along axis 0, a copy of whole
-contiguous rows, the layout ``channel.syndrome`` uses.  A bit of lower
-degree than d has spare entries in the bit view, and a check of lower
-degree than w has padding slots; each rule gives both the value that
-leaves it unchanged.  No code of the catalog has either.
+check order, d the largest bit degree.  Every gather is a ``take`` along
+axis 0, a copy of whole contiguous rows.  A bit of lower degree than d
+has spare entries in the bit view, and a check of lower degree than w
+has padding slots; each rule gives both the value that leaves it
+unchanged.  No code of the catalog has either.  The zero syndrome test
+is ``ParityChecks.parity``, the routine ``channel.syndrome`` runs, on
+the estimates as they are: bool rows or uint64 lanes.
 
 The loop keeps every lane's labels, an integer for each row that the
 caller hands in with its block, which of its rows are still live, and an
 iteration count, shared by the rows of a lane since they are admitted
-together.  Each pass it admits further blocks while fewer than
-``IN_FLIGHT`` lanes are active, tests every lane's estimate for a zero
+together.  Each pass it admits further blocks while fewer lanes than
+its budget are active, tests every lane's estimate for a zero
 syndrome, hands out the live rows that reached one or their ``max_iter``
 with their labels (unpacking only the lanes that hold such a row), drops
 the lanes that have no live row left, and steps the rest.  A finished
@@ -45,6 +47,11 @@ to the cap shares each of its iterations with fresh rows instead of
 stepping alone.  Construct a decoder once per matrix and hand it blocks
 when decoding many words: a lone word pays the full per-iteration numpy
 overhead.
+
+The lane budget is ``IN_FLIGHT`` (128) lanes, cut to ``LANE_WORDS // n``
+for n above 2048: a lane's state and step temporaries grow with n (a
+Gallager A lane carries (1 + d) n words and a sum-product lane 2n + S + 1
+floats), so lanes x n bounds the decoder's memory whatever n.
 """
 
 from __future__ import annotations
@@ -65,6 +72,11 @@ _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 # fewer are active, so with blocks of b lanes at most IN_FLIGHT + b - 1.
 # A lane is one row for sum-product and up to 64 rows for Gallager A
 IN_FLIGHT = 128
+
+# lanes x n a stream keeps in flight, at least one lane: every n up to
+# 2048 keeps IN_FLIGHT lanes, and the 5000-bit vertex cap keeps 52.  A
+# stream reads both constants when it starts
+LANE_WORDS = 128 * 2048
 
 # rows of one Gallager A lane: the bits of a uint64 word
 _WORD_BITS = 64
@@ -190,8 +202,7 @@ class _EdgeStructure:
     from any other.  ``_lanes(labels)`` gives a block's labels by lane,
     (rows of a lane, lanes), and its live-row masks, and ``_hand_out`` the
     finished rows of some lanes, one by one.  Here a lane is one row, and
-    an estimate and a mask are bools.  ``_zero_syndrome(est)`` gives each
-    lane's mask of rows with a zero syndrome for either lane format."""
+    an estimate and a mask are bools."""
 
     def __init__(self, h: BitMatrix):
         self.n = h.ncols
@@ -236,13 +247,15 @@ class _EdgeStructure:
         a (B, n) block and labels B integers the caller chooses, one a row.
 
         Before each iteration the stream admits further blocks while fewer
-        than ``IN_FLIGHT`` lanes are active, so rows that decode slowly
-        share their iterations with fresh ones; each block is read only
-        when it is admitted.  Each pass that finishes rows yields (labels,
-        words, iterations, syndrome_zero): the rows' labels and, for each,
-        what ``decode`` returns for it, words as a (k, n) array.
+        lanes than its budget (the module docstring) are active, so rows
+        that decode slowly share their iterations with fresh ones; each
+        block is read only when it is admitted.  Each pass that finishes
+        rows yields (labels, words, iterations, syndrome_zero): the rows'
+        labels and, for each, what ``decode`` returns for it, words as a
+        (k, n) array.
         """
         blocks = iter(blocks)
+        budget = min(IN_FLIGHT, max(1, LANE_WORDS // max(self.n, 1)))
         # one array per quantity, each lane at the same place along the
         # last axis: labels (rows of a lane, lanes), live-row masks,
         # iteration counts, estimates, then the carried state
@@ -251,7 +264,7 @@ class _EdgeStructure:
             # the blocks admitted on one pass join the state in one copy
             parts = [] if state is None else [state]
             active = 0 if state is None else len(state[1])
-            while active < IN_FLIGHT and (block := next(blocks, None)) is not None:
+            while active < budget and (block := next(blocks, None)) is not None:
                 labels, y = self._checked(*block)
                 est, carried = self._start(y)
                 lanes = est.shape[-1]
@@ -266,7 +279,8 @@ class _EdgeStructure:
                 return
             labels, live, iterations, est, *carried = state
             del state  # so compaction frees the uncompacted arrays before the step
-            done = self._zero_syndrome(est)
+            # each lane's mask of rows whose estimate satisfies every check
+            done = ~np.bitwise_or.reduce(self.checks.parity(est), axis=0)
             finished = live & done
             if iterations[0] == max_iter:  # the oldest lanes come first
                 capped = iterations == max_iter
@@ -295,16 +309,6 @@ class _EdgeStructure:
 
     def _lanes(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return labels[None], np.ones(len(labels), dtype=bool)
-
-    def _zero_syndrome(self, est: np.ndarray) -> np.ndarray:
-        """Each lane's mask, row r set when its estimate satisfies every
-        check: an XOR over each check's slots, then an OR over the checks.
-        Both are bitwise, so bool lanes and uint64 lanes take the same path."""
-        bits = est.take(self.slot_bit, axis=0)
-        if len(self.pad_slots):
-            bits[self.pad_slots] = 0
-        parity = np.bitwise_xor.reduce(bits.reshape(*self.view, est.shape[-1]), axis=0)
-        return ~np.bitwise_or.reduce(parity, axis=0)
 
     def _hand_out(self, finished, done, labels, iterations, est):
         """(labels, words, iterations, syndrome_zero) of the ``finished``

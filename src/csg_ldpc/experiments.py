@@ -16,11 +16,11 @@ turn applies its own rho or sigma to that one draw
 (``channel.apply_noise``) and feeds the block to the stream.  This module
 is the one place that draws a sweep's noise.  One syndrome call per
 config takes the block's received weights and one conversion its LLRs.
-``decode_stream`` takes a new block whenever fewer than
-``decoders.IN_FLIGHT`` (128) lanes are still decoding, so a row that runs
-to the iteration cap shares its iterations with fresh rows, those of the
-next config included, rather than holding a whole block's pass to a few
-rows.  A lane is one row for sum-product and one uint64 word of up to 64
+``decode_stream`` takes a new block whenever fewer lanes than its budget
+(``decoders.IN_FLIGHT``, 128, for n up to 2048) are still decoding, so a
+row that runs to the iteration cap shares its iterations with fresh
+rows, those of the next config included, rather than holding a whole
+block's pass to a few rows.  A lane is one row for sum-product and one uint64 word of up to 64
 rows for Gallager A, so a Gallager A block is one lane.  Each row goes in
 labelled with its config's index, so a finished row's errors and flags go
 into that config's integer sums: the order in which rows finish cannot
@@ -31,8 +31,9 @@ block of noise.  For sum-product that is 191 rows; on 90A sweeps,
 128-trial blocks cost ~1.6% more peak RSS and did not make them
 measurably faster.  For Gallager A it is 128 lanes, up to 8192 rows at
 1 + d bits of state per bit and row: all of ``simulate-ga-w2``'s 6000
-rows at once on 48A, and ~150 MB of peak RSS for 10,000 trials at the
-5000-bit vertex cap.
+rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
+(``decoders.LANE_WORDS``): 52 lanes at the 5000-bit vertex cap, where
+10,000 Gallager A trials peak at ~95 MB of RSS.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly

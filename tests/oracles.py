@@ -196,6 +196,17 @@ def support_lists(h: BitMatrix) -> tuple[list[list[int]], list[list[int]]]:
     return check_bits, bit_checks
 
 
+def check_columns_from_dense(h: BitMatrix) -> np.ndarray:
+    """``channel.ParityChecks.columns`` derived from ``h.to_numpy()``:
+    column i lists row i's nonzero columns, ascending, padded with n to the
+    largest row weight; the table keeps at least one row."""
+    supports = [np.nonzero(row)[0] for row in h.to_numpy()]
+    table = np.full((max([1, *map(len, supports)]), h.nrows), h.ncols, dtype=np.intp)
+    for i, cols in enumerate(supports):
+        table[:len(cols), i] = cols
+    return table
+
+
 def _syndrome_zero(check_bits: list[list[int]], est: Sequence[int]) -> bool:
     return all(sum(est[b] for b in bits) % 2 == 0 for bits in check_bits)
 

@@ -11,6 +11,7 @@ from csg_ldpc.bounds import (
     clique_number,
     compute_bounds,
     dimension_bound_check,
+    gram_matrix,
     independent_set_lower,
     piecewise_distance_bound,
     predict_trivial,
@@ -18,13 +19,14 @@ from csg_ldpc.bounds import (
     tanner_bounds,
     verify_gram_identity,
 )
-from csg_ldpc.codes import build_code, code_from_parity_check
+from csg_ldpc.analysis import load_graph_file
+from csg_ldpc.codes import build_code, code_from_parity_check, extend_parity_check, parity_check_of
 from csg_ldpc.constructions import generalized_petersen
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph, adjacency_array, parse_lcf
 
 from oracles import bit_pairs_by_columns, jacobi_eigenvalues
-from strategies import parity_checks
+from strategies import irregular_checks_and_blocks, parity_checks
 
 
 def complete_graph(n):
@@ -69,6 +71,36 @@ def test_gram_identity(heawood_code):
     k33 = build_code(parse_lcf("[3,-3]^3"))
     # columns share two checks, so the entrywise identity must fail
     assert not verify_gram_identity(k33, bit_node_graph(k33))
+
+
+def _dense_gram(h):
+    dense = h.to_numpy().astype(np.int64)
+    return dense.T @ dense
+
+
+@given(irregular_checks_and_blocks())
+@settings(max_examples=150, deadline=None)
+def test_gram_matrix_equals_the_dense_product(case):
+    h, _ = case
+    gram = gram_matrix(code_from_parity_check(h))
+    assert gram.dtype == np.float64 and np.array_equal(gram, _dense_gram(h))
+
+
+@pytest.mark.parametrize("name", ["6A.lcf", "8A.lcf", "extended-heawood"])
+def test_gram_matrix_counts_every_shared_check(name, data_dir, heawood_code):
+    if name == "extended-heawood":
+        h = extend_parity_check(heawood_code, 3).H
+    else:
+        h = parity_check_of(load_graph_file(data_dir / name))
+    gram = gram_matrix(code_from_parity_check(h))
+    assert np.array_equal(gram, _dense_gram(h))
+    off_diagonal = gram[~np.eye(h.ncols, dtype=bool)]
+    if name == "extended-heawood":
+        # the three added bits sit in one check each
+        assert sorted(np.diag(gram).tolist()) == [1.0] * 3 + [3.0] * 7 and off_diagonal.max() == 1
+    else:
+        # Tanner 4-cycles: some pairs of bits share two or more checks
+        assert off_diagonal.max() >= 2
 
 
 def test_clique_number_known_graphs():

@@ -20,10 +20,10 @@ from csg_ldpc.channel import (
     transmit,
 )
 from csg_ldpc.analysis import load_graph_file
-from csg_ldpc.codes import build_code
+from csg_ldpc.codes import build_code, parity_check_of
 from csg_ldpc.gf2 import BitMatrix
 
-from oracles import support_lists
+from oracles import check_columns_from_dense, support_lists
 from strategies import irregular_checks_and_blocks
 
 
@@ -177,7 +177,7 @@ def test_block_syndrome_matches_rows_and_oracle(case):
     h, block = case
     bits, weights = syndrome(h, block)
     assert bits.shape == (len(block), h.nrows) and weights.dtype == np.int64
-    for other in (h.to_numpy(), ParityChecks(h)):
+    for other in (BitMatrix.from_numpy(h.to_numpy()), ParityChecks(h)):
         other_bits, other_weights = syndrome(other, block)
         assert np.array_equal(bits, other_bits) and np.array_equal(weights, other_weights)
     check_bits, _ = support_lists(h)
@@ -186,6 +186,24 @@ def test_block_syndrome_matches_rows_and_oracle(case):
         assert row_bits.tolist() == expect and w == sum(expect)
         one_bits, one_w = syndrome(h, y)
         assert np.array_equal(one_bits, row_bits) and type(one_w) is int and one_w == w
+
+
+@given(irregular_checks_and_blocks())
+@example((_IRREGULAR, np.zeros((0, 4), dtype=np.uint8)))
+@settings(max_examples=150, deadline=None)
+def test_check_table_matches_the_dense_oracle(case):
+    h, _ = case
+    columns = ParityChecks(h).columns
+    expected = check_columns_from_dense(h)
+    assert columns.dtype == expected.dtype and np.array_equal(columns, expected)
+    assert not columns.flags.writeable
+
+
+def test_check_table_of_every_catalog_code(catalog):
+    assert len(catalog) == 14
+    for gid, (g, _) in catalog.items():
+        h = parity_check_of(g)
+        assert np.array_equal(ParityChecks(h).columns, check_columns_from_dense(h)), gid
 
 
 def test_syndrome_parity_survives_uint8_wrap():
@@ -205,6 +223,7 @@ def test_syndrome_weight_of_every_check_odd_fits_its_accumulator(m):
     # uint16 for 256; check i touches bits i and i + 1 of 257
     h = np.zeros((m, 257), dtype=np.uint8)
     h[np.arange(m), np.arange(m)] = h[np.arange(m), np.arange(m) + 1] = 1
+    h = BitMatrix.from_numpy(h)
     alternating = np.arange(257, dtype=np.uint8) % 2
     block = np.stack([alternating, 1 - alternating, np.zeros(257, np.uint8)])
     bits, weights = syndrome(h, block)

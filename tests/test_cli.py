@@ -12,6 +12,7 @@ from csg_ldpc import cli, codes, experiments
 from csg_ldpc.alist import parse_alist
 from csg_ldpc.analysis import MAX_GRAPH_BYTES, load_graph_file
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
+from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import MAX_VERTICES, parse_lcf
 from csg_ldpc.sweep import MAX_TRIAL_POINTS
 
@@ -342,6 +343,44 @@ def test_h_only_commands_never_eliminate(heawood_path, tmp_path, monkeypatch, ar
         written.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
         monkeypatch.setattr(codes, "code_from_parity_check", _eliminate)
     assert written[0] == written[1] and "out" in written[0]
+
+
+# every subcommand on one graph "{g}": catalog reads a directory "{d}"
+# holding only that graph, export-alist writes "{o}"
+EVERY_SUBCOMMAND = [
+    ["analyze", "{g}"],
+    ["catalog", "{d}"],
+    ["export-alist", "{g}", "{o}"],
+    simulate_argv(decoder="gallager-a"),
+    simulate_argv(decoder="sum-product"),
+    variance_argv(),
+    ["extend", "{g}", "--bits", "2"],
+]
+
+
+def _dense_copy(*_args, **_kwargs):
+    raise AssertionError("a subcommand made a dense copy of H")
+
+
+@pytest.mark.parametrize("graph", ["48A.edges", "6A.lcf"])
+def test_no_subcommand_makes_a_dense_copy_of_h(data_dir, tmp_path, monkeypatch, capsys, graph):
+    # numpy code reads H through BitMatrix.supports() alone, so each run
+    # prints the same with BitMatrix.to_numpy replaced by a raiser
+    (tmp_path / "graphs").mkdir()
+    path = tmp_path / "graphs" / graph
+    path.write_text((data_dir / graph).read_text())
+    out = tmp_path / "h.alist"
+
+    def run_all():
+        printed = []
+        for argv in EVERY_SUBCOMMAND:
+            assert main([arg.format(g=path, d=path.parent, o=out) for arg in argv]) == 0, argv
+            printed.append(capsys.readouterr().out)
+        return printed, out.read_bytes()
+
+    free = run_all()
+    monkeypatch.setattr(BitMatrix, "to_numpy", _dense_copy)
+    assert run_all() == free
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in BAD_INPUTS], ids=[name for name, _ in BAD_INPUTS])

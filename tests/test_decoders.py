@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from csg_ldpc import decoders
 from csg_ldpc.analysis import load_graph_file
 from csg_ldpc.channel import AwgnChannel, BscChannel, llr_from_awgn, llr_from_bsc, transmit
-from csg_ldpc.codes import build_code, extend_parity_check
+from csg_ldpc.codes import build_code, extend_parity_check, parity_check_of
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import parse_lcf
@@ -264,6 +264,34 @@ def test_yielded_arrays_stay_valid(nauru_code, decoder_type, in_flight):
     result = decoder.decode(block[0])
     assert result.word.shape == (nauru_code.n,) and result.word.dtype == np.uint8
     assert result.word.flags.c_contiguous
+
+
+@pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
+def test_lane_budget_changes_no_row(data_dir, decoder_type):
+    # LANE_WORDS = 2n holds 48A's stream to 2 lanes before admission, so
+    # with 8-row blocks at most 2 + 8 - 1 lanes step at once where the
+    # default budget lets every block in; each row still comes back once,
+    # with the same word, iteration count and flag
+    h = parity_check_of(load_graph_file(data_dir / "48A.edges"))
+    words = (np.random.default_rng(61).random((320, h.ncols)) < 0.12).astype(np.uint8)
+    block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.12)
+    decoder = decoder_type(h)
+    lanes = []
+    decoder._step = lambda *state: lanes.append(state[0].shape[-1]) or decoder_type._step(decoder, *state)
+
+    def run():
+        lanes.clear()
+        got = Counter()
+        for labels, out, iterations, syndrome_zero in decoder.decode_stream(_split(block, range(8, 320, 8)), 20):
+            got.update(zip(labels.tolist(), map(bytes, out), iterations.tolist(), syndrome_zero.tolist()))
+        return got, max(lanes)
+
+    free, free_lanes = run()
+    with patch.object(decoders, "LANE_WORDS", 2 * h.ncols):
+        capped, capped_lanes = run()
+    assert capped == free and sorted(label for label, *_ in free) == list(range(len(block)))
+    block_lanes = 1 if decoder_type is GallagerADecoder else 8
+    assert capped_lanes <= 2 + block_lanes - 1 < free_lanes
 
 
 def test_block_wider_than_in_flight_matches_oracles(data_dir):

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from csg_ldpc.constructions import generalized_petersen
@@ -40,3 +42,21 @@ def test_build_catalog_refuses_a_failing_recipe(tmp_path, monkeypatch, capsys):
     written = {p.name for p in tmp_path.iterdir()}
     assert "14A.lcf" not in written and "10A.edges" not in written
     assert {"6A.lcf", "90A.lcf", "56C.edges", "manifest.json"} <= written
+
+
+def test_budget_script_measures_and_enforces():
+    def run(wall, rss, *command):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS_DIR / "budget.py"), wall, rss, *command],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    within = run("60", "4096", sys.executable, "-c", "print('done')")
+    assert within.returncode == 0 and within.stdout == "done\n"
+    assert "wall " in within.stderr and "peak RSS " in within.stderr and "over budget" not in within.stderr
+    # any interpreter takes more than 0 s and more than 1 MB
+    for wall, rss in (("0", "4096"), ("60", "1")):
+        over = run(wall, rss, sys.executable, "-c", "pass")
+        assert over.returncode == 1 and "over budget" in over.stderr
+    # a failing command's own status wins
+    assert run("60", "4096", sys.executable, "-c", "raise SystemExit(3)").returncode == 3
