@@ -146,6 +146,7 @@ class ParityChecks:
         bits, or uint64 words of 64 rows each).  The bits are copied once
         with a zero row appended for the padded slots, then gathered by
         whole contiguous rows and XORed over each check's slots."""
+        # n + 1 rows even with no padded slot: an n-row copy cost `variance` ~10% of its rate and 2 MB of RSS on 90A
         padded = np.zeros((self.ncols + 1,) + bits.shape[1:], dtype=bits.dtype)
         padded[:-1] = bits
         return np.bitwise_xor.reduce(padded.take(self.columns, axis=0), axis=0)

@@ -17,20 +17,24 @@ lanes in order, and a partly filled last lane carries zero rows that no
 one asked for.
 
 The state is slot-major: each lane is a column.  Estimates, and
-sum-product's channel and total LLRs, are (n, L) for L lanes, and
-messages are (S, L), or (S + 1, L) with a zero last row.  Messages live
-in the check slots of ``channel.ParityChecks``, the one incidence table
-of H: with m checks of degree at most w, slot p * m + i (of S = w m)
-holds check i's p-th bit, so the messages reshaped to (w, m, L) are the
-check view, whose w (m, L) blocks are contiguous, and the bit view
-gathers them through a (d, n) table of each bit's slots in ascending
-check order, d the largest bit degree.  Every gather is a ``take`` along
-axis 0, a copy of whole contiguous rows.  A bit of lower degree than d
-has spare entries in the bit view, and a check of lower degree than w
-has padding slots; each rule gives both the value that leaves it
-unchanged.  No code of the catalog has either.  The zero syndrome test
-is ``ParityChecks.parity``, the routine ``channel.syndrome`` runs, on
-the estimates as they are: bool rows or uint64 lanes.
+sum-product's channel and total LLRs, are (n, L) for L lanes.  Both
+decoders keep their messages in one layout, the bit view: a (d, n, L)
+array, d the largest bit degree, whose entry (k, j) holds the message on
+bit j's k-th edge in ascending check order, so its d (n, L) blocks are
+contiguous.  Each iteration also reads the same edges in the check view
+of ``channel.ParityChecks``, the one incidence table of H: with m checks
+of degree at most w, slot p * m + i (of S = w m) holds check i's p-th
+bit, so an (S, L) array reshaped to (w, m, L) has one contiguous (m, L)
+block per position.  Two tables connect the views: ``slot_entry`` gives
+each slot's bit-view entry k n + j and ``bit_slots`` each entry's slot,
+and every gather is a ``take`` along axis 0, a copy of whole contiguous
+rows.  A check of lower degree than w has padding slots, and a bit of
+lower degree than d padding entries.  There is one padding rule: a
+padding slot reads entry 0, a padding entry reads slot 0, and the update
+rule then overwrites either with the value that leaves that rule
+unchanged.  No code of the catalog has either.  The zero syndrome test is
+``ParityChecks.parity``, the routine ``channel.syndrome`` runs, on the
+estimates as they are: bool rows or uint64 lanes.
 
 The loop keeps every lane's labels, an integer for each row that the
 caller hands in with its block, which of its rows are still live, and an
@@ -50,7 +54,7 @@ overhead.
 
 The lane budget is ``IN_FLIGHT`` (128) lanes, cut to ``LANE_WORDS // n``
 for n above 2048: a lane's state and step temporaries grow with n (a
-Gallager A lane carries (1 + d) n words and a sum-product lane 2n + S + 1
+Gallager A lane carries (1 + d) n words and a sum-product lane (2 + d) n
 floats), so lanes x n bounds the decoder's memory whatever n.
 """
 
@@ -63,6 +67,7 @@ import numpy as np
 
 from .channel import LLR_CLAMP, ParityChecks, padded_groups
 from .gf2 import BitMatrix
+from .sweep import is_integer
 
 __all__ = ["DecodeResult", "GallagerADecoder", "SumProductDecoder"]
 
@@ -101,12 +106,12 @@ def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leave_one_out_ands(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _leave_one_out_ands(x: np.ndarray) -> np.ndarray:
     """out[p] is the AND of x[q] over every q != p along axis 0, all ones
     where there is none: ``_leave_one_out_products``' shared prefixes, and
     since an AND, unlike a float product, is exact in any order, shared
     suffixes too.  About 3d operations for d planes, 3 for d = 3."""
-    out = np.empty_like(x) if out is None else out
+    out = np.empty_like(x)
     degree = len(x)
     suffix = [None] * (degree + 1)  # suffix[p] = x[p] & ... & x[d - 1], p >= 1
     for p in range(degree - 1, 0, -1):
@@ -190,10 +195,14 @@ class DecodeResult:
 
 
 class _EdgeStructure:
-    """H's edges as message slots, laid out as the module docstring says:
-    ``slot_bit`` is ``checks.columns`` raveled, padding slots
-    (``pad_slots``) read from bit 0; ``view`` is the check view's (w, m);
-    column j of ``bit_slots`` lists bit j's slots, padded with S.
+    """H's edges in the two views of the module docstring.  ``view`` is
+    the check view's (w, m) and ``slots`` its S.  ``bit_slots`` is the
+    (d, n) table of each bit-view entry's slot and ``slot_entry`` the (S,)
+    table of each slot's entry k n + j.  Padding slots (``pad_slots``)
+    read entry 0 and padding entries (the (d, n) mask ``bit_pad``) slot 0;
+    a step runs only while some check of H has a bit, so both exist.
+    ``has_bit_pad`` tells the steps whether to overwrite any entry at all:
+    a masked write that selects nothing still costs ~3 us.
 
     Subclasses supply the update rule and the lane format.  ``_start(y)``
     takes a (B, n) block and returns the iteration-0 estimate and a tuple
@@ -208,19 +217,20 @@ class _EdgeStructure:
         self.n = h.ncols
         self.checks = ParityChecks(h)
         columns = self.checks.columns
-        if not self.n:  # no bits to pad with: no slots
-            columns = columns[:0]
         self.view = columns.shape
         self.slots = columns.size
         real = columns < self.n
-        self.slot_bit = np.where(real, columns, 0).ravel()
         self.pad_slots = np.flatnonzero(~real)
         # every edge, in ascending check order
         check, position = np.nonzero(real.T)
         bits = columns[position, check]
         self.bit_deg = np.bincount(bits, minlength=self.n)
-        table = padded_groups(bits, position * self.view[1] + check, self.n, fill=self.slots)
+        table = padded_groups(bits, position * self.view[1] + check, self.n, fill=0)
         self.bit_slots = np.ascontiguousarray(table.T)
+        self.bit_pad = np.arange(len(self.bit_slots))[:, None] >= self.bit_deg
+        self.has_bit_pad = bool(self.bit_pad.any())
+        self.slot_entry = np.zeros(self.slots, dtype=np.intp)
+        self.slot_entry[self.bit_slots[~self.bit_pad]] = np.flatnonzero(~self.bit_pad)
 
     def decode(self, y: np.ndarray, max_iter: int = 50) -> DecodeResult:
         """Decode one word: the B = 1 case of ``decode_block``."""
@@ -252,8 +262,14 @@ class _EdgeStructure:
         block is read only when it is admitted.  Each pass that finishes
         rows yields (labels, words, iterations, syndrome_zero): the rows'
         labels and, for each, what ``decode`` returns for it, words as a
-        (k, n) array.
+        (k, n) array.  ``max_iter`` must be a non-negative integer, Python
+        or numpy; anything else raises ``ValueError`` before any block is
+        read.
         """
+        # a row that never reaches a zero syndrome stops only at
+        # iterations == max_iter, which a cap of -1 or 2.5 never meets
+        if not is_integer(max_iter) or max_iter < 0:
+            raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
         blocks = iter(blocks)
         budget = min(IN_FLIGHT, max(1, LANE_WORDS // max(self.n, 1)))
         # one array per quantity, each lane at the same place along the
@@ -333,32 +349,26 @@ class GallagerADecoder(_EdgeStructure):
     check when every other check disagrees (a leave-one-out AND), and its
     estimate when more than half of its d + 1 inputs disagree: for
     d = 3, ``y ? c1 | c2 | c3 : c1 & c2 & c3``.  A bit of degree 2 or more
-    reads its padding entries as disagreeing, which changes neither rule
-    once its threshold counts them; one of degree 0 or 1 reads them as
-    agreeing, so it never flips.
+    fills its padding entries with "disagree", which changes neither rule
+    once its threshold counts them; one of degree 0 or 1 fills them with
+    "agree", so it never flips.  The check XOR fills padding slots with 0.
+    The start state is all zeros, padding entries included: a first step
+    reads a padding entry only in the leave-one-out AND of a bit's real
+    entry, which for a bit of degree 2 or more also takes another real
+    entry, 0, so only the fill of lower degrees counts, and that is 0.
     """
 
     def __init__(self, h: BitMatrix):
         super().__init__(h)
-        degree, n = self.bit_slots.shape
-        pad = self.bit_slots == self.slots
         several = self.bit_deg >= 2
-        # rows of the raveled (d n, L) bit view
-        self.pad_ones = np.flatnonzero(pad & several)
-        self.pad_zeros = np.flatnonzero(pad & ~several)
-        # where each slot's bit-view entry sits; padding slots read the
-        # zero row past the d n entries
-        self.slot_entry = np.full(self.slots, degree * n)
-        real = ~pad
-        self.slot_entry[self.bit_slots[real]] = np.flatnonzero(real)
-        # bit_slots with padding entries at slot 0, which _padded overwrites
-        self.bit_entries = np.where(pad, 0, self.bit_slots)
+        # the fill of each padding entry, in the order bit_pad selects them
+        self.pad_fill = np.where(several, _ALL_ONES, np.uint64(0))[np.nonzero(self.bit_pad)[1], None]
         # a bit of degree k flips its estimate when more than half of its
         # k + 1 inputs disagree, that is on at least ceil(k / 2) + 1 =
         # k + 1 - k // 2 of its k checks (all 3 for k = 3), so with its
         # d - k padding entries on at least d + 1 - k // 2 of d: bits of
         # one such threshold vote together, all of them if they can
-        thresholds = degree + 1 - self.bit_deg // 2
+        thresholds = len(self.bit_slots) + 1 - self.bit_deg // 2
         groups = sorted(set(thresholds[several].tolist()))
         if len(groups) == 1:
             self.votes = [(None, groups[0])]
@@ -395,29 +405,29 @@ class GallagerADecoder(_EdgeStructure):
         if (bits != y).any():
             raise ValueError("Gallager A input must be hard decisions, every entry 0 or 1")
         y = _pack(bits)
-        disagree = np.zeros(self.bit_slots.shape + y.shape[1:], dtype=np.uint64)
-        return y, (y, self._padded(disagree))
+        return y, (y, np.zeros(self.bit_slots.shape + y.shape[1:], dtype=np.uint64))
 
     def _step(self, y: np.ndarray, disagree: np.ndarray):
         """One iteration from the received lanes and the last iteration's
         disagreeing checks, (d, n, L) in the bit view.  Each temporary is
         dropped once the next is made: at n = 5000 one is ~5 MB a plane."""
-        degree, n, lanes = disagree.shape
-        # bit-to-check messages in the bit view, then a zero row that every
-        # padding slot reads: a bit flips what it sends a check when every
-        # other check disagrees with it
-        sent = np.empty((degree * n + 1, lanes), dtype=np.uint64)
-        sent[-1] = 0
-        in_bit_view = _leave_one_out_ands(disagree, out=sent[:-1].reshape(disagree.shape))
-        in_bit_view ^= y
+        lanes = y.shape[1]
+        # bit-to-check messages: a bit flips what it sends a check when
+        # every other check disagrees with it
+        sent = _leave_one_out_ands(disagree)
+        sent ^= y
         # in the check view, each check sends a slot the XOR of the others
-        heard = sent.take(self.slot_entry, axis=0).reshape(*self.view, lanes)
-        del sent, in_bit_view
+        heard = sent.reshape(-1, lanes).take(self.slot_entry, axis=0)
+        del sent
+        if len(self.pad_slots):
+            heard[self.pad_slots] = 0
+        heard = heard.reshape(*self.view, lanes)
         heard ^= np.bitwise_xor.reduce(heard, axis=0)
-        disagree = heard.reshape(self.slots, lanes).take(self.bit_entries, axis=0)
+        disagree = heard.reshape(self.slots, lanes).take(self.bit_slots, axis=0)
         del heard
         disagree ^= y
-        disagree = self._padded(disagree)
+        if self.has_bit_pad:
+            disagree[self.bit_pad] = self.pad_fill
         flips = np.zeros_like(y)
         for bits, t in self.votes:
             if bits is None:
@@ -425,16 +435,6 @@ class GallagerADecoder(_EdgeStructure):
             else:
                 flips[bits] = _at_least(disagree[:, bits], t)
         return y ^ flips, (y, disagree)
-
-    def _padded(self, disagree: np.ndarray) -> np.ndarray:
-        """``disagree`` with every bit-view padding entry set as the class
-        docstring says."""
-        if len(self.pad_ones) or len(self.pad_zeros):
-            degree, n, lanes = disagree.shape
-            flat = disagree.reshape(degree * n, lanes)
-            flat[self.pad_ones] = _ALL_ONES
-            flat[self.pad_zeros] = 0
-        return disagree
 
 
 class SumProductDecoder(_EdgeStructure):
@@ -452,28 +452,30 @@ class SumProductDecoder(_EdgeStructure):
         llr = np.ascontiguousarray(llr.T, dtype=np.float64)
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
-        return llr < 0, (llr, llr, np.zeros((self.slots + 1, llr.shape[1])))
+        return llr < 0, (llr, llr, np.zeros(self.bit_slots.shape + llr.shape[1:]))
 
     def _step(self, llr: np.ndarray, total: np.ndarray, c2b: np.ndarray):
-        """One iteration from the last iteration's (total, c2b).  A bit's
-        incoming messages add in ascending check order, then its channel
-        LLR."""
-        b2c = total.take(self.slot_bit, axis=0)
-        b2c -= c2b[:self.slots]
+        """One iteration from the last iteration's (total, c2b), c2b (d, n,
+        L) in the bit view.  A bit's incoming messages add in ascending
+        check order, then its channel LLR."""
+        lanes = llr.shape[1]
+        # bit-to-check messages, written over the check messages they replace
+        b2c = np.subtract(total, c2b, out=c2b)
         np.clip(b2c, -LLR_CLAMP, LLR_CLAMP, out=b2c)
         b2c /= 2.0
-        th = np.tanh(b2c, out=b2c)
+        np.tanh(b2c, out=b2c)
+        th = b2c.reshape(-1, lanes).take(self.slot_entry, axis=0)
         th[self.pad_slots] = 1.0
-        products = _leave_one_out_products(th.reshape(*self.view, -1))
+        products = _leave_one_out_products(th.reshape(*self.view, lanes))
+        del th
         np.clip(products, -_ONE_MINUS, _ONE_MINUS, out=products)
         np.arctanh(products, out=products)
         products *= 2.0
-        # a zero last row, which every spare bit-view entry reads
-        c2b = np.empty((self.slots + 1, th.shape[1]))
-        c2b[self.slots] = 0
-        np.clip(products, -LLR_CLAMP, LLR_CLAMP, out=c2b[:self.slots].reshape(products.shape))
-        total = c2b.take(self.bit_slots[0], axis=0)
-        for slots in self.bit_slots[1:]:
-            total += c2b.take(slots, axis=0)
+        np.clip(products, -LLR_CLAMP, LLR_CLAMP, out=products)
+        c2b = products.reshape(self.slots, lanes).take(self.bit_slots, axis=0)
+        del products
+        if self.has_bit_pad:
+            c2b[self.bit_pad] = 0.0
+        total = np.add.reduce(c2b, axis=0)
         total += llr
         return total < 0, (llr, total, c2b)

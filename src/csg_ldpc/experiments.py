@@ -33,7 +33,7 @@ measurably faster.  For Gallager A it is 128 lanes, up to 8192 rows at
 1 + d bits of state per bit and row: all of ``simulate-ga-w2``'s 6000
 rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
 (``decoders.LANE_WORDS``): 52 lanes at the 5000-bit vertex cap, where
-10,000 Gallager A trials peak at ~95 MB of RSS.
+README's cap table gives the peak RSS of 10,000 Gallager A trials.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
@@ -62,8 +62,8 @@ parameter.  Results do not depend on the worker count, so
 when the sweep's work pays for its fork.  2^18 bit-decodes per extra
 process (2^19 for Gallager A) is the measured crossover of one process
 against two on a 2-CPU machine, below which no call gains from a second
-process; ``_pool_size`` holds the table it was read from.  With one span
-the task runs in-process.
+process; README's Python API section holds the table it was read from.
+With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
 
 numpy 2.x loads ``numpy.random`` lazily, and every worker needs it.  So
@@ -100,7 +100,7 @@ from .channel import (
 )
 from .decoders import GallagerADecoder, SumProductDecoder
 from .gf2 import BitMatrix
-from .sweep import DECODER_NAMES, MAX_ITERATIONS
+from .sweep import DECODER_NAMES, MAX_ITERATIONS, is_integer
 
 __all__ = [
     "DECODERS",
@@ -254,6 +254,8 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
 class ExperimentConfig:
     """One decoding experiment: parity check, channel, decoder, budget.
 
+    ``trials``, ``master_seed``, ``max_iterations`` and ``worker_count``
+    are Python or numpy integers (``sweep.is_integer``).
     ``max_iterations`` may be 0 to measure the raw channel (hard decisions
     only), and at most ``MAX_ITERATIONS``.  ``worker_count`` > 1 splits
     trials over processes without changing any number in the result; it is
@@ -272,6 +274,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}, expected {tuple(DECODERS)}")
+        for name in ("trials", "master_seed", "max_iterations", "worker_count"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0 <= self.max_iterations <= MAX_ITERATIONS:
@@ -380,32 +385,12 @@ def _pool_size(worker_count: int, trials: int, bit_decodes: int, decoder: str) -
     is only a ceiling.
 
     The constants are the crossovers of one process against two, measured
-    on a 2-CPU machine with 3-point sweeps, ``run_experiments`` in a
-    process that had run sweeps before (median of 11; of 21 where marked
-    with *) and fresh ``simulate`` CLI calls (median of 10), in ms:
-
-    ===========================  ===========  ==========  ==========
-    sweep                        bit-decodes  in process  fresh CLI
-                                              1 / 2       1 / 2
-    ===========================  ===========  ==========  ==========
-    Gallager A, 48A, 3 x 2000    144k         41 / 47     366 / 420
-    Gallager A, 48A, 3 x 4000    288k         78 / 80 *   397 / 440
-    Gallager A, 48A, 3 x 6000    432k         110 / 108 * 451 / 485
-    Gallager A, 48A, 3 x 8000    576k         142 / 120 * 467 / 470
-    Gallager A, 48A, 3 x 32000   2.3M         564 / 353   892 / 758
-    sum-product, 90A, 3 x 1000   135k         40 / 45     403 / 495
-    sum-product, 90A, 3 x 2000   270k         69 / 68 *   431 / 468
-    sum-product, 90A, 3 x 4000   540k         152 / 114   518 / 561
-    sum-product, 90A, 3 x 8000   1.08M        338 / 223   648 / 599
-    ===========================  ===========  ==========  ==========
-
-    In process two pay from ~270k (sum-product) and from between 432k and
-    576k (Gallager A), so 2^18 and 2^19 are the crossovers.  A one-shot
-    CLI call also pays the pool's imports, and two pay there only from
-    ~0.6-1M: ``simulate`` imports numpy and the decoders either way, so
-    keeping them out of the other commands does not move that.  Below its
-    crossover no call gains from a second process, and above it the pool
-    starts as it did without the cap.
+    on a 2-CPU machine with 3-point sweeps, in process and as fresh
+    ``simulate`` CLI calls; README's Python API section holds the table
+    they were read from.  In process two pay from ~270k (sum-product) and
+    from between 432k and 576k (Gallager A), so 2^18 and 2^19 are the
+    crossovers; a one-shot CLI call also pays the pool's imports, and two
+    pay there only from ~0.6-1M.
     """
     work = bit_decodes // _GALLAGER_A_DISCOUNT if decoder == "gallager-a" else bit_decodes
     return min(worker_count, trials, _usable_cpus(), 1 + work // _WORK_PER_EXTRA_PROCESS)
@@ -521,6 +506,9 @@ def syndrome_statistics(
     rounds, of the observed weight histogram.
     """
     noise = BscChannel(rho)
+    for name, value in (("trials", trials), ("master_seed", master_seed)):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 2:
         raise ValueError("need at least two trials")
     m = h.nrows

@@ -21,7 +21,7 @@ from oracles import (
     reference_sum_product,
     support_lists,
 )
-from strategies import parity_checks
+from strategies import irregular_checks_and_blocks, parity_checks
 
 # the rate-boosted Heawood code has degree-1 bits, unlike the catalog codes
 EXTENDED_HEAWOOD = extend_parity_check(build_code(parse_lcf("[5,-5]^7")), 3).H
@@ -113,6 +113,69 @@ def test_input_validation(heawood_code):
     # bits of any dtype are accepted
     for dtype in (bool, np.int64, np.float64):
         assert ga.decode(np.eye(7, dtype=dtype)[0]).syndrome_zero
+
+
+def test_iteration_cap_must_be_a_non_negative_integer(data_dir):
+    # a row that never reaches a zero syndrome stops only at iterations ==
+    # max_iter, which -1 or 2.5 never meets: such a cap is refused before
+    # any block is read, so a lazy stream of blocks is not touched either
+    h = parity_check_of(load_graph_file(data_dir / "48A.edges"))
+    word = np.zeros(h.ncols, dtype=np.uint8)
+    word[[0, 5, 11, 17, 20, 23]] = 1
+    for decoder, y in ((GallagerADecoder(h), word), (SumProductDecoder(h), llr_from_bsc(word, 0.3))):
+        for bad in (-1, 2.5, np.float64(3.0), True, "3", None, np.int64(-2)):
+            with pytest.raises(ValueError, match="max_iter"):
+                decoder.decode(y, max_iter=bad)
+            with pytest.raises(ValueError, match="max_iter"):
+                decoder.decode_block(y[None], max_iter=bad)
+            with pytest.raises(ValueError, match="max_iter"):
+                next(decoder.decode_stream(iter(()), max_iter=bad))
+        expected = decoder.decode(y, max_iter=3)
+        for cap in (np.int64(3), np.uint8(3), np.int32(3)):
+            got = decoder.decode(y, max_iter=cap)
+            assert got.iterations == expected.iterations and np.array_equal(got.word, expected.word)
+
+
+def _assert_shared_tables(h):
+    """Both decoders' gather tables and padding sets against the supports
+    of H: entry (k, j) of the bit view is bit j's k-th check in ascending
+    order, slot p m + i is check i's p-th bit, and every padding slot or
+    entry reads entry or slot 0."""
+    check_bits, bit_checks = support_lists(h)
+    n, m = h.ncols, h.nrows
+    width, depth = max([1, *map(len, check_bits)]), max([1, *map(len, bit_checks)])
+    ga = GallagerADecoder(h)
+    for decoder in (ga, SumProductDecoder(h)):
+        assert decoder.view == (width, m) and decoder.slots == width * m
+        assert decoder.bit_slots.shape == decoder.bit_pad.shape == (depth, n)
+        assert decoder.slot_entry.shape == (width * m,)
+        pads = sorted(p * m + i for i in range(m) for p in range(len(check_bits[i]), width))
+        assert decoder.pad_slots.tolist() == pads
+        assert not decoder.slot_entry[decoder.pad_slots].any()
+        for j in range(n):
+            for k in range(depth):
+                if k < len(bit_checks[j]):
+                    i = bit_checks[j][k]
+                    slot = check_bits[i].index(j) * m + i
+                    assert not decoder.bit_pad[k, j] and decoder.bit_slots[k, j] == slot
+                    assert decoder.slot_entry[decoder.bit_slots[k, j]] == k * n + j
+                else:
+                    assert decoder.bit_pad[k, j] and decoder.bit_slots[k, j] == 0
+        assert decoder.has_bit_pad == bool(decoder.bit_pad.any())
+    # Gallager A's fill: "disagree" (all ones) for a bit of degree 2 or more
+    fill = [decoders._ALL_ONES if len(bit_checks[j]) >= 2 else 0 for j in np.nonzero(ga.bit_pad)[1]]
+    assert ga.pad_fill.ravel().tolist() == fill
+
+
+@given(irregular_checks_and_blocks())
+@settings(max_examples=80, deadline=None)
+def test_shared_tables_on_drawn_checks(case):
+    _assert_shared_tables(case[0])
+
+
+def test_shared_tables_on_named_checks(catalog):
+    for h in (EXTENDED_HEAWOOD, DEGREE_140, *(parity_check_of(g) for g, _ in catalog.values())):
+        _assert_shared_tables(h)
 
 
 @st.composite

@@ -112,6 +112,14 @@ def test_config_validation(heawood_h):
         ExperimentConfig(**{**ok, "decoder": "sum-product", "channel": BscChannel(0.5)})
     ExperimentConfig(**{**ok, "channel": BscChannel(0.5)})
     ExperimentConfig(**{**ok, "decoder": "sum-product", "channel": BscChannel(0.45)})
+    # a float cap never meets a row's integer count, and a float trial
+    # count or seed fails later with a TypeError: each is refused here,
+    # while numpy integers pass
+    for name in ("trials", "master_seed", "max_iterations", "worker_count"):
+        for bad in (2.5, 3.0, np.float64(2.0), True, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentConfig(**{**ok, name: bad})
+        ExperimentConfig(**{**ok, name: np.int64(2)})
 
 
 def test_noiseless_channel_gives_zero_rates(heawood_h):
@@ -569,6 +577,14 @@ def test_rates_are_counts_over_totals(heawood_h):
     assert result.ber == result.bit_errors / (123 * 7)
     assert result.fer == result.word_errors / 123
     assert result.word_errors <= 123
+
+
+def test_syndrome_statistics_refuses_non_integer_counts(heawood_h):
+    for kwargs in ({"trials": 100.0}, {"trials": True}, {"master_seed": 1.5}, {"master_seed": "1"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            syndrome_statistics(heawood_h, 0.05, **{"trials": 100, "master_seed": 1, **kwargs})
+    stats = syndrome_statistics(heawood_h, 0.05, trials=np.int64(100), master_seed=np.uint8(1))
+    assert stats == syndrome_statistics(heawood_h, 0.05, trials=100, master_seed=1)
 
 
 def test_syndrome_statistics_determinism(heawood_h):

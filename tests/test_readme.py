@@ -38,3 +38,14 @@ def test_shell_examples_run(tmp_path, monkeypatch, capsys):
     for argv in examples:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_cap_budgets_match_ci():
+    # README's cap table states each subcommand's budget at the vertex cap,
+    # and CI's vertex-cap step runs every row through scripts/budget.py with
+    # the same two numbers: both lists, in the table's row order, must agree
+    table = re.findall(r"^\| .+ \| .+ \| (\S+) s / (\S+) MB \|$", README.read_text(), re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    ci = re.findall(r"^\s+cap (\S+) (\S+) \S", workflow, re.M)
+    assert len(table) == 8
+    assert ci == table
