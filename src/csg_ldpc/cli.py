@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -236,12 +237,20 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def _write(text: str, out: str | None) -> None:
     """``text`` to the file ``out``, or to stdout without one.  A write that
-    fails on flush raises an OSError with no file name; it gets ``out``."""
+    fails on flush raises an OSError with no file name; it gets ``out``.
+
+    ``out`` opens non-blocking, so a FIFO with no reader fails at once with
+    ENXIO instead of blocking the open until a reader comes; the flag is
+    then cleared, and a FIFO with a reader (``--out >(gzip > x.gz)``) or a
+    regular file is written as usual.
+    """
     if not out:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666), "w") as f:
+            os.set_blocking(f.fileno(), True)
+            f.write(text)
     except OSError as exc:
         exc.filename = exc.filename or out
         raise

@@ -51,19 +51,18 @@ draw, is paid once per trial, however many points the sweep has.
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
 Their one trial range splits into ``min(worker_count, trials, usable
-CPUs, 1 + bit-decodes // 2^18)`` spans, one task per worker, and worker w
+CPUs, 1 + bit-decodes // 2^19)`` spans, one task per worker, and worker w
 decodes span w of every config; the usable CPUs are the process's
 affinity mask where the OS has one, not the host's count, and the
-bit-decodes are trials x configs x n, halved for Gallager A.  So a
+bit-decodes are trials x configs x n, for either decoder.  So a
 ``simulate`` call starts and joins its processes once, and each worker
 builds one decoder and ends one stream tail, not one per channel
 parameter.  Results do not depend on the worker count, so
 ``worker_count`` is a ceiling, and a process past the first starts only
-when the sweep's work pays for its fork.  2^18 bit-decodes per extra
-process (2^19 for Gallager A) is the measured crossover of one process
-against two on a 2-CPU machine, below which no call gains from a second
-process; README's Python API section holds the table it was read from.
-With one span the task runs in-process.
+when the sweep's work pays for its fork.  2^19 bit-decodes per extra
+process is the measured crossover of one process against two for both
+decoders on a 2-CPU machine; README's Python API section holds the table
+it was read from.  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
 
 numpy 2.x loads ``numpy.random`` lazily, and every worker needs it.  So
@@ -130,14 +129,9 @@ _SAMPLE_ELEMENTS = 1 << 20
 _SEED_CHUNK = 1024
 
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
-# a second process pays from about this much work (_pool_size)
-_WORK_PER_EXTRA_PROCESS = 1 << 18
-
-# Gallager A bit-decodes that _pool_size counts as one: its sweeps gain
-# from a second process only past ~432k bit-decodes, against ~270k for
-# sum-product, so its crossover sits at 2^19 (524k), below the 576k where
-# two measured faster
-_GALLAGER_A_DISCOUNT = 2
+# a second process pays from about this much work, for either decoder
+# (_pool_size)
+_WORK_PER_EXTRA_PROCESS = 1 << 19
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
@@ -376,37 +370,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(worker_count: int, trials: int, bit_decodes: int, decoder: str) -> int:
+def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     """Processes worth starting: never more than the trials, the CPUs this
     process may run on (``_usable_cpus``), or one plus one per
-    ``_WORK_PER_EXTRA_PROCESS`` (2^18) of the sweep's ``bit_decodes``
-    (trials x configs x n); for ``decoder`` Gallager A,
-    ``_GALLAGER_A_DISCOUNT`` (2) of them count as one.  ``worker_count``
-    is only a ceiling.
+    ``_WORK_PER_EXTRA_PROCESS`` (2^19) of the sweep's ``bit_decodes``
+    (trials x configs x n), whichever the decoder.  ``worker_count`` is
+    only a ceiling.
 
-    The constants are the crossovers of one process against two, measured
-    on a 2-CPU machine with 3-point sweeps, in process and as fresh
-    ``simulate`` CLI calls; README's Python API section holds the table
-    they were read from.  In process two pay from ~270k (sum-product) and
-    from between 432k and 576k (Gallager A), so 2^18 and 2^19 are the
-    crossovers; a one-shot CLI call also pays the pool's imports, and two
-    pay there only from ~0.6-1M.
+    The constant is the crossover of one process against two for both
+    decoders, measured on a 2-CPU machine with 3-point sweeps as fresh
+    ``simulate`` CLI calls, the path a user runs: both lose up to 288k
+    bit-decodes, break even between 432k and 576k and gain from 864k.
+    README's Python API section holds the table it was read from, and
+    the lower in-process crossover (~288k) for library callers.
     """
-    work = bit_decodes // _GALLAGER_A_DISCOUNT if decoder == "gallager-a" else bit_decodes
-    return min(worker_count, trials, _usable_cpus(), 1 + work // _WORK_PER_EXTRA_PROCESS)
-
-
-def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """``workers`` contiguous spans of [0, trials); callers pass at most
-    ``trials`` workers (``_pool_size``), so none is empty."""
-    size, extra = divmod(trials, workers)
-    spans = []
-    start = 0
-    for i in range(workers):
-        stop = start + size + (1 if i < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
+    return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
 
 def _aggregate(cfg: ExperimentConfig, row: list[int]) -> ExperimentResult:
@@ -436,9 +414,10 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     The shared trial range splits into ``_pool_size(worker_count, trials,
     bit_decodes)`` spans, and worker w decodes span w of every config as
     one stream (``_run_share``), so a sweep starts its processes once and
-    each worker ends one stream tail, not one per point.  With one span,
-    which every sweep below 2^18 bit-decodes (2^19 for Gallager A) gets,
-    that task runs in this process and no pool starts.  A pool's parent imports
+    each worker ends one stream tail, not one per point.  The k spans are
+    [trials w // k, trials (w + 1) // k), none empty since k <= trials.
+    With one span, which every sweep below 2^19 bit-decodes gets, that
+    task runs in this process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.
     """
@@ -448,8 +427,9 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     kind = type(first.channel)
     if any(type(cfg.channel) is not kind or replace(cfg, channel=first.channel) != first for cfg in cfgs):
         raise ValueError("the configs of one sweep may differ only in their channel's parameter")
-    work = first.trials * len(cfgs) * first.h.ncols
-    spans = _chunks(first.trials, _pool_size(first.worker_count, first.trials, work, first.decoder))
+    trials = first.trials
+    k = _pool_size(first.worker_count, trials, trials * len(cfgs) * first.h.ncols)
+    spans = [(trials * w // k, trials * (w + 1) // k) for w in range(k)]
     if len(spans) == 1:
         table = _run_share(cfgs, *spans[0])
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -194,6 +195,25 @@ def support_lists(h: BitMatrix) -> tuple[list[list[int]], list[list[int]]]:
         [i for i in range(h.nrows) if h.get(i, j)] for j in range(h.ncols)
     ]
     return check_bits, bit_checks
+
+
+def exact_syndrome_variance(h: BitMatrix, rho: Fraction) -> Fraction:
+    """Variance of the syndrome weight W = sum_i s_i of BSC(rho) noise on h,
+    exactly, as Var W = sum_i Var s_i + sum_{i != j} Cov(s_i, s_j).
+
+    With q = 1 - 2 rho, E[(-1)^s_i] = q^|i| for a check of |i| bits, so
+    Var s_i = (1 - q^(2|i|)) / 4.  Two checks that share t bits and hold a
+    and b bits of their own have E[(-1)^(s_i + s_j)] = q^(a + b), so
+    Cov(s_i, s_j) = q^(a + b) (1 - q^(2t)) / 4.  The diagonal is the case
+    i = j (t = |i|, a = b = 0), so one sum over ordered pairs covers both.
+    """
+    q = 1 - 2 * Fraction(rho)
+    checks = [set(bits) for bits in support_lists(h)[0]]
+    return sum(
+        (q ** (len(ci) + len(cj) - 2 * len(ci & cj)) * (1 - q ** (2 * len(ci & cj))) / 4
+         for ci in checks for cj in checks),
+        Fraction(0),
+    )
 
 
 def check_columns_from_dense(h: BitMatrix) -> np.ndarray:

@@ -25,3 +25,32 @@ def irregular_checks_and_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     block = rng.integers(0, 2, size=(draw(st.integers(0, 5)), n), dtype=np.uint8)
     return h, block
+
+
+@st.composite
+def cubic_bipartite_girth6_checks(draw):
+    """The m x m parity check of a cubic bipartite graph of girth at least
+    6, 8 <= m <= 20: the union of three perfect matchings of checks to
+    bits, drawn one edge at a time, where no edge may repeat or make two
+    checks share a second bit; a draw that runs out of such edges starts
+    over from the same seeded generator."""
+    m = draw(st.integers(8, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        rows = [set() for _ in range(m)]
+        cols = [set() for _ in range(m)]
+        for _ in range(3):
+            free = set(range(m))
+            for i in rng.permutation(m):
+                allowed = [j for j in sorted(free) if j not in rows[i] and not any(rows[k] & rows[i] for k in cols[j])]
+                if not allowed:
+                    break
+                j = int(rng.choice(allowed))
+                rows[i].add(j)
+                cols[j].add(i)
+                free.remove(j)
+            else:
+                continue
+            break
+        else:
+            return BitMatrix.from_rows([sum(1 << j for j in row) for row in rows], m)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,12 @@ from csg_ldpc.channel import (
     transmit,
 )
 from csg_ldpc.analysis import load_graph_file
+from csg_ldpc.cli import main
 from csg_ldpc.codes import build_code, parity_check_of
 from csg_ldpc.gf2 import BitMatrix
 
-from oracles import check_columns_from_dense, support_lists
-from strategies import irregular_checks_and_blocks
+from oracles import check_columns_from_dense, exact_syndrome_variance, support_lists
+from strategies import cubic_bipartite_girth6_checks, irregular_checks_and_blocks
 
 
 def exact_syndrome_moments(h, rho):
@@ -82,6 +84,64 @@ def test_moment_formulas_match_exact_distribution(heawood_code, rho):
     mean, var = exact_syndrome_moments(h, rho)
     assert syndrome_mean_formula(7, rho) == pytest.approx(mean, abs=1e-12)
     assert syndrome_variance_formula(7, rho) == pytest.approx(var, abs=1e-12)
+
+
+def _paper_variance(n, rho):
+    """The paper's n/4 (1 + 6 q^4 - 7 q^6), q = 1 - 2 rho, in exact arithmetic."""
+    q = 1 - 2 * rho
+    return Fraction(n, 4) * (1 + 6 * q**4 - 7 * q**6)
+
+
+RATIONAL_RHOS = [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)]
+
+
+def test_exact_variance_equals_the_formula_on_every_girth_6_catalog_graph(catalog):
+    checked = 0
+    for gid, (g, entry) in catalog.items():
+        if entry["expected"]["girth"] < 6:
+            continue
+        h = parity_check_of(g)
+        for rho in RATIONAL_RHOS:
+            exact = exact_syndrome_variance(h, rho)
+            f4, f6 = ((1 - (1 - 2 * rho) ** t) / 2 for t in (4, 6))
+            assert exact == _paper_variance(h.ncols, rho) == Fraction(h.ncols, 2) * (7 * f6 - 6 * f4), (gid, rho)
+            assert syndrome_variance_formula(h.ncols, float(rho)) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        checked += 1
+    assert checked == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(cubic_bipartite_girth6_checks(), st.fractions(0, Fraction(1, 2), max_denominator=64))
+def test_exact_variance_equals_the_formula_on_drawn_girth_6_graphs(h, rho):
+    exact = exact_syndrome_variance(h, rho)
+    assert exact == _paper_variance(h.ncols, rho)
+    assert syndrome_variance_formula(h.ncols, float(rho)) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+# girth-4 graphs at rho = 1/10 (q = 4/5): the exact variance in closed
+# form, and the formula's value.  6A is K(3,3): 3 checks hold all 3 bits,
+# so Var W = 9 (1 - q^6) / 4 ~ 1.660.  8A is the cube: 4 checks of 3 bits,
+# any two sharing 2, so Var W = (1 - q^6) + 3 q^2 (1 - q^4) ~ 1.871
+Q = Fraction(4, 5)
+
+
+@pytest.mark.parametrize("gid, closed_form, formula_value", [
+    ("6A", Fraction(9, 4) * (1 - Q**6), 1.217),
+    ("8A", (1 - Q**6) + 3 * Q**2 * (1 - Q**4), 1.623),
+], ids=["6A", "8A"])
+def test_girth_4_variance_departs_from_the_formula(catalog, data_dir, capsys, gid, closed_form, formula_value):
+    h = parity_check_of(catalog[gid][0])
+    exact = exact_syndrome_variance(h, Fraction(1, 10))
+    assert exact == closed_form
+    assert syndrome_variance_formula(h.ncols, 0.1) == pytest.approx(formula_value, abs=5e-4)
+    # variance's empirical column estimates the exact value, not the formula
+    assert main(["variance", str(data_dir / catalog[gid][1]["file"]), "--rho", "0.1",
+                 "--trials", "100000", "--seed", "3"]) == 0
+    _, row = capsys.readouterr().out.splitlines()
+    _, formula, empirical, stderr, flag = row.split(",")
+    assert (float(formula), flag) == (syndrome_variance_formula(h.ncols, 0.1), "girth<6")
+    assert abs(float(empirical) - float(exact)) < 4 * float(stderr)
+    assert abs(float(empirical) - float(formula)) > 10 * float(stderr)
 
 
 def test_syndrome_weights(heawood_code):

@@ -1,8 +1,11 @@
+import errno
 import gc
 import json
 import os
+import select
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -445,6 +448,64 @@ def test_failed_write_names_the_output_path(heawood_path, tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith(f"error: {FULL_DEVICE}: ") and err.count("\n") == 1
     assert "None" not in err
+
+
+# every writing subcommand with its output "{o}" a FIFO; catalog reads
+# "{gdir}", which holds only the valid graph
+OUT_IS_FIFO = _with(OUTPUT_ARGV, "{dir}", "{gdir}")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_output_with_no_reader_is_a_declared_error(run_capped, heawood_path, tmp_path):
+    # opening a FIFO for writing blocks until a reader comes.  One child
+    # runs every writing subcommand against a FIFO nobody reads, each under
+    # a 10 s alarm, so a command that waits kills the child in seconds
+    # rather than at its 120 s cap
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    argvs = [_fill(argv, heawood_path, tmp_path) for _, argv, _ in _with(OUT_IS_FIFO, "{o}", str(fifo))]
+    proc = run_capped(
+        "import contextlib, io, json, signal\n"
+        "from csg_ldpc.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    signal.alarm(10)\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    signal.alarm(0)\n"
+        "    print(json.dumps([code, err.getvalue()]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert results == [[1, f"error: {fifo}: {os.strerror(errno.ENXIO)}\n"]] * len(OUTPUT_ARGV)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("argv", [argv for _, argv, _ in OUT_IS_FIFO], ids=[c for c, _, _ in OUT_IS_FIFO])
+def test_fifo_output_with_a_reader_gets_the_file_bytes(heawood_path, tmp_path, argv):
+    regular, fifo = tmp_path / "out", tmp_path / "out.fifo"
+    assert main(_fill([arg.replace("{o}", str(regular)) for arg in argv], heawood_path, tmp_path)) == 0
+    os.mkfifo(fifo)
+    # the read end opens first, non-blocking, so the writer finds a reader;
+    # the thread waits until a writer has come, then reads to end of file
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    received = []
+
+    def drain():
+        select.select([fd], [], [], 60)
+        os.set_blocking(fd, True)
+        while chunk := os.read(fd, 1 << 16):
+            received.append(chunk)
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        assert main(_fill([arg.replace("{o}", str(fifo)) for arg in argv], heawood_path, tmp_path)) == 0
+    finally:
+        reader.join(60)
+        os.close(fd)
+    assert not reader.is_alive()
+    assert b"".join(received) == regular.read_bytes()
 
 
 def test_simulate_checks_the_sidecar_path_before_decoding(heawood_path, tmp_path, monkeypatch, capsys):

@@ -412,39 +412,34 @@ def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
 def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
     cpus = experiments._usable_cpus()
     work = 10**18  # past any work cap, so only the trials and CPUs bind
-    for decoder in experiments.DECODERS:
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        assert experiments._pool_size(100_000, 10**9, work, decoder) == cpus
-        assert experiments._pool_size(1, 10**9, work, decoder) == 1
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
-        assert experiments._pool_size(100_000, 5, work, decoder) == 5
-        assert experiments._pool_size(100_000, 10**9, work, decoder) == 64
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-        assert experiments._pool_size(100_000, 10**9, work, decoder) == 1
+    assert experiments._pool_size(100_000, 10**9, work) == cpus
+    assert experiments._pool_size(1, 10**9, work) == 1
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
+    assert experiments._pool_size(100_000, 5, work) == 5
+    assert experiments._pool_size(100_000, 10**9, work) == 64
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    assert experiments._pool_size(100_000, 10**9, work) == 1
 
 
 def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
+    # one crossover for both decoders: one-shot 3-point sweeps of 48A
+    # lose with a second process up to 288k bit-decodes (3 x 4000), break
+    # even between 432k and 576k (3 x 6000, 3 x 8000) and gain from 864k
+    # (README's fan-out table), so a second process starts at 2^19 (524k)
     per = experiments._WORK_PER_EXTRA_PROCESS
-    assert per == 1 << 18
+    assert per == 1 << 19 and 432_000 < per < 576_000
     trials = 10**9
-    for work, size in ((0, 1), (1, 1), (per - 1, 1), (per, 2), (per + 1, 2), (2 * per - 1, 2),
-                       (2 * per, 3), (10 * per, 11)):
-        assert experiments._pool_size(64, trials, work, "sum-product") == size, work
-    # a Gallager A sweep gains from a second process only past 432k
-    # bit-decodes (48A, 3 x 6000) and does by 576k (3 x 8000): its crossover is 2^19
-    ga = experiments._GALLAGER_A_DISCOUNT * per
-    assert 432_000 < ga < 576_000
-    for work, size in ((288_000, 1), (432_000, 1), (ga - 1, 1), (ga, 2), (576_000, 2), (2 * ga - 1, 2), (2 * ga, 3),
-                       (10 * ga, 11)):
-        assert experiments._pool_size(64, trials, work, "gallager-a") == size, work
+    for work, size in ((0, 1), (1, 1), (288_000, 1), (432_000, 1), (per - 1, 1), (per, 2), (per + 1, 2),
+                       (576_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
+        assert experiments._pool_size(64, trials, work) == size, work
     # the CI sweep, 3 x 20000 trials of 48A's 24 bits, still starts a pool at 2 CPUs
-    assert experiments._pool_size(2, 20_000, 3 * 20_000 * 24, "gallager-a") == 2
+    assert experiments._pool_size(2, 20_000, 3 * 20_000 * 24) == 2
     # --workers stays a ceiling: an absurd count starts no more than the work pays for
-    assert experiments._pool_size(10**12, trials, per - 1, "sum-product") == 1
-    assert experiments._pool_size(10**12, trials, 3 * per, "sum-product") == 4
-    assert experiments._pool_size(10**12, trials, 10**30, "sum-product") == 64
-    assert experiments._pool_size(1, trials, 10**30, "sum-product") == 1
+    assert experiments._pool_size(10**12, trials, per - 1) == 1
+    assert experiments._pool_size(10**12, trials, 3 * per) == 4
+    assert experiments._pool_size(10**12, trials, 10**30) == 64
+    assert experiments._pool_size(1, trials, 10**30) == 1
 
 
 def test_usable_cpus_reads_the_affinity_mask_where_there_is_one(monkeypatch):
@@ -476,16 +471,19 @@ def test_one_usable_cpu_starts_no_pool(run_capped, data_dir):
 
 
 def test_one_shot_simulate_below_the_crossover_starts_no_pool(run_capped, data_dir):
-    # simulate-ga-w2's sweep, 3 x 2000 trials of 48A's 24 bits, at
-    # --workers 2 with 2 usable CPUs: only its work holds the pool back
+    # simulate-ga-w2's sweep, 3 x 2000 trials of 48A's 24 bits, and a
+    # sum-product sweep of 3 x 4000 (288k bit-decodes, where two processes
+    # lose for either decoder), at --workers 2 with 2 usable CPUs: only
+    # their work holds the pool back
     proc = run_capped(
         "import sys\n"
         "from csg_ldpc import experiments\n"
         "experiments._usable_cpus = lambda: 2\n"
-        "assert 3 * 2000 * 24 < experiments._WORK_PER_EXTRA_PROCESS\n"
         "from csg_ldpc.cli import main\n"
-        f"assert main(['simulate', {str(data_dir / '48A.edges')!r}, '--channel', 'awgn', '--param', '0.5,0.6,0.7',\n"
-        "             '--decoder', 'gallager-a', '--trials', '2000', '--seed', '4', '--workers', '2']) == 0\n"
+        "for decoder, trials in (('gallager-a', '2000'), ('sum-product', '4000')):\n"
+        f"    assert main(['simulate', {str(data_dir / '48A.edges')!r}, '--channel', 'awgn',\n"
+        "                 '--param', '0.5,0.6,0.7', '--decoder', decoder, '--trials', trials,\n"
+        "                 '--seed', '4', '--workers', '2']) == 0\n"
         "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
     )
     assert proc.returncode == 0, proc.stderr
