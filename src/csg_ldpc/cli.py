@@ -193,13 +193,10 @@ def cmd_variance(args: argparse.Namespace) -> int:
     _check_trial_points(args.trials, len(rhos))
     g = load_graph_file(args.path)
     h = parity_check_of(g)
-    # every input is checked before the first point is sampled
+    # every rho is checked before the first point is sampled; the first
+    # syndrome_statistics call refuses a bad trial count or seed before it samples
     for rho in rhos:
         BscChannel(rho)
-    if args.trials < 2:
-        raise ValueError("need at least two trials")
-    if args.seed < 0:
-        raise ValueError("seed must be non-negative")
     flag = "girth<6" if girth(g) < 6 else ""
     lines = [VARIANCE_HEADER]
     for index, rho in enumerate(rhos):

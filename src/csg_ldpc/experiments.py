@@ -36,17 +36,19 @@ rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
 README's cap table gives the peak RSS of 10,000 Gallager A trials.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
-~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), nearly
-all of it in ``SeedSequence`` hashing and ``PCG64`` seeding.  Both are
-fixed integer recurrences, so ``_trial_generators`` runs them in numpy
-for up to ``_SEED_CHUNK`` (1024) trials per pass and sets each trial's
-PCG64 state on one reused generator.  The states, and so the draws, equal
+~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), most of
+it in ``SeedSequence`` hashing.  That hash is a fixed integer
+recurrence, so ``_trial_generators`` runs it in numpy for up to
+``_SEED_CHUNK`` (1024) trials per pass.  Each trial's 4 words then seed
+a new ``PCG64`` through numpy's own routine, the one ``default_rng``
+runs: ``_trial_seed_type`` is a minimal ``ISeedSequence`` that hands
+them over.  So every trial has a generator of its own, equal to
 ``trial_rng``'s bit for bit, and ``_decoder_inputs`` still makes every
 draw: it takes the generators one row at a time and never one past the
 block.  On ``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per
-trial, 2-CPU machine), seeding plus draw takes ~7.5 us per trial, ~0.4 us
-of it the seed hashing.  What is left, the per-trial state set and the
-draw, is paid once per trial, however many points the sweep has.
+trial, 2-CPU machine, min of 7 x 20,000), seeding plus draw takes
+~2.4-2.7 us per trial, paid once per trial, however many points the sweep
+has.
 
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
@@ -60,22 +62,26 @@ builds one decoder and ends one stream tail, not one per channel
 parameter.  Results do not depend on the worker count, so
 ``worker_count`` is a ceiling, and a process past the first starts only
 when the sweep's work pays for its fork.  2^19 bit-decodes per extra
-process is the measured crossover of one process against two for both
-decoders on a 2-CPU machine; README's Python API section holds the table
-it was read from.  With one span the task runs in-process.
+process is where one process against two crosses over for sum-product
+on a 2-CPU machine; Gallager A's crossover now lies a little higher,
+between 576k and 864k.  README's Python API section holds the table it
+was read from.  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
 
-numpy 2.x loads ``numpy.random`` lazily, and every worker needs it.  So
-the pool branch imports it in the parent just before the pool starts:
-under the ``fork`` start method (Linux's default through Python 3.13) the
-workers inherit it instead of each importing its 19 modules (~17 ms)
-again on every sweep.  That pays in a process that runs more than one
-pooled sweep; a one-shot CLI call only moves the import from the
-children, where it ran in parallel, to the parent, and its wall time
-does not change.  The import stays in that branch, and this module is
-imported only by ``simulate`` and ``variance``: ``catalog``,
-``export-alist`` and ``extend`` never load numpy, and ``analyze`` never
-loads ``numpy.random``.
+numpy 2.x loads ``numpy.random`` lazily, and so does this module: the
+seed type is built on the first draw, since subclassing ``ISeedSequence``
+loads it.  Every pool worker needs it, so the pool branch imports it in
+the parent just before the pool starts: under the ``fork`` start method
+(Linux's default through Python 3.13) the workers inherit it instead of
+each importing its 19 modules (~17 ms) again on every sweep.  That pays
+in a process that runs more than one pooled sweep; a one-shot CLI call
+only moves the import from the children, where it ran in parallel, to
+the parent, and its wall time does not change.  A process that imports
+this module and draws nothing, such as perfbench's ``catalog`` run,
+never loads ``numpy.random`` (~6 MB of RSS).  This module is imported
+only by ``simulate`` and ``variance``: ``catalog``, ``export-alist`` and
+``extend`` never load numpy, and ``analyze`` never loads
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -129,27 +135,25 @@ _SAMPLE_ELEMENTS = 1 << 20
 _SEED_CHUNK = 1024
 
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
-# a second process pays from about this much work, for either decoder
-# (_pool_size)
+# a second process pays from about this much work, one rule for both
+# decoders (_pool_size)
 _WORK_PER_EXTRA_PROCESS = 1 << 19
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
-# PCG64 LCG multiplier
+# numpy's SeedSequence hash constants (pool of 4 uint32 words)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent generator for one trial; the split contract of the repo.
 
     ``run_experiments`` does not call it: ``_trial_generators`` derives the
-    same PCG64 states in bulk, and the tests check them against it.
+    same PCG64 seeds in bulk and builds each trial's generator from them,
+    and the tests check those generators against this one.
     """
     return np.random.default_rng((master_seed, trial_index))
 
@@ -187,9 +191,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` for each column e of a
-    (words, B) uint32 entropy array, as lists of 4 Python ints."""
+    (words, B) uint32 entropy array, as a C-contiguous (B, 4) uint64
+    array: row b is column b's seed."""
     words = len(entropy)
     if words < _POOL_SIZE:
         entropy = np.vstack([entropy, np.zeros((_POOL_SIZE - words, entropy.shape[1]), np.uint32)])
@@ -207,22 +212,46 @@ def _pcg64_seeds(entropy: np.ndarray) -> list[list[int]]:
         k += _POOL_SIZE
     xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
     state = _hashmix(np.vstack([pool, pool]), xor, mult).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _trial_seed_type() -> type:
+    """The ``ISeedSequence`` that hands numpy's ``PCG64`` one trial's seed:
+    the 4 uint64 words its ``SeedSequence`` would generate, one row of
+    ``_pcg64_seeds``.  ``PCG64`` asks for exactly these and reads the
+    returned buffer raw, so the words are a C-contiguous uint64 array, and
+    any other request is refused.
+
+    Built on first use: subclassing ``ISeedSequence`` loads
+    ``numpy.random`` (~6 MB of RSS), which a process that imports this
+    module but draws nothing never needs.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a trial seed is 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return TrialSeed
 
 
 def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """Yield, for each trial i in [start, stop), one reused generator whose
-    state equals ``trial_rng(master_seed, i)``'s.
+    """Yield, for each trial i in [start, stop), a new generator equal to
+    ``trial_rng(master_seed, i)`` bit for bit.  Each is independent, so
+    earlier ones may be held while later ones are taken.
 
-    Each yielded state must be drawn from before the next is requested.
     Seeds are derived ``_SEED_CHUNK`` trials at a time.  Entropy is the
     seed's words followed by the index's; a chunk stops at each multiple of
     2^32, so all its indices share every word but the lowest and the
-    entropy array stays rectangular.  PCG64 then seeds by
-    its setseq-128 recurrence on s = q0:q1 and inc = 2 (q2:q3) + 1.
+    entropy array stays rectangular.  ``PCG64`` then seeds itself from
+    each trial's words (``_trial_seed_type``) as ``default_rng`` does.
     """
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
     seed_words = _words(master_seed)
     lo = start
     while lo < stop:
@@ -231,16 +260,8 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
         columns = [np.full(hi - lo, w, np.uint32) for w in seed_words]
         columns.append(np.arange(low, low + hi - lo, dtype=np.uint32))
         columns += [np.full(hi - lo, w, np.uint32) for w in _words(lo)[1:]]
-        for q0, q1, q2, q3 in _pcg64_seeds(np.vstack(columns)):
-            inc = ((q2 << 64 | q3) << 1 | 1) & _MASK128
-            state = ((inc + (q0 << 64 | q1)) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield generator
+        for words in _pcg64_seeds(np.vstack(columns)):
+            yield np.random.Generator(np.random.PCG64(_trial_seed_type()(words)))
         lo = hi
 
 
@@ -248,8 +269,9 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
 class ExperimentConfig:
     """One decoding experiment: parity check, channel, decoder, budget.
 
-    ``trials``, ``master_seed``, ``max_iterations`` and ``worker_count``
-    are Python or numpy integers (``sweep.is_integer``).
+    ``channel`` is a ``BscChannel`` or an ``AwgnChannel``.  ``trials``,
+    ``master_seed``, ``max_iterations`` and ``worker_count`` are Python or
+    numpy integers (``sweep.is_integer``).
     ``max_iterations`` may be 0 to measure the raw channel (hard decisions
     only), and at most ``MAX_ITERATIONS``.  ``worker_count`` > 1 splits
     trials over processes without changing any number in the result; it is
@@ -268,6 +290,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}, expected {tuple(DECODERS)}")
+        if not isinstance(self.channel, ChannelModel):
+            raise ValueError(f"channel must be a BscChannel or an AwgnChannel, got {self.channel!r}")
         for name in ("trials", "master_seed", "max_iterations", "worker_count"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -312,7 +336,7 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
     sum w^2 of received syndrome weights into its row of ``moments``.
 
     The sweep has one channel type, so the block's noise is drawn once,
-    row r from trial lo + r's ``_trial_generators`` state, and each config
+    row r from trial lo + r's ``_trial_generators`` generator, and each config
     applies its own rho or sigma to that one draw.
     """
     first = cfgs[0]
@@ -322,7 +346,7 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
     for lo in range(start, stop, BLOCK_ROWS):
         sent = zero_block[:stop - lo]
         noise = np.empty(sent.shape)
-        # rows first: zip stops at the block's last row without taking the next state
+        # rows first: zip stops at the block's last row without taking the next generator
         for row, generator in zip(noise, generators):
             (generator.random if bsc else generator.standard_normal)(out=row)
         for c, (cfg, sums) in enumerate(zip(cfgs, moments)):
@@ -377,12 +401,13 @@ def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     (trials x configs x n), whichever the decoder.  ``worker_count`` is
     only a ceiling.
 
-    The constant is the crossover of one process against two for both
-    decoders, measured on a 2-CPU machine with 3-point sweeps as fresh
-    ``simulate`` CLI calls, the path a user runs: both lose up to 288k
-    bit-decodes, break even between 432k and 576k and gain from 864k.
-    README's Python API section holds the table it was read from, and
-    the lower in-process crossover (~288k) for library callers.
+    The constant is the crossover of one process against two, measured
+    on a 2-CPU machine with 3-point sweeps as fresh ``simulate`` CLI
+    calls, the path a user runs: sum-product loses at 432k bit-decodes,
+    breaks even at 576k and gains from 864k; Gallager A loses up to 576k
+    and gains from 864k, so for it 2^19 forks a little early.  README's
+    Python API section holds the table it was read from, and the lower
+    in-process crossover (~288k) for library callers.
     """
     return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
@@ -486,11 +511,13 @@ def syndrome_statistics(
     rounds, of the observed weight histogram.
     """
     noise = BscChannel(rho)
-    for name, value in (("trials", trials), ("master_seed", master_seed)):
+    for name, value in (("trials", trials), ("master_seed", master_seed), ("stream_index", stream_index)):
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 2:
         raise ValueError("need at least two trials")
+    if master_seed < 0 or stream_index < 0:
+        raise ValueError(f"master_seed and stream_index must be non-negative, got {master_seed} and {stream_index}")
     m = h.nrows
     checks = ParityChecks(h)
     rng = np.random.default_rng((master_seed, stream_index, 0))

@@ -200,7 +200,9 @@ def test_simulate_checks_every_param_before_decoding(heawood_path, monkeypatch, 
     ["--rho", "0.1", "--trials", "50", "--seed", "-1"],
 ], ids=["second-rho", "one-trial", "negative-seed"])
 def test_variance_checks_every_input_before_sampling(heawood_path, monkeypatch, capsys, flags):
-    monkeypatch.setattr(cli, "syndrome_statistics", _refuse)
+    # every rho is checked up front; the trial count and the seed are
+    # refused by the first syndrome_statistics call, before it draws noise
+    monkeypatch.setattr(experiments, "transmit", _refuse)
     assert main(["variance", heawood_path, *flags]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -703,7 +705,13 @@ def test_module_entry_point_runs(data_dir):
     assert "[7, 3, 4]" in proc.stdout
 
 
-@pytest.mark.parametrize("argv", [["catalog", "data"], ["analyze", "data/6A.lcf"]], ids=["catalog", "analyze-girth-4"])
+@pytest.mark.parametrize("argv", [
+    ["catalog", "data"],
+    ["analyze", "data/6A.lcf"],
+    # a seed of 2^64 + 5, three uint32 words, through the sweep's seeding
+    ["simulate", "data/48A.edges", "--channel", "awgn", "--param", "0.5,0.6,0.7", "--decoder", "sum-product",
+     "--trials", "300", "--seed", "18446744073709551621"],
+], ids=["catalog", "analyze-girth-4", "simulate-48A-awgn-multiword-seed"])
 def test_optimized_python_prints_the_same(argv):
     # python -O strips asserts, so no check may live in one
     root = Path(__file__).resolve().parents[1]

@@ -91,12 +91,52 @@ def test_seed_chunks_equal_trial_rng_across_2_32(monkeypatch, chunk, seed):
         assert widths == _chunk_widths(below, chunk) + _chunk_widths(stop - start - below, chunk)
 
 
+def test_held_generators_equal_trial_rng():
+    # every generator is taken before any is drawn from, across 2^32: each
+    # must be a generator of its own, not one reused and reset
+    start, stop = 2**32 - 3, 2**32 + 3
+    generators = list(experiments._trial_generators(2**64 + 5, start, stop))
+    draws = [g.random(4) for g in reversed(generators)][::-1]
+    for trial, draw in zip(range(start, stop), draws, strict=True):
+        assert np.array_equal(draw, trial_rng(2**64 + 5, trial).random(4))
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 2**96 + 3])
+def test_first_uint32_draw_equals_trial_rng(seed):
+    # a 32-bit draw keeps half of a 64-bit output for the next one; each
+    # trial's generator must start with none kept, as trial_rng's does
+    for trial, g in zip(range(4), experiments._trial_generators(seed, 0, 4)):
+        expected = trial_rng(seed, trial).integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(g.integers(0, 2**32, size=3, dtype=np.uint32), expected)
+
+
+def test_trial_seed_gives_pcg64_only_its_own_request():
+    seeds = experiments._pcg64_seeds(np.array([[7, 7], [0, 1]], dtype=np.uint32))
+    assert seeds.dtype == np.uint64 and seeds.shape == (2, 4) and seeds.flags.c_contiguous
+    for trial, words in enumerate(seeds):
+        assert np.array_equal(words, np.random.SeedSequence((7, trial)).generate_state(4, np.uint64))
+    words = seeds[1]
+    seed = experiments._trial_seed_type()(words)
+    assert seed.generate_state(4, np.uint64) is words
+    assert seed.generate_state(4, "uint64") is words
+    # PCG64 reads the buffer as 4 uint64 words: any other request is refused
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed.generate_state(n_words, dtype)
+
+
 def test_config_validation(heawood_h):
     ok = dict(h=heawood_h, channel=BscChannel(0.1), decoder="gallager-a",
               trials=10, master_seed=1)
     ExperimentConfig(**ok)
     with pytest.raises(ValueError, match="decoder"):
         ExperimentConfig(**{**ok, "decoder": "turbo"})
+    # any other channel would fail later, in run_experiment (in a pool,
+    # inside a worker), with an AttributeError
+    for bad in (0.1, None, "awgn", BscChannel):
+        with pytest.raises(ValueError, match="channel must be a BscChannel or an AwgnChannel"):
+            ExperimentConfig(**{**ok, "channel": bad})
+    ExperimentConfig(**{**ok, "channel": AwgnChannel(0.8)})
     with pytest.raises(ValueError, match="trial"):
         ExperimentConfig(**{**ok, "trials": 0})
     for bad in (-1, experiments.MAX_ITERATIONS + 1, 10**9):
@@ -550,6 +590,13 @@ def test_pure_python_commands_never_load_numpy(run_capped, data_dir, tmp_path):
     assert "csg_ldpc.codes" in loaded and "numpy" not in loaded
 
 
+def test_importing_experiments_loads_no_numpy_random(run_capped):
+    # the seed type is built on the first draw: a process that imports the
+    # module and draws nothing (perfbench's catalog run) stays ~6 MB smaller
+    loaded = loaded_after(run_capped, "import csg_ldpc.experiments")
+    assert "csg_ldpc.experiments" in loaded and "numpy.random" not in loaded
+
+
 def test_analyze_loads_no_simulation_module(run_capped, data_dir):
     loaded = loaded_after(run_capped, _run_main(["analyze", str(data_dir / "48A.edges")]))
     assert "csg_ldpc.bounds" in loaded
@@ -614,3 +661,12 @@ def test_syndrome_statistics_validation(heawood_h):
         syndrome_statistics(heawood_h, 0.7, trials=100, master_seed=0)
     with pytest.raises(ValueError):
         syndrome_statistics(heawood_h, 0.1, trials=1, master_seed=0)
+    # numpy would raise its own TypeError or a generic error for these
+    for kwargs in ({"stream_index": 1.5}, {"stream_index": True}, {"stream_index": "1"}):
+        with pytest.raises(ValueError, match="stream_index must be an integer"):
+            syndrome_statistics(heawood_h, 0.1, trials=100, master_seed=0, **kwargs)
+    for kwargs in ({"stream_index": -1}, {"master_seed": -3}):
+        with pytest.raises(ValueError, match="master_seed and stream_index must be non-negative"):
+            syndrome_statistics(heawood_h, 0.1, **{"trials": 100, "master_seed": 0, **kwargs})
+    stats = syndrome_statistics(heawood_h, 0.1, trials=100, master_seed=0, stream_index=np.int64(2))
+    assert stats == syndrome_statistics(heawood_h, 0.1, trials=100, master_seed=0, stream_index=2)
