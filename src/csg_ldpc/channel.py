@@ -29,6 +29,7 @@ at least 6) and constant check degree 3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -63,6 +64,7 @@ class BscChannel:
     rho: float
 
     def __post_init__(self) -> None:
+        _require_real("crossover probability", self.rho)
         if not 0.0 <= self.rho <= 0.5:
             raise ValueError(f"crossover probability {self.rho} outside [0, 1/2]")
 
@@ -74,12 +76,27 @@ class AwgnChannel:
     sigma: float
 
     def __post_init__(self) -> None:
+        _require_real("sigma", self.sigma)
         # an infinite sigma or sigma^2 makes received values inf and LLRs 0 or nan
         if not (0.0 < self.sigma < math.inf and self.sigma * self.sigma < math.inf):
             raise ValueError(f"sigma {self.sigma} must be finite and positive, with a finite square")
 
 
 ChannelModel = Union[BscChannel, AwgnChannel]
+
+
+def _require_real(name: str, value: object) -> None:
+    """Refuse a channel parameter that is not a Python or numpy real
+    number (a bool included), which the range checks cannot compare."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_bit_matrix(h: object) -> None:
+    """Refuse a parity check that is not a ``BitMatrix``, such as a numpy
+    array, before any of its attributes is read."""
+    if not isinstance(h, BitMatrix):
+        raise ValueError(f"H must be a BitMatrix, got {type(h).__name__}; BitMatrix.from_numpy converts a 0/1 array")
 
 
 def apply_noise(word: np.ndarray, channel: ChannelModel, noise: np.ndarray) -> np.ndarray:
@@ -132,6 +149,7 @@ class ParityChecks:
     """
 
     def __init__(self, h: BitMatrix):
+        require_bit_matrix(h)
         supports = h.supports()
         self.ncols = h.ncols
         rows = np.array([i for i, bits in enumerate(supports) for _ in bits], dtype=np.intp)
@@ -166,6 +184,7 @@ def syndrome(h: BitMatrix | ParityChecks, y: np.ndarray) -> tuple[np.ndarray, in
     The bits are ``ParityChecks.parity`` of the transposed block.
     """
     if not isinstance(h, ParityChecks):
+        require_bit_matrix(h)
         h = _checks_of(h)
     y = np.asarray(y, dtype=np.uint8)
     if y.ndim not in (1, 2) or y.shape[-1] != h.ncols:

@@ -214,8 +214,8 @@ class _EdgeStructure:
     an estimate and a mask are bools."""
 
     def __init__(self, h: BitMatrix):
-        self.n = h.ncols
         self.checks = ParityChecks(h)
+        self.n = h.ncols
         columns = self.checks.columns
         self.view = columns.shape
         self.slots = columns.size

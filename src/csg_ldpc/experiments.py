@@ -36,24 +36,24 @@ rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
 README's cap table gives the peak RSS of 10,000 Gallager A trials.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
-~20 us, against ~1.3 us for a 45-bit BSC draw (2-CPU machine), most of
-it in ``SeedSequence`` hashing.  That hash is a fixed integer
-recurrence, so ``_trial_generators`` runs it in numpy for up to
-``_SEED_CHUNK`` (1024) trials per pass.  Each trial's 4 words then seed
-a new ``PCG64`` through numpy's own routine, the one ``default_rng``
-runs: ``_trial_seed_type`` is a minimal ``ISeedSequence`` that hands
-them over.  So every trial has a generator of its own, equal to
-``trial_rng``'s bit for bit, and ``_decoder_inputs`` still makes every
-draw: it takes the generators one row at a time and never one past the
-block.  On ``simulate-ga-w2``'s inputs (48A, a 24-value normal draw per
-trial, 2-CPU machine, min of 7 x 20,000), seeding plus draw takes
-~2.4-2.7 us per trial, paid once per trial, however many points the sweep
-has.
+~11 us (in process, min of 5 x 20,000 calls), against ~1.3 us for a
+45-bit BSC draw (2-CPU machine), most of it in ``SeedSequence``
+hashing.  That hash is a fixed integer recurrence, so
+``_trial_generators`` runs it in numpy for up to ``_SEED_CHUNK`` (1024)
+trials per pass.  Each trial's 4 words then seed a new ``PCG64`` through
+numpy's own routine, the one ``default_rng`` runs: ``_trial_seed_type``
+is a minimal ``ISeedSequence`` that hands them over.  So every trial
+has a generator of its own, equal to ``trial_rng``'s bit for bit, and
+``_decoder_inputs`` still makes every draw: it takes the generators one
+row at a time and never one past the block.  On ``simulate-ga-w2``'s
+inputs (48A, a 24-value normal draw per trial, 2-CPU machine, min of
+7 x 20,000), seeding plus draw takes ~2.4-2.7 us per trial, paid once
+per trial, however many points the sweep has.
 
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
 Their one trial range splits into ``min(worker_count, trials, usable
-CPUs, 1 + bit-decodes // 2^19)`` spans, one task per worker, and worker w
+CPUs, 1 + bit-decodes // 720,000)`` spans, one task per worker, and worker w
 decodes span w of every config; the usable CPUs are the process's
 affinity mask where the OS has one, not the host's count, and the
 bit-decodes are trials x configs x n, for either decoder.  So a
@@ -61,11 +61,10 @@ bit-decodes are trials x configs x n, for either decoder.  So a
 builds one decoder and ends one stream tail, not one per channel
 parameter.  Results do not depend on the worker count, so
 ``worker_count`` is a ceiling, and a process past the first starts only
-when the sweep's work pays for its fork.  2^19 bit-decodes per extra
-process is where one process against two crosses over for sum-product
-on a 2-CPU machine; Gallager A's crossover now lies a little higher,
-between 576k and 864k.  README's Python API section holds the table it
-was read from.  With one span the task runs in-process.
+when the sweep's work pays for its fork.  720,000 bit-decodes per extra
+process is the smallest measured size at which two processes beat one
+for both decoders on a 2-CPU machine.  README's Python API section holds
+the table it was read from.  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
 
 numpy 2.x loads ``numpy.random`` lazily, and so does this module: the
@@ -100,6 +99,7 @@ from .channel import (
     apply_noise,
     llr_from_awgn,
     llr_from_bsc,
+    require_bit_matrix,
     syndrome,
     transmit,
 )
@@ -137,7 +137,7 @@ _SEED_CHUNK = 1024
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
 # a second process pays from about this much work, one rule for both
 # decoders (_pool_size)
-_WORK_PER_EXTRA_PROCESS = 1 << 19
+_WORK_PER_EXTRA_PROCESS = 720_000
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words)
@@ -288,6 +288,7 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        require_bit_matrix(self.h)
         if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}, expected {tuple(DECODERS)}")
         if not isinstance(self.channel, ChannelModel):
@@ -397,17 +398,17 @@ def _usable_cpus() -> int:
 def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     """Processes worth starting: never more than the trials, the CPUs this
     process may run on (``_usable_cpus``), or one plus one per
-    ``_WORK_PER_EXTRA_PROCESS`` (2^19) of the sweep's ``bit_decodes``
+    ``_WORK_PER_EXTRA_PROCESS`` (720,000) of the sweep's ``bit_decodes``
     (trials x configs x n), whichever the decoder.  ``worker_count`` is
     only a ceiling.
 
     The constant is the crossover of one process against two, measured
     on a 2-CPU machine with 3-point sweeps as fresh ``simulate`` CLI
-    calls, the path a user runs: sum-product loses at 432k bit-decodes,
-    breaks even at 576k and gains from 864k; Gallager A loses up to 576k
-    and gains from 864k, so for it 2^19 forks a little early.  README's
-    Python API section holds the table it was read from, and the lower
-    in-process crossover (~288k) for library callers.
+    calls, the path a user runs: it is the smallest measured size at
+    which two processes won more than half of 40 alternating pairs for
+    both decoders (720k: 23 of 40 each; at 648k Gallager A won 16).
+    README's Python API section holds the table it was read from, and
+    the lower in-process crossover (~288k) for library callers.
     """
     return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
@@ -441,7 +442,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     one stream (``_run_share``), so a sweep starts its processes once and
     each worker ends one stream tail, not one per point.  The k spans are
     [trials w // k, trials (w + 1) // k), none empty since k <= trials.
-    With one span, which every sweep below 2^19 bit-decodes gets, that
+    With one span, which every sweep below 720,000 bit-decodes gets, that
     task runs in this process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.
@@ -518,8 +519,8 @@ def syndrome_statistics(
         raise ValueError("need at least two trials")
     if master_seed < 0 or stream_index < 0:
         raise ValueError(f"master_seed and stream_index must be non-negative, got {master_seed} and {stream_index}")
-    m = h.nrows
     checks = ParityChecks(h)
+    m = h.nrows
     rng = np.random.default_rng((master_seed, stream_index, 0))
     counts = np.zeros(m + 1, dtype=np.int64)
     remaining = trials

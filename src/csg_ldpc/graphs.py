@@ -4,6 +4,14 @@ Two loaders are provided: a plain edge list (``u v`` per line, ``#``
 comments, optional leading ``n=<count>``) and LCF notation for cubic
 Hamiltonian graphs.  Both reject anything that is not a simple graph,
 and anything with more than ``MAX_VERTICES`` vertices.
+
+The three builders, ``Graph.from_edges`` and the two loaders, share one
+rule in one pass over their input: each vertex's neighbours go into a
+set, a neighbour already there is a repeated edge (in either
+orientation), and the sets are sorted once into the ``Graph``'s tuples
+(``_sorted_graph``).  The loaders build their sets themselves, so each
+edge is checked once, with the loader's own message: an edge list's
+carries its line number, and LCF reads each vertex's degree off its set.
 """
 
 from __future__ import annotations
@@ -93,22 +101,31 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+        """The graph on vertices 0..vertex_count-1 with the given edges.
+
+        Each vertex's neighbours are collected in a set, so a neighbour
+        already there is a repeated edge, in either orientation.  Raises
+        ``ValueError`` for an endpoint outside 0..vertex_count-1, a
+        self-loop or a repeated edge, whichever the first bad edge shows.
+        """
+        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if v in nbrs[u]:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        # from a list, not a generator: CPython resizes a generator's tuple,
-        # and a resized tuple of <= 20 items grows a free list on release
-        return cls(tuple([tuple(sorted(a)) for a in nbrs]))
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return _sorted_graph(nbrs)
+
+
+def _sorted_graph(nbrs: list[set[int]]) -> Graph:
+    """The ``Graph`` of per-vertex neighbour sets, each sorted once."""
+    # from a list, not a generator: CPython resizes a generator's tuple,
+    # and a resized tuple of <= 20 items grows a free list on release
+    return Graph(tuple([tuple(sorted(a)) for a in nbrs]))
 
 
 @dataclass(frozen=True)
@@ -119,21 +136,18 @@ class Bipartition:
     right: frozenset[int]
 
 
-def load_edge_list(source: str | Iterable[str]) -> Graph:
-    """Parse an edge-list stream into a Graph.
+def load_edge_list(source: str) -> Graph:
+    """Parse edge-list text into a Graph.
 
     Lines hold ``u v`` pairs, ``#`` starts a comment, blank lines are
     skipped.  An optional first content line ``n=<count>`` pins the vertex
     count; otherwise it is one more than the largest index seen.  Errors
     carry 1-based line numbers.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
     declared: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    nbrs: list[set[int]] = []
     first_content = True
-    max_index = -1
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(source.splitlines(), 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -147,6 +161,7 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
             if declared > MAX_VERTICES:
                 raise GraphFormatError(f"line {lineno}: vertex count {declared} exceeds {MAX_VERTICES}")
+            nbrs = [set() for _ in range(declared)]
             continue
         first_content = False
         parts = text.split()
@@ -158,22 +173,20 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {text!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex index")
-        if max(u, v) >= MAX_VERTICES:
-            raise GraphFormatError(f"line {lineno}: vertex index {max(u, v)} beyond the cap of {MAX_VERTICES} vertices")
+        top = max(u, v)
+        if top >= MAX_VERTICES:
+            raise GraphFormatError(f"line {lineno}: vertex index {top} beyond the cap of {MAX_VERTICES} vertices")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        if declared is not None and (u >= declared or v >= declared):
-            raise GraphFormatError(
-                f"line {lineno}: vertex index beyond declared count {declared}"
-            )
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if declared is not None and top >= declared:
+            raise GraphFormatError(f"line {lineno}: vertex index beyond declared count {declared}")
+        if top >= len(nbrs):
+            nbrs.extend([set() for _ in range(top + 1 - len(nbrs))])
+        if v in nbrs[u]:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
-        max_index = max(max_index, u, v)
-    n = declared if declared is not None else max_index + 1
-    return Graph.from_edges(n, edges)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return _sorted_graph(nbrs)
 
 
 _LCF_RE = re.compile(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\]\s*\^\s*(\d+)$")
@@ -203,8 +216,7 @@ def parse_lcf(text: str) -> Graph:
         raise LcfError(f"{k}*{mult} = {n} vertices exceeds {MAX_VERTICES}")
     if n < 3:
         raise LcfError(f"only {n} vertices, the Hamiltonian cycle needs at least 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    chords: set[tuple[int, int]] = set()
+    nbrs = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
     for i in range(n):
         a = offsets[i % k]
         reduced = a % n
@@ -212,16 +224,13 @@ def parse_lcf(text: str) -> Graph:
             raise LcfError(f"offset {a} at vertex {i} reduces to a loop")
         if reduced in (1, n - 1):
             raise LcfError(f"offset {a} at vertex {i} collides with a cycle edge")
-        j = (i + a) % n
-        chords.add((min(i, j), max(i, j)))
-    chord_degree = [0] * n
-    for u, v in chords:
-        chord_degree[u] += 1
-        chord_degree[v] += 1
-    for v, deg in enumerate(chord_degree):
-        if deg != 1:
-            raise LcfError(f"vertex {v} ends with degree {2 + deg}, expected 3")
-    return Graph.from_edges(n, edges + sorted(chords))
+        j = (i + reduced) % n
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    for v, s in enumerate(nbrs):
+        if len(s) != 3:
+            raise LcfError(f"vertex {v} ends with degree {len(s)}, expected 3")
+    return _sorted_graph(nbrs)
 
 
 def girth(g: Graph) -> int | None:

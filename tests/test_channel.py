@@ -56,6 +56,19 @@ def test_channel_validation():
     AwgnChannel(1.34e154)
     BscChannel(0.0)
     BscChannel(0.5)
+    # a parameter that is not a real number would fail in the range
+    # comparison with a TypeError
+    for bad in ("0.1", None, True, 1j, [0.1]):
+        with pytest.raises(ValueError, match="crossover probability must be a real number"):
+            BscChannel(bad)
+        with pytest.raises(ValueError, match="sigma must be a real number"):
+            AwgnChannel(bad)
+    BscChannel(np.float32(0.25))
+    AwgnChannel(np.float64(0.7))
+    AwgnChannel(1)
+    # a dense H would fail in the table cache as an unhashable array
+    with pytest.raises(ValueError, match="H must be a BitMatrix.*BitMatrix.from_numpy"):
+        syndrome(np.eye(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
 
 def test_f_t_values():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csg_ldpc import decoders
 from csg_ldpc.analysis import load_graph_file
-from csg_ldpc.channel import AwgnChannel, BscChannel, llr_from_awgn, llr_from_bsc, transmit
+from csg_ldpc.channel import AwgnChannel, BscChannel, ParityChecks, llr_from_awgn, llr_from_bsc, transmit
 from csg_ldpc.codes import build_code, extend_parity_check, parity_check_of
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.gf2 import BitMatrix
@@ -84,6 +84,10 @@ def test_syndrome_zero_flag_is_truthful(nauru_code):
 def test_input_validation(heawood_code):
     ga = GallagerADecoder(heawood_code.H)
     sp = SumProductDecoder(heawood_code.H)
+    # a dense H would end in an AttributeError
+    for cls in (GallagerADecoder, SumProductDecoder, ParityChecks):
+        with pytest.raises(ValueError, match="H must be a BitMatrix.*BitMatrix.from_numpy"):
+            cls(np.eye(3, dtype=np.uint8))
     with pytest.raises(ValueError, match="length"):
         ga.decode(np.zeros(6, dtype=np.uint8))
     with pytest.raises(ValueError, match="finite"):

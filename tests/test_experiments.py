@@ -137,6 +137,10 @@ def test_config_validation(heawood_h):
         with pytest.raises(ValueError, match="channel must be a BscChannel or an AwgnChannel"):
             ExperimentConfig(**{**ok, "channel": bad})
     ExperimentConfig(**{**ok, "channel": AwgnChannel(0.8)})
+    # a dense H would fail only in run_experiment, reading h.ncols
+    for bad in (np.eye(7, dtype=np.uint8), heawood_h.rows, None):
+        with pytest.raises(ValueError, match="H must be a BitMatrix.*BitMatrix.from_numpy"):
+            ExperimentConfig(**{**ok, "h": bad})
     with pytest.raises(ValueError, match="trial"):
         ExperimentConfig(**{**ok, "trials": 0})
     for bad in (-1, experiments.MAX_ITERATIONS + 1, 10**9):
@@ -464,14 +468,14 @@ def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
 def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
     # one crossover for both decoders: one-shot 3-point sweeps of 48A
-    # lose with a second process up to 288k bit-decodes (3 x 4000), break
-    # even between 432k and 576k (3 x 6000, 3 x 8000) and gain from 864k
-    # (README's fan-out table), so a second process starts at 2^19 (524k)
+    # gain from a second process in more than half their pairs first at
+    # 720k bit-decodes (3 x 10000) for both decoders; Gallager A still
+    # loses at 648k (README's fan-out table)
     per = experiments._WORK_PER_EXTRA_PROCESS
-    assert per == 1 << 19 and 432_000 < per < 576_000
+    assert per == 720_000
     trials = 10**9
-    for work, size in ((0, 1), (1, 1), (288_000, 1), (432_000, 1), (per - 1, 1), (per, 2), (per + 1, 2),
-                       (576_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
+    for work, size in ((0, 1), (1, 1), (288_000, 1), (576_000, 1), (648_000, 1), (per - 1, 1), (per, 2), (per + 1, 2),
+                       (864_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
         assert experiments._pool_size(64, trials, work) == size, work
     # the CI sweep, 3 x 20000 trials of 48A's 24 bits, still starts a pool at 2 CPUs
     assert experiments._pool_size(2, 20_000, 3 * 20_000 * 24) == 2
@@ -668,5 +672,8 @@ def test_syndrome_statistics_validation(heawood_h):
     for kwargs in ({"stream_index": -1}, {"master_seed": -3}):
         with pytest.raises(ValueError, match="master_seed and stream_index must be non-negative"):
             syndrome_statistics(heawood_h, 0.1, **{"trials": 100, "master_seed": 0, **kwargs})
+    # a dense H would fail reading h.nrows
+    with pytest.raises(ValueError, match="H must be a BitMatrix.*BitMatrix.from_numpy"):
+        syndrome_statistics(np.eye(7, dtype=np.uint8), 0.1, trials=100, master_seed=0)
     stats = syndrome_statistics(heawood_h, 0.1, trials=100, master_seed=0, stream_index=np.int64(2))
     assert stats == syndrome_statistics(heawood_h, 0.1, trials=100, master_seed=0, stream_index=2)

@@ -148,10 +148,23 @@ LCF_LIKE = st.builds(
 )
 
 
+def networkx_lcf(text):
+    """Vertex count and edge set of ``networkx.LCF_graph`` for LCF text
+    that ``parse_lcf`` accepts."""
+    body, mult = text.strip().split("^")
+    offsets = [int(tok) for tok in body.strip()[1:-1].split(",")]
+    nxg = nx.LCF_graph(len(offsets) * int(mult), offsets, int(mult))
+    return nxg.number_of_nodes(), {frozenset(e) for e in nxg.edges()}
+
+
 @given(st.one_of(st.text(max_size=40), LCF_LIKE))
 @example("[5]^" + "9" * 5000)
 @example("[" + "9" * 5000 + "]^2")
 @example(f"[5,-5]^{MAX_VERTICES // 2 + 1}")
+@example(" [ 5 , -5 ] ^ 7 ")
+@example("[19,-19]^7")  # offsets past n reduce mod n
+@example("[2]^4")  # K4: every chord is drawn from both ends
+@example("[5,7,-7,7,-7,-5]^3")
 @settings(max_examples=200, deadline=None)
 def test_parse_lcf_raises_only_lcf_error(text):
     try:
@@ -159,6 +172,58 @@ def test_parse_lcf_raises_only_lcf_error(text):
     except LcfError:
         return
     assert is_cubic(g)
+    assert (g.vertex_count, {frozenset(e) for e in g.edges()}) == networkx_lcf(text)
+
+
+def test_shipped_lcf_files_match_networkx(data_dir):
+    paths = sorted(data_dir.glob("*.lcf"))
+    assert len(paths) == 11
+    for path in paths:
+        [text] = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+        g = parse_lcf(text)
+        assert (g.vertex_count, {frozenset(e) for e in g.edges()}) == networkx_lcf(text), path.name
+
+
+CAP = MAX_VERTICES
+
+# every refusal of the three graph builders, with its full message
+REFUSALS = [
+    pytest.param(lambda: Graph.from_edges(2, [(0, 0)]), ValueError, "self-loop at vertex 0", id="from_edges-loop"),
+    pytest.param(lambda: Graph.from_edges(3, [(0, 1), (0, 1)]), ValueError, "duplicate edge (0, 1)", id="from_edges-repeat"),
+    pytest.param(lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), ValueError, "duplicate edge (1, 0)", id="from_edges-reversed"),
+    pytest.param(lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0, 2) outside vertex range 0..1", id="from_edges-above"),
+    pytest.param(lambda: Graph.from_edges(2, [(-1, 0)]), ValueError, "edge (-1, 0) outside vertex range 0..1", id="from_edges-negative"),
+    pytest.param(lambda: Graph.from_edges(2, [(2, 2)]), ValueError, "edge (2, 2) outside vertex range 0..1", id="from_edges-range-first"),
+    pytest.param(lambda: load_edge_list("0 1\n1 1\n"), GraphFormatError, "line 2: self-loop at vertex 1", id="edges-loop"),
+    pytest.param(lambda: load_edge_list("0 1\n\n0 1\n"), GraphFormatError, "line 3: duplicate edge (0, 1)", id="edges-repeat"),
+    pytest.param(lambda: load_edge_list("n=3\n0 1\n# c\n1 0\n"), GraphFormatError, "line 4: duplicate edge (1, 0)", id="edges-reversed"),
+    pytest.param(lambda: load_edge_list("0 -1\n"), GraphFormatError, "line 1: negative vertex index", id="edges-negative"),
+    pytest.param(lambda: load_edge_list(f"0 {CAP}\n"), GraphFormatError, f"line 1: vertex index {CAP} beyond the cap of {CAP} vertices", id="edges-cap"),
+    pytest.param(lambda: load_edge_list("n=2\n0 5\n"), GraphFormatError, "line 2: vertex index beyond declared count 2", id="edges-declared"),
+    pytest.param(lambda: load_edge_list("0 x # note\n"), GraphFormatError, "line 1: non-integer endpoint in '0 x'", id="edges-non-integer"),
+    pytest.param(lambda: load_edge_list("0 1 2\n"), GraphFormatError, "line 1: expected 'u v', got '0 1 2'", id="edges-three-fields"),
+    pytest.param(lambda: load_edge_list("0 1\nn=3\n"), GraphFormatError, "line 2: expected 'u v', got 'n=3'", id="edges-late-header"),
+    pytest.param(lambda: load_edge_list("# c\nn=2.5\n"), GraphFormatError, "line 2: bad vertex count 'n=2.5'", id="edges-count-float"),
+    pytest.param(lambda: load_edge_list("n=" + "9" * 5000), GraphFormatError, "line 1: bad vertex count " + repr("n=" + "9" * 5000), id="edges-count-digits"),
+    pytest.param(lambda: load_edge_list("n=-3\n"), GraphFormatError, "line 1: negative vertex count", id="edges-count-negative"),
+    pytest.param(lambda: load_edge_list(f"n={CAP + 1}\n"), GraphFormatError, f"line 1: vertex count {CAP + 1} exceeds {CAP}", id="edges-count-cap"),
+    pytest.param(lambda: parse_lcf("not lcf"), LcfError, "not valid LCF notation: 'not lcf'", id="lcf-syntax"),
+    pytest.param(lambda: parse_lcf("[5]^" + "9" * 5000), LcfError, "offset or multiplier has too many digits", id="lcf-digits"),
+    pytest.param(lambda: parse_lcf("[5,-5]^0"), LcfError, "multiplier must be positive", id="lcf-multiplier"),
+    pytest.param(lambda: parse_lcf(f"[5,-5]^{CAP // 2 + 1}"), LcfError, f"2*{CAP // 2 + 1} = {CAP + 2} vertices exceeds {CAP}", id="lcf-cap"),
+    pytest.param(lambda: parse_lcf("[2]^1"), LcfError, "only 1 vertices, the Hamiltonian cycle needs at least 3", id="lcf-short"),
+    pytest.param(lambda: parse_lcf("[2,-4]^2"), LcfError, "offset -4 at vertex 1 reduces to a loop", id="lcf-loop"),
+    pytest.param(lambda: parse_lcf("[3,-5]^3"), LcfError, "offset -5 at vertex 1 collides with a cycle edge", id="lcf-collision"),
+    pytest.param(lambda: parse_lcf("[3,-3,2]^2"), LcfError, "vertex 1 ends with degree 4, expected 3", id="lcf-degree"),
+]
+
+
+@pytest.mark.parametrize("build, exc_type, message", REFUSALS)
+def test_every_refusal_message(build, exc_type, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert type(excinfo.value) is exc_type
+    assert str(excinfo.value) == message
 
 
 EDGE_LINES = st.one_of(
@@ -176,6 +241,41 @@ def test_load_edge_list_raises_only_graph_format_error(text):
         load_edge_list(text)
     except GraphFormatError:
         pass
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A simple graph on up to 12 vertices, as its vertex count, its edges
+    in a drawn order and orientation, and an edge-list text of them with
+    comments, blank lines and an ``n=`` header or none."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    filler = st.lists(st.sampled_from(["", "  ", "# comment", "\t# indented comment"]), max_size=2)
+    tail = st.sampled_from(["", "  # trailing comment", " ", "#"])
+    lines = draw(filler)
+    header = draw(st.booleans())
+    if header:
+        lines.append(f"n={n}" + draw(tail))
+    for u, v in edges:
+        lines += draw(filler) + [f"{u}{draw(st.sampled_from([' ', '  ', chr(9)]))}{v}" + draw(tail)]
+    lines += draw(filler)
+    count = n if header else 1 + max((max(e) for e in edges), default=-1)
+    return count, edges, draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@given(edge_list_texts())
+@settings(max_examples=200, deadline=None)
+def test_load_edge_list_equals_from_edges(case):
+    count, edges, text = case
+    assert load_edge_list(text) == Graph.from_edges(count, edges)
+
+
+def test_edge_list_at_the_cap_equals_its_lcf():
+    g = parse_lcf(f"[5,-5]^{MAX_VERTICES // 2}")
+    text = f"n={g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert load_edge_list(text) == g
 
 
 def test_girth_known_values():
