@@ -77,8 +77,14 @@ class AwgnChannel:
 
     def __post_init__(self) -> None:
         _require_real("sigma", self.sigma)
-        # an infinite sigma or sigma^2 makes received values inf and LLRs 0 or nan
-        if not (0.0 < self.sigma < math.inf and self.sigma * self.sigma < math.inf):
+        # an infinite sigma or sigma^2 makes received values inf and LLRs 0
+        # or nan; the square is a float's, and an int past the float range
+        # is as infinite
+        try:
+            sigma = float(self.sigma)
+        except OverflowError:
+            sigma = math.inf
+        if not (0.0 < sigma < math.inf and sigma * sigma < math.inf):
             raise ValueError(f"sigma {self.sigma} must be finite and positive, with a finite square")
 
 

@@ -84,11 +84,15 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     _check_out(args.out)
     files = sorted(
         [p for p in directory.iterdir() if p.suffix in GRAPH_SUFFIXES],
-        key=lambda p: p.stem,
+        key=lambda p: (p.stem, p.suffix),
     )
     rows = []
+    read_from: dict[str, str] = {}  # each printed id and the file its row came from
     for path in files:
         try:
+            # a row's id is its file's stem, so a second file of one stem would repeat it
+            if path.stem in read_from:
+                raise ValueError(f"id {path.stem} already read from {read_from[path.stem]}")
             g = load_graph_file(path)
             # the table prints no bounds, so none are computed
             report = code_report(
@@ -97,6 +101,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         except (ValueError, OSError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
+        read_from[path.stem] = path.name
         rows.append(report)
     rows.sort(key=lambda r: (2 * r.n, r.graph_id))
     lines = [CATALOG_HEADER]

@@ -3,10 +3,11 @@
 One message-passing loop, ``_EdgeStructure.decode_stream``, decodes a
 stream of (B, n) blocks of words in one set of numpy passes per
 iteration; ``decode_block`` is its one-block case and ``decode`` the
-B = 1 case of that.  The two decoders differ only in their update rule: a
-start method checks the input and gives the iteration-0 estimate and the
-state the rule carries, as it stands before the first iteration, and a
-step method runs one iteration from that state (Richardson & Urbanke,
+B = 1 case of that.  The two decoders differ only in their update rule
+and lanes: a start method checks a block, lays its rows and labels out in
+lanes and gives the iteration-0 estimate and the state the rule carries,
+as it stands before the first iteration, and a step method runs one
+iteration from that state (Richardson & Urbanke,
 *Modern Coding Theory*, 2008, ch. 2, flooding schedule).
 
 The stream works in lanes.  A lane holds one row for sum-product, whose
@@ -204,14 +205,14 @@ class _EdgeStructure:
     ``has_bit_pad`` tells the steps whether to overwrite any entry at all:
     a masked write that selects nothing still costs ~3 us.
 
-    Subclasses supply the update rule and the lane format.  ``_start(y)``
-    takes a (B, n) block and returns the iteration-0 estimate and a tuple
-    of state arrays, each with one column per lane, and ``_step(*arrays)``
-    returns the next estimate and arrays; the first step is no different
-    from any other.  ``_lanes(labels)`` gives a block's labels by lane,
-    (rows of a lane, lanes), and its live-row masks, and ``_hand_out`` the
-    finished rows of some lanes, one by one.  Here a lane is one row, and
-    an estimate and a mask are bools."""
+    Subclasses supply the update rule and the lane format.
+    ``_start(labels, y)`` takes a block's labels and (B, n) words and
+    returns its lanes: the labels by lane, (rows of a lane, lanes), the
+    live-row masks, the iteration-0 estimate and the state arrays, each
+    with one column per lane.  ``_step(*arrays)`` returns the next estimate
+    and arrays; the first step is no different from any other.
+    ``_hand_out`` gives the finished rows of some lanes, one by one.  Here
+    a lane is one row, and an estimate and a mask are bools."""
 
     def __init__(self, h: BitMatrix):
         self.checks = ParityChecks(h)
@@ -281,11 +282,9 @@ class _EdgeStructure:
             parts = [] if state is None else [state]
             active = 0 if state is None else len(state[1])
             while active < budget and (block := next(blocks, None)) is not None:
-                labels, y = self._checked(*block)
-                est, carried = self._start(y)
-                lanes = est.shape[-1]
-                parts.append((*self._lanes(labels), np.zeros(lanes, dtype=np.int64), est, *carried))
-                active += lanes
+                labels, live, *lanes = self._start(*self._checked(*block))
+                parts.append((labels, live, np.zeros(len(live), dtype=np.int64), *lanes))
+                active += len(live)
             if len(parts) > 1:
                 state = tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
             elif parts:
@@ -322,9 +321,6 @@ class _EdgeStructure:
         if labels.shape != y.shape[:1]:
             raise ValueError(f"labels of shape {labels.shape} do not match a block of {len(y)} rows")
         return labels, y
-
-    def _lanes(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return labels[None], np.ones(len(labels), dtype=bool)
 
     def _hand_out(self, finished, done, labels, iterations, est):
         """(labels, words, iterations, syndrome_zero) of the ``finished``
@@ -370,16 +366,8 @@ class GallagerADecoder(_EdgeStructure):
         # one such threshold vote together, all of them if they can
         thresholds = len(self.bit_slots) + 1 - self.bit_deg // 2
         groups = sorted(set(thresholds[several].tolist()))
-        if len(groups) == 1:
-            self.votes = [(None, groups[0])]
-        else:
-            self.votes = [(np.flatnonzero(several & (thresholds == t)), t) for t in groups]
-
-    def _lanes(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lanes = -(-len(labels) // _WORD_BITS)
-        padded = np.zeros(lanes * _WORD_BITS, dtype=labels.dtype)
-        padded[:len(labels)] = labels
-        return padded.reshape(lanes, _WORD_BITS).T, _pack(np.ones(len(labels), dtype=bool))
+        self.votes = [(np.flatnonzero(several & (thresholds == t)) if len(groups) > 1 else slice(None), t)
+                      for t in groups]
 
     def _hand_out(self, finished, done, labels, iterations, est):
         rows = _unpack(finished).view(bool)
@@ -397,15 +385,20 @@ class GallagerADecoder(_EdgeStructure):
             _unpack(done).view(bool)[rows],
         )
 
-    def _start(self, y: np.ndarray):
-        """Hard-decision words, every entry 0 or 1: the estimate is the word
-        itself.  The state is that of checks echoing the channel: no check
-        disagrees, so the first step sends the received bits."""
+    def _start(self, labels: np.ndarray, y: np.ndarray):
+        """Hard-decision words, every entry 0 or 1, 64 rows to a lane: a
+        last lane's missing rows take label 0 and are never live.  The
+        estimate is the word itself.  The state is that of checks echoing
+        the channel: no check disagrees, so the first step sends the
+        received bits."""
         bits = y.astype(bool)
         if (bits != y).any():
             raise ValueError("Gallager A input must be hard decisions, every entry 0 or 1")
         y = _pack(bits)
-        return y, (y, np.zeros(self.bit_slots.shape + y.shape[1:], dtype=np.uint64))
+        by_lane = np.zeros((y.shape[1], _WORD_BITS), dtype=labels.dtype)
+        by_lane.flat[:len(labels)] = labels
+        live = _pack(np.ones(len(labels), dtype=bool))
+        return by_lane.T, live, y, y, np.zeros(self.bit_slots.shape + y.shape[1:], dtype=np.uint64)
 
     def _step(self, y: np.ndarray, disagree: np.ndarray):
         """One iteration from the received lanes and the last iteration's
@@ -430,10 +423,7 @@ class GallagerADecoder(_EdgeStructure):
             disagree[self.bit_pad] = self.pad_fill
         flips = np.zeros_like(y)
         for bits, t in self.votes:
-            if bits is None:
-                flips = _at_least(disagree, t)
-            else:
-                flips[bits] = _at_least(disagree[:, bits], t)
+            flips[bits] = _at_least(disagree[:, bits], t)
         return y ^ flips, (y, disagree)
 
 
@@ -445,14 +435,15 @@ class SumProductDecoder(_EdgeStructure):
     to bit 0.  Early exit on zero syndrome.
     """
 
-    def _start(self, llr: np.ndarray):
-        """Channel LLRs, which must be finite: the estimate is their sign.
-        With every check message still zero, the first step sends the
-        channel LLRs."""
+    def _start(self, labels: np.ndarray, llr: np.ndarray):
+        """Channel LLRs, which must be finite, one row to a lane: the
+        estimate is their sign.  With every check message still zero, the
+        first step sends the channel LLRs."""
         llr = np.ascontiguousarray(llr.T, dtype=np.float64)
         if not np.all(np.isfinite(llr)):
             raise ValueError("LLR input must be finite, clamp infinities first")
-        return llr < 0, (llr, llr, np.zeros(self.bit_slots.shape + llr.shape[1:]))
+        c2b = np.zeros(self.bit_slots.shape + llr.shape[1:])
+        return labels[None], np.ones(len(labels), dtype=bool), llr < 0, llr, llr, c2b
 
     def _step(self, llr: np.ndarray, total: np.ndarray, c2b: np.ndarray):
         """One iteration from the last iteration's (total, c2b), c2b (d, n,

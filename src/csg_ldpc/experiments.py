@@ -38,9 +38,11 @@ README's cap table gives the peak RSS of 10,000 Gallager A trials.
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~11 us (in process, min of 5 x 20,000 calls), against ~1.3 us for a
 45-bit BSC draw (2-CPU machine), most of it in ``SeedSequence``
-hashing.  That hash is a fixed integer recurrence, so
-``_trial_generators`` runs it in numpy for up to ``_SEED_CHUNK`` (1024)
-trials per pass.  Each trial's 4 words then seed a new ``PCG64`` through
+hashing.  That hash is a fixed sequence of uint32 steps whose constants
+do not depend on the seed, so ``_pcg64_seeds`` runs numpy's steps in
+numpy's order on whole rows of words, one word per trial, for up to
+``_SEED_CHUNK`` (1024) trials per pass of ``_trial_generators``.  Each
+trial's 4 words then seed a new ``PCG64`` through
 numpy's own routine, the one ``default_rng`` runs: ``_trial_seed_type``
 is a minimal ``ISeedSequence`` that hands them over.  So every trial
 has a generator of its own, equal to ``trial_rng``'s bit for bit, and
@@ -140,11 +142,10 @@ _SEED_CHUNK = 1024
 _WORK_PER_EXTRA_PROCESS = 720_000
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words)
+# numpy's SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 _MASK32 = (1 << 32) - 1
 
 
@@ -168,51 +169,46 @@ def _words(value: int) -> list[int]:
     return words
 
 
-@functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constant each of ``count`` successive hashes XORs in, and the
-    one it multiplies by (the next constant of the sequence).  Cached, so
-    both are read-only."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    sequence = np.array(consts, dtype=np.uint32)[:, None]
-    sequence.flags.writeable = False
-    return sequence[:-1], sequence[1:]
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mult
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> 16)
-
-
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, uint64)`` for each column e of a
     (words, B) uint32 entropy array, as a C-contiguous (B, 4) uint64
-    array: row b is column b's seed."""
-    words = len(entropy)
-    if words < _POOL_SIZE:
-        entropy = np.vstack([entropy, np.zeros((_POOL_SIZE - words, entropy.shape[1]), np.uint32)])
-    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, words - _POOL_SIZE))
-    pool = _hashmix(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    # each pool word, hashed once per other word, mixes into those words
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + len(dst)], mult[k:k + len(dst)]))
-        k += len(dst)
-    # entropy words past the pool mix into every pool word
-    for extra in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(extra, xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
-        k += _POOL_SIZE
-    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    state = _hashmix(np.vstack([pool, pool]), xor, mult).astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    array: row b is column b's seed.
+
+    numpy's steps in numpy's order, each on a whole row of B words: hash
+    the first four entropy words into a pool of four, zeros past the
+    entropy's end; mix each pool word into the other three; mix every
+    further entropy word into all four; hash the pool twice round for the
+    eight uint32 words of state.  Every hash XORs in the running hash
+    constant and multiplies by the next one.  The constant is a Python
+    int and every operand a row, so uint32 products wrap as numpy's do
+    and no overflow warning fires.
+    """
+    const = _INIT_A
+
+    def hashed(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashed(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mixed(pool[dst], hashed(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mixed(pool[dst], hashed(word))
+    const = _INIT_B
+    state = np.stack([hashed(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    # as numpy does: the eight words as four little-endian uint64
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @functools.cache

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csg_ldpc.bounds import (
+    _snap,
     bit_node_graph,
     clique_number,
     compute_bounds,
@@ -216,6 +217,15 @@ def test_gram_lambda2_matches_full_adjacency(catalog):
         else:
             assert report.mu2 == pytest.approx(mu2, abs=1e-9), gid
         assert report.piecewise_bound <= entry["expected"]["d"], gid
+
+
+def test_compute_bounds_mu2_equals_the_checked_spectrum(catalog):
+    # compute_bounds hands its Gram matrix to eigvalsh without spectrum's
+    # symmetry test: mu2 must be spectrum's, bit for bit
+    assert len(catalog) == 14
+    for gid, (g, _) in catalog.items():
+        code = build_code(g)
+        assert compute_bounds(g, code).mu2 == _snap(float(spectrum(gram_matrix(code))[1])), gid
 
 
 def test_tanner_bounds_formula_values():

@@ -50,10 +50,14 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         BscChannel(0.6)
     # past ~1.34e154 sigma^2 overflows: every LLR 2 r / sigma^2 would be 0 or nan
-    for sigma in (0.0, -1.0, float("inf"), float("nan"), 1.35e154, 1e200, 1e308):
+    # an int's square is taken as a float's: 10**200 would pass an exact
+    # int comparison and overflow in llr_from_awgn, and 10**400 has no float
+    for sigma in (0.0, -1.0, float("inf"), float("nan"), 1.35e154, 1e200, 1e308, 10**200, 10**400,
+                  np.longdouble("1e400")):
         with pytest.raises(ValueError, match="finite and positive"):
             AwgnChannel(sigma)
     AwgnChannel(1.34e154)
+    AwgnChannel(2)
     BscChannel(0.0)
     BscChannel(0.5)
     # a parameter that is not a real number would fail in the range

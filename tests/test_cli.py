@@ -140,6 +140,23 @@ def test_catalog_skips_graphs_with_no_vertices(tmp_path, capsys):
     assert captured.out.splitlines() == [CATALOG_HEADER, "14A,7,3,4,6,true,true,false"]
 
 
+def test_catalog_skips_a_second_file_of_one_stem(tmp_path, data_dir, capsys):
+    # a row's id is its file's stem: x.edges (40A) is read first, and x.lcf
+    # (14A) would print a second row with id x
+    (tmp_path / "x.edges").write_text((data_dir / "40A.edges").read_text())
+    lcf_file(tmp_path, "x.lcf", "[5,-5]^7")
+    assert main(["catalog", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: skipping x.lcf: id x already read from x.edges\n"
+    assert [line.split(",")[:2] for line in captured.out.splitlines()] == [CATALOG_HEADER.split(",")[:2], ["x", "20"]]
+    # a file that fails to load takes no id: the next file of its stem is read
+    (tmp_path / "x.edges").write_text("0 0\n")
+    assert main(["catalog", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: skipping x.edges: ")
+    assert captured.out.splitlines() == [CATALOG_HEADER, "x,7,3,4,6,true,true,false"]
+
+
 def test_export_alist_round_trip(heawood_path, tmp_path, capsys):
     out = tmp_path / "h.alist"
     assert main(["export-alist", heawood_path, str(out)]) == 0

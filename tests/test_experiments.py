@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,33 @@ def test_trial_seed_gives_pcg64_only_its_own_request():
     for n_words, dtype in ((4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError, match="4 uint64 words"):
             seed.generate_state(n_words, dtype)
+
+
+# a uint32 entropy word, its two extremes drawn often
+UINT32 = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+# 1 to 8 entropy words: short of numpy's pool of 4, filling it and past it
+@given(st.integers(1, 8).flatmap(lambda words: st.lists(st.lists(UINT32, min_size=words, max_size=words),
+                                                        min_size=1, max_size=6)))
+@example(columns=[[0] * 8, [2**32 - 1] * 8])
+@example(columns=[[0], [2**32 - 1]])
+@settings(max_examples=100, deadline=None)
+def test_pcg64_seeds_equal_seed_sequence(columns):
+    seeds = experiments._pcg64_seeds(np.array(columns, dtype=np.uint32).T)
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(columns), 4) and seeds.flags.c_contiguous
+    for words, column in zip(seeds, columns):
+        assert np.array_equal(words, np.random.SeedSequence(column).generate_state(4, np.uint64))
+
+
+def test_trial_generators_across_2_32_raise_no_warning():
+    # the seed hash's uint32 products wrap, as numpy's do, and must not
+    # warn of overflow at any seed width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**32 - 1, 2**64 + 5, 2**96 + 3):
+            for g in experiments._trial_generators(seed, 2**32 - 3, 2**32 + 3):
+                g.random(2)
 
 
 def test_config_validation(heawood_h):
