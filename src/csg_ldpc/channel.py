@@ -66,7 +66,7 @@ class BscChannel:
     def __post_init__(self) -> None:
         _require_real("crossover probability", self.rho)
         if not 0.0 <= self.rho <= 0.5:
-            raise ValueError(f"crossover probability {self.rho} outside [0, 1/2]")
+            raise ValueError(f"crossover probability {_shown(self.rho)} outside [0, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class AwgnChannel:
         except OverflowError:
             sigma = math.inf
         if not (0.0 < sigma < math.inf and sigma * sigma < math.inf):
-            raise ValueError(f"sigma {self.sigma} must be finite and positive, with a finite square")
+            raise ValueError(f"sigma {_shown(self.sigma)} must be finite and positive, with a finite square")
 
 
 ChannelModel = Union[BscChannel, AwgnChannel]
@@ -96,6 +96,15 @@ def _require_real(name: str, value: object) -> None:
     number (a bool included), which the range checks cannot compare."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _shown(value: object) -> str:
+    """A refused channel parameter as its message shows it: an int past
+    the float range by its sign and size, since Python refuses to format
+    one of more than 4,300 digits, and anything else as it is."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"({'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer)"
+    return f"{value}"
 
 
 def require_bit_matrix(h: object) -> None:
@@ -209,7 +218,7 @@ def f_t(t: int, rho: float) -> float:
     if not isinstance(t, int) or t < 1:
         raise ValueError("t must be a positive integer")
     if not 0.0 <= rho <= 0.5:
-        raise ValueError(f"rho {rho} outside [0, 1/2]")
+        raise ValueError(f"rho {_shown(rho)} outside [0, 1/2]")
     return (1.0 - (1.0 - 2.0 * rho) ** t) / 2.0
 
 
@@ -234,7 +243,7 @@ def llr_from_bsc(bits: np.ndarray, rho: float) -> np.ndarray:
     so downstream decoders always see finite input.
     """
     if not 0.0 <= rho <= 0.5:
-        raise ValueError(f"rho {rho} outside [0, 1/2]")
+        raise ValueError(f"rho {_shown(rho)} outside [0, 1/2]")
     bits = np.asarray(bits, dtype=np.float64)
     with np.errstate(divide="ignore"):
         magnitude = np.log((1.0 - rho) / rho) if rho > 0 else np.inf

@@ -40,8 +40,10 @@ estimates as they are: bool rows or uint64 lanes.
 The loop keeps every lane's labels, an integer for each row that the
 caller hands in with its block, which of its rows are still live, and an
 iteration count, shared by the rows of a lane since they are admitted
-together.  Each pass it admits further blocks while fewer lanes than
-its budget are active, tests every lane's estimate for a zero
+together.  Each pass it fills the room left under its lane budget with
+the next rows of the stream, cut at a lane boundary, so a block wider
+than that room waits in part for a later pass and no more than the
+budget is ever in flight.  It then tests every lane's estimate for a zero
 syndrome, hands out the live rows that reached one or their ``max_iter``
 with their labels (unpacking only the lanes that hold such a row), drops
 the lanes that have no live row left, and steps the rest.  A finished
@@ -74,9 +76,9 @@ __all__ = ["DecodeResult", "GallagerADecoder", "SumProductDecoder"]
 
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 
-# lanes a decode stream keeps in flight: it admits the next block whenever
-# fewer are active, so with blocks of b lanes at most IN_FLIGHT + b - 1.
-# A lane is one row for sum-product and up to 64 rows for Gallager A
+# lanes a decode stream keeps in flight: each pass it admits the next
+# rows of the stream, cut at a lane boundary, up to exactly this many.  A
+# lane is one row for sum-product and up to 64 rows for Gallager A
 IN_FLIGHT = 128
 
 # lanes x n a stream keeps in flight, at least one lane: every n up to
@@ -205,7 +207,8 @@ class _EdgeStructure:
     ``has_bit_pad`` tells the steps whether to overwrite any entry at all:
     a masked write that selects nothing still costs ~3 us.
 
-    Subclasses supply the update rule and the lane format.
+    Subclasses supply the update rule and the lane format, whose
+    ``_LANE_ROWS`` is the rows a lane holds.
     ``_start(labels, y)`` takes a block's labels and (B, n) words and
     returns its lanes: the labels by lane, (rows of a lane, lanes), the
     live-row masks, the iteration-0 estimate and the state arrays, each
@@ -213,6 +216,8 @@ class _EdgeStructure:
     and arrays; the first step is no different from any other.
     ``_hand_out`` gives the finished rows of some lanes, one by one.  Here
     a lane is one row, and an estimate and a mask are bools."""
+
+    _LANE_ROWS = 1
 
     def __init__(self, h: BitMatrix):
         self.checks = ParityChecks(h)
@@ -257,15 +262,16 @@ class _EdgeStructure:
         """Decode an iterable of (labels, y) pairs as one stream of rows: y
         a (B, n) block and labels B integers the caller chooses, one a row.
 
-        Before each iteration the stream admits further blocks while fewer
-        lanes than its budget (the module docstring) are active, so rows
-        that decode slowly share their iterations with fresh ones; each
-        block is read only when it is admitted.  Each pass that finishes
-        rows yields (labels, words, iterations, syndrome_zero): the rows'
-        labels and, for each, what ``decode`` returns for it, words as a
-        (k, n) array.  ``max_iter`` must be a non-negative integer, Python
-        or numpy; anything else raises ``ValueError`` before any block is
-        read.
+        Before each iteration the stream admits the next rows, cut at a
+        lane boundary, until its lane budget (the module docstring) is
+        full, so rows that decode slowly share their iterations with fresh
+        ones and a block wider than the room left waits in part for a
+        later pass; each block is read only when its first rows are
+        admitted.  Each pass that finishes rows yields (labels, words,
+        iterations, syndrome_zero): the rows' labels and, for each, what
+        ``decode`` returns for it, words as a (k, n) array.  ``max_iter``
+        must be a non-negative integer, Python or numpy; anything else
+        raises ``ValueError`` before any block is read.
         """
         # a row that never reaches a zero syndrome stops only at
         # iterations == max_iter, which a cap of -1 or 2.5 never meets
@@ -277,12 +283,22 @@ class _EdgeStructure:
         # last axis: labels (rows of a lane, lanes), live-row masks,
         # iteration counts, estimates, then the carried state
         state = None
+        # (labels, y) of the rows of the last block read not yet admitted
+        waiting = None
         while True:
-            # the blocks admitted on one pass join the state in one copy
+            # the rows admitted on one pass join the state in one copy
             parts = [] if state is None else [state]
             active = 0 if state is None else len(state[1])
-            while active < budget and (block := next(blocks, None)) is not None:
-                labels, live, *lanes = self._start(*self._checked(*block))
+            while active < budget:
+                if waiting is None:
+                    waiting = next(blocks, None)
+                    if waiting is None:
+                        break
+                    waiting = self._checked(*waiting)
+                # as many lanes as the budget has room for; the rest waits
+                room = (budget - active) * self._LANE_ROWS
+                labels, live, *lanes = self._start(*(a[:room] for a in waiting))
+                waiting = tuple(a[room:] for a in waiting) if room < len(waiting[1]) else None
                 parts.append((labels, live, np.zeros(len(live), dtype=np.int64), *lanes))
                 active += len(live)
             if len(parts) > 1:
@@ -353,6 +369,8 @@ class GallagerADecoder(_EdgeStructure):
     entry, which for a bit of degree 2 or more also takes another real
     entry, 0, so only the fill of lower degrees counts, and that is 0.
     """
+
+    _LANE_ROWS = _WORD_BITS
 
     def __init__(self, h: BitMatrix):
         super().__init__(h)

@@ -8,32 +8,38 @@ order irrelevant and the output byte-stable.
 
 Each worker decodes its share of a sweep as one block-major stream of
 rows through one ``decode_stream``.  Its span is cut into blocks of
-``BLOCK_ROWS`` (64) trials.  A sweep's configs share one channel
-type and differ only in its parameter, so trial i draws the same noise at
-every point: each block is drawn once, uniforms for BSC and normals for
-AWGN, trial i's row from its own generator as above, and every config in
-turn applies its own rho or sigma to that one draw
-(``channel.apply_noise``) and feeds the block to the stream.  This module
-is the one place that draws a sweep's noise.  One syndrome call per
-config takes the block's received weights and one conversion its LLRs.
-``decode_stream`` takes a new block whenever fewer lanes than its budget
-(``decoders.IN_FLIGHT``, 128, for n up to 2048) are still decoding, so a
-row that runs to the iteration cap shares its iterations with fresh
-rows, those of the next config included, rather than holding a whole
-block's pass to a few rows.  A lane is one row for sum-product and one uint64 word of up to 64
-rows for Gallager A, so a Gallager A block is one lane.  Each row goes in
-labelled with its config's index, so a finished row's errors and flags go
-into that config's integer sums: the order in which rows finish cannot
-change a number.
-The noise block need not match the in-flight count: the working set is
-at most 191 active lanes of decoder state and step temporaries plus one
-block of noise.  For sum-product that is 191 rows; on 90A sweeps,
-128-trial blocks cost ~1.6% more peak RSS and did not make them
-measurably faster.  For Gallager A it is 128 lanes, up to 8192 rows at
-1 + d bits of state per bit and row: all of ``simulate-ga-w2``'s 6000
-rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
-(``decoders.LANE_WORDS``): 52 lanes at the 5000-bit vertex cap, where
-README's cap table gives the peak RSS of 10,000 Gallager A trials.
+``_block_rows(n)`` trials: ``BLOCK_ELEMENTS`` (2^13) // n, but at least
+64, one Gallager A lane, so 341 on 48A, 182 on 90A and 64 at the
+5000-bit vertex cap.  A sweep's configs share one channel type and differ
+only in its parameter, so trial i draws the same noise at every point:
+each block is drawn once, uniforms for BSC and normals for AWGN, trial
+i's row from its own generator as above, and every config in turn
+applies its own rho or sigma to that one draw (``channel.apply_noise``).
+This module is the one place that draws a sweep's noise.  The configs'
+hard words go into one (configs x rows, n) array, whose received weights
+one syndrome call takes, and the block enters the stream as one (labels,
+y) pair, config after config.  ``decode_stream`` admits its rows, cut at
+a lane boundary, into whatever room is left under its lane budget
+(``decoders.IN_FLIGHT``, 128, for n up to 2048), and the rest waits for
+a later pass, so a row that runs to the iteration cap shares its
+iterations with fresh rows, those of the next config included, and no
+more than the budget is ever in flight.  A lane is one row for
+sum-product and one uint64 word of up to 64 rows for Gallager A.  Each
+row goes in labelled with its config's index, so a finished row's errors
+and flags go into that config's integer sums: the order in which rows
+finish cannot change a number.
+The working set is at most 128 lanes of decoder state and step
+temporaries plus one block of noise and decoder input.  For sum-product
+that is 128 rows; for Gallager A up to 8192 rows at 1 + d bits of state
+per bit and row: all of ``simulate-ga-w2``'s 6000 rows at once on 48A.
+Past n = 2048 the budget shrinks as 1/n (``decoders.LANE_WORDS``): 52
+lanes at the vertex cap, where README's cap table gives the peak RSS of
+10,000 Gallager A trials.  The element budget was read from in-process
+sweeps on a 2-CPU machine: from 2^12 to 2^15 elements a block,
+``simulate-ga-w2``'s sweep took 11.5-12.5 ms and ``simulate-sp``'s
+15.4-16.7 ms at every size, while the sweep's traced peak grew from
+2^14 on (0.56 MB at 2^13, 1.42 MB at 2^15 on 48A); 2^13 was the fastest
+Gallager A size at the smallest peak.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~11 us (in process, min of 5 x 20,000 calls), against ~1.3 us for a
@@ -55,7 +61,7 @@ per trial, however many points the sweep has.
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
 Their one trial range splits into ``min(worker_count, trials, usable
-CPUs, 1 + bit-decodes // 720,000)`` spans, one task per worker, and worker w
+CPUs, 1 + bit-decodes // 1,296,000)`` spans, one task per worker, and worker w
 decodes span w of every config; the usable CPUs are the process's
 affinity mask where the OS has one, not the host's count, and the
 bit-decodes are trials x configs x n, for either decoder.  So a
@@ -63,8 +69,8 @@ bit-decodes are trials x configs x n, for either decoder.  So a
 builds one decoder and ends one stream tail, not one per channel
 parameter.  Results do not depend on the worker count, so
 ``worker_count`` is a ceiling, and a process past the first starts only
-when the sweep's work pays for its fork.  720,000 bit-decodes per extra
-process is the smallest measured size at which two processes beat one
+when the sweep's work pays for its fork.  1,296,000 bit-decodes per
+extra process is the smallest measured size at which two processes beat one
 for both decoders on a 2-CPU machine.  README's Python API section holds
 the table it was read from.  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
@@ -126,9 +132,10 @@ RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 # each --decoder name and the class that decodes under it, in DECODER_NAMES' order
 DECODERS = dict(zip(DECODER_NAMES, (GallagerADecoder, SumProductDecoder)))
 
-# trials per noise block: _decoder_inputs draws a sweep's noise, and feeds
-# every config's decoder input, this many trials at a time
-BLOCK_ROWS = 64
+# noise elements (trials x n) per block of a sweep: _decoder_inputs draws
+# its noise, and feeds every config's decoder input, _block_rows(n) trials
+# at a time
+BLOCK_ELEMENTS = 1 << 13
 
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20
@@ -139,7 +146,7 @@ _SEED_CHUNK = 1024
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
 # a second process pays from about this much work, one rule for both
 # decoders (_pool_size)
-_WORK_PER_EXTRA_PROCESS = 720_000
+_WORK_PER_EXTRA_PROCESS = 1_296_000
 
 
 # numpy's SeedSequence hash constants
@@ -230,7 +237,9 @@ def _trial_seed_type() -> type:
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type itself, and testing for it first spares
+            # building a dtype on every trial: ~0.11 us a call, not ~0.26
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"a trial seed is 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
             return self.words
 
@@ -326,38 +335,55 @@ class ExperimentResult:
     undetected: int
 
 
+def _block_rows(n: int) -> int:
+    """Trials per noise block for words of n bits: ``BLOCK_ELEMENTS`` // n,
+    but at least one Gallager A lane of 64."""
+    return max(64, BLOCK_ELEMENTS // max(n, 1))
+
+
 def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
-    """Yield, for each ``BLOCK_ROWS``-trial block of [start, stop), every
-    config's decoder input for that block in config order, each row
-    labelled with its config's index, adding each config's sum w and
-    sum w^2 of received syndrome weights into its row of ``moments``.
+    """Yield, for each ``_block_rows(n)``-trial block of [start, stop), one
+    (labels, y) pair: every config's decoder input for that block, config
+    after config, each row labelled with its config's index.  Each
+    config's sum w and sum w^2 of received syndrome weights go into its
+    row of ``moments``.
 
     The sweep has one channel type, so the block's noise is drawn once,
-    row r from trial lo + r's ``_trial_generators`` generator, and each config
-    applies its own rho or sigma to that one draw.
+    row r from trial lo + r's ``_trial_generators`` generator, and each
+    config applies its own rho or sigma to that one draw.  One
+    ``syndrome`` call then takes every config's hard words.
     """
     first = cfgs[0]
     bsc = isinstance(first.channel, BscChannel)
+    hard_only = first.decoder == "gallager-a"
+    n = first.h.ncols
+    rows = _block_rows(n)
     generators = _trial_generators(first.master_seed, start, stop)
-    zero_block = np.zeros((BLOCK_ROWS, first.h.ncols), dtype=np.uint8)
-    for lo in range(start, stop, BLOCK_ROWS):
+    zero_block = np.zeros((rows, n), dtype=np.uint8)
+    for lo in range(start, stop, rows):
         sent = zero_block[:stop - lo]
+        size = len(sent)
         noise = np.empty(sent.shape)
         # rows first: zip stops at the block's last row without taking the next generator
         for row, generator in zip(noise, generators):
             (generator.random if bsc else generator.standard_normal)(out=row)
-        for c, (cfg, sums) in enumerate(zip(cfgs, moments)):
+        hard = np.empty((len(cfgs) * size, n), dtype=np.uint8)
+        y = hard if hard_only else np.empty(hard.shape)
+        for c, cfg in enumerate(cfgs):
+            part = slice(c * size, (c + 1) * size)
             received = apply_noise(sent, cfg.channel, noise)
-            hard = received if bsc else (received < 0).astype(np.uint8)
-            _, w = syndrome(checks, hard)
-            sums += (w.sum(), w @ w)
-            if first.decoder == "gallager-a":
-                y = hard
-            elif bsc:
-                y = llr_from_bsc(hard, cfg.channel.rho)
+            hard[part] = received if bsc else received < 0
+            if hard_only:
+                continue
+            if bsc:
+                y[part] = llr_from_bsc(hard[part], cfg.channel.rho)
             else:
-                y = llr_from_awgn(received, cfg.channel.sigma)
-            yield np.full(len(y), c), y
+                y[part] = llr_from_awgn(received, cfg.channel.sigma)
+        del noise, received  # so the stream's passes can reuse their memory
+        _, w = syndrome(checks, hard)
+        w = w.reshape(len(cfgs), size)
+        moments += np.stack((w.sum(axis=1), np.einsum("ij,ij->i", w, w)), axis=1)
+        yield np.repeat(np.arange(len(cfgs)), size), y
 
 
 def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.ndarray:
@@ -365,10 +391,10 @@ def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.nd
     int64 table, one row per config: bit errors, word errors, detected and
     undetected decoder failures, sum w and sum w^2.
 
-    The configs decode as one block-major stream: each ``BLOCK_ROWS``-trial
-    block of the span is drawn once and then fed once per config, in
-    config order (``_decoder_inputs``), so one config's slow rows step
-    alongside the fresh rows of the next.  Every sum is over integers, so
+    The configs decode as one block-major stream: each block of the span
+    is drawn once and enters the stream once, holding every config's
+    rows in config order (``_decoder_inputs``), so one config's slow rows
+    step alongside the fresh rows of the next.  Every sum is over integers, so
     the order in which rows finish cannot change it.
     """
     first = cfgs[0]
@@ -394,7 +420,7 @@ def _usable_cpus() -> int:
 def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     """Processes worth starting: never more than the trials, the CPUs this
     process may run on (``_usable_cpus``), or one plus one per
-    ``_WORK_PER_EXTRA_PROCESS`` (720,000) of the sweep's ``bit_decodes``
+    ``_WORK_PER_EXTRA_PROCESS`` (1,296,000) of the sweep's ``bit_decodes``
     (trials x configs x n), whichever the decoder.  ``worker_count`` is
     only a ceiling.
 
@@ -402,9 +428,10 @@ def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     on a 2-CPU machine with 3-point sweeps as fresh ``simulate`` CLI
     calls, the path a user runs: it is the smallest measured size at
     which two processes won more than half of 40 alternating pairs for
-    both decoders (720k: 23 of 40 each; at 648k Gallager A won 16).
-    README's Python API section holds the table it was read from, and
-    the lower in-process crossover (~288k) for library callers.
+    both decoders (1296k: Gallager A 24 and sum-product 32 of 40; at
+    1152k Gallager A won 18).  README's Python API section holds the
+    table it was read from, and the lower in-process crossover for
+    library callers.
     """
     return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
@@ -438,7 +465,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     one stream (``_run_share``), so a sweep starts its processes once and
     each worker ends one stream tail, not one per point.  The k spans are
     [trials w // k, trials (w + 1) // k), none empty since k <= trials.
-    With one span, which every sweep below 720,000 bit-decodes gets, that
+    With one span, which every sweep below 1,296,000 bit-decodes gets, that
     task runs in this process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.

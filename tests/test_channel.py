@@ -75,6 +75,24 @@ def test_channel_validation():
         syndrome(np.eye(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_huge_int_parameters_get_the_channels_own_message(sign):
+    # str() of an int past 4,300 digits raises Python's own ValueError
+    # ("Exceeds the limit"); each refusal names the parameter, its range
+    # and the int's size instead
+    value = sign * 10**5000
+    size = ("a negative" if sign < 0 else "a") + " 16610-bit integer"
+    with pytest.raises(ValueError, match=rf"^crossover probability \({size}\) outside \[0, 1/2\]$"):
+        BscChannel(value)
+    with pytest.raises(ValueError, match=rf"^sigma \({size}\) must be finite and positive, with a finite square$"):
+        AwgnChannel(value)
+    # so do the functions that take rho directly
+    with pytest.raises(ValueError, match=rf"^rho \({size}\) outside \[0, 1/2\]$"):
+        f_t(3, value)
+    with pytest.raises(ValueError, match=rf"^rho \({size}\) outside \[0, 1/2\]$"):
+        llr_from_bsc(np.zeros(3), value)
+
+
 def test_f_t_values():
     assert f_t(2, 0.1) == pytest.approx(0.18)
     assert f_t(1, 0.25) == pytest.approx(0.25)

@@ -14,6 +14,7 @@ from csg_ldpc.channel import (
     AwgnChannel,
     BscChannel,
     llr_from_awgn,
+    llr_from_bsc,
     syndrome,
     syndrome_mean_formula,
     transmit,
@@ -469,6 +470,58 @@ def test_counts_match_per_word_decoding(heawood_h, channel, decoder):
     assert detected > 0 and undetected > 0
 
 
+@pytest.mark.parametrize("elements", [1, 97 * 7, experiments.BLOCK_ELEMENTS])
+@pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
+@pytest.mark.parametrize("channels", [
+    (BscChannel(0.12),),
+    (BscChannel(0.05), BscChannel(0.1), BscChannel(0.2)),
+    (AwgnChannel(0.7),),
+    (AwgnChannel(0.6), AwgnChannel(0.8), AwgnChannel(1.0)),
+])
+def test_decoder_inputs_equal_per_trial_transmit_across_block_edges(heawood_h, monkeypatch, channels, decoder, elements):
+    # elements = 1 gives the 64-row floor and 97 n blocks of 97 rows; the
+    # real budget puts each span in one block.  The spans start off a
+    # block edge and hold no whole number of blocks
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", elements)
+    rows = experiments._block_rows(7)
+    assert rows == {1: 64, 97 * 7: 97}.get(elements, experiments.BLOCK_ELEMENTS // 7)
+    cfgs = [ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=300, master_seed=23,
+                             max_iterations=3)
+            for channel in channels]
+    engine = experiments.DECODERS[decoder](heawood_h)
+    zero = np.zeros(7, dtype=np.uint8)
+    for start, stop in ((0, 1), (37, 300), (129, 194)):
+        inputs = [[] for _ in cfgs]
+        table = np.zeros((len(cfgs), 6), dtype=np.int64)
+        for t in range(start, stop):
+            for c, cfg in enumerate(cfgs):
+                received = transmit(zero, cfg.channel, trial_rng(23, t))
+                hard = received if isinstance(cfg.channel, BscChannel) else (received < 0).astype(np.uint8)
+                if decoder == "gallager-a":
+                    y = hard
+                elif isinstance(cfg.channel, BscChannel):
+                    y = llr_from_bsc(hard, cfg.channel.rho)
+                else:
+                    y = llr_from_awgn(received, cfg.channel.sigma)
+                inputs[c].append(y)
+                out = engine.decode(y, max_iter=3)
+                errors = int(out.word.sum())  # the zero word was sent
+                _, w = syndrome(heawood_h, hard)
+                table[c] += (errors, errors > 0, not out.syndrome_zero, out.syndrome_zero and errors > 0, w, w * w)
+        moments = np.zeros((len(cfgs), 2), dtype=np.int64)
+        blocks = list(experiments._decoder_inputs(cfgs, start, stop, engine.checks, moments))
+        # one (labels, y) pair per block, each with every config's rows
+        assert len(blocks) == -(-(stop - start) // rows)
+        for labels, y in blocks:
+            assert len(y) == len(cfgs) * min(rows, len(y) // len(cfgs))
+        for c, expected in enumerate(inputs):
+            got = np.concatenate([y[labels == c] for labels, y in blocks])
+            assert got.dtype == expected[0].dtype
+            assert np.array_equal(got.view(np.uint8), np.stack(expected).view(np.uint8))
+        assert np.array_equal(moments, table[:, 4:])
+        assert np.array_equal(experiments._run_share(cfgs, start, stop), table)
+
+
 def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
     cfg = ExperimentConfig(
         h=heawood_h, channel=BscChannel(0.1), decoder="sum-product",
@@ -497,16 +550,18 @@ def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
     # one crossover for both decoders: one-shot 3-point sweeps of 48A
     # gain from a second process in more than half their pairs first at
-    # 720k bit-decodes (3 x 10000) for both decoders; Gallager A still
-    # loses at 648k (README's fan-out table)
+    # 1296k bit-decodes (3 x 18000) for both decoders; Gallager A still
+    # loses at 1152k (README's fan-out table)
     per = experiments._WORK_PER_EXTRA_PROCESS
-    assert per == 720_000
+    assert per == 1_296_000
     trials = 10**9
-    for work, size in ((0, 1), (1, 1), (288_000, 1), (576_000, 1), (648_000, 1), (per - 1, 1), (per, 2), (per + 1, 2),
-                       (864_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
+    for work, size in ((0, 1), (1, 1), (288_000, 1), (720_000, 1), (1_152_000, 1), (per - 1, 1), (per, 2),
+                       (per + 1, 2), (1_440_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
         assert experiments._pool_size(64, trials, work) == size, work
-    # the CI sweep, 3 x 20000 trials of 48A's 24 bits, still starts a pool at 2 CPUs
-    assert experiments._pool_size(2, 20_000, 3 * 20_000 * 24) == 2
+    # the CI sweep, 3 x 36000 trials of 48A's 24 bits (twice the
+    # crossover), still starts a pool at 2 CPUs
+    assert 3 * 36_000 * 24 >= 2 * per
+    assert experiments._pool_size(2, 36_000, 3 * 36_000 * 24) == 2
     # --workers stays a ceiling: an absurd count starts no more than the work pays for
     assert experiments._pool_size(10**12, trials, per - 1) == 1
     assert experiments._pool_size(10**12, trials, 3 * per) == 4
