@@ -7,19 +7,24 @@ across workers.  Aggregation sums integers, which makes the reduction
 order irrelevant and the output byte-stable.
 
 Each worker decodes its share of a sweep as one block-major stream of
-rows through one ``decode_stream``.  Its span is cut into blocks of
-``_block_rows(n)`` trials: ``BLOCK_ELEMENTS`` (2^13) // n, but at least
-64, one Gallager A lane, so 341 on 48A, 182 on 90A and 64 at the
-5000-bit vertex cap.  A sweep's configs share one channel type and differ
-only in its parameter, so trial i draws the same noise at every point:
-each block is drawn once, uniforms for BSC and normals for AWGN, trial
-i's row from its own generator as above, and every config in turn
-applies its own rho or sigma to that one draw (``channel.apply_noise``).
-This module is the one place that draws a sweep's noise.  The configs'
-hard words go into one (configs x rows, n) array, whose received weights
-one syndrome call takes, and the block enters the stream as one (labels,
-y) pair, config after config.  ``decode_stream`` admits its rows, cut at
-a lane boundary, into whatever room is left under its lane budget
+rows through one ``decode_stream``.  A sweep's configs share one channel
+type and differ only in its parameter, so trial i draws the same noise at
+every point: its span is cut into trial blocks, each drawn once, uniforms
+for BSC and normals for AWGN, trial i's row from its own generator as
+above, and every config in turn applies its own rho or sigma to that one
+draw (``channel.apply_noise``).  This module is the one place that draws
+a sweep's noise.  ``BLOCK_ELEMENTS`` (2^15) bounds what enters the stream
+at once, summed over the configs (``_block_shape``): a trial block holds
+2^15 // (configs x n) trials, but at least 64, one Gallager A lane, and
+its configs' hard words go, as many configs at a time as fit the budget
+(at least one), into one (configs x rows, n) array, whose received
+weights one syndrome call takes, and which enters the stream as one
+(labels, y) pair, config after config.  So a 3-point sweep yields one
+block of 3 x 455 trials on 48A and of 3 x 121 on 90A, and a sweep at the
+5000-bit vertex cap one block of 64 trials per config, however many
+points it has: no yielded block holds more than max(64 n, 2^15)
+elements.  ``decode_stream`` admits a block's rows, cut at a lane
+boundary, into whatever room is left under its lane budget
 (``decoders.IN_FLIGHT``, 128, for n up to 2048), and the rest waits for
 a later pass, so a row that runs to the iteration cap shares its
 iterations with fresh rows, those of the next config included, and no
@@ -29,17 +34,20 @@ row goes in labelled with its config's index, so a finished row's errors
 and flags go into that config's integer sums: the order in which rows
 finish cannot change a number.
 The working set is at most 128 lanes of decoder state and step
-temporaries plus one block of noise and decoder input.  For sum-product
-that is 128 rows; for Gallager A up to 8192 rows at 1 + d bits of state
-per bit and row: all of ``simulate-ga-w2``'s 6000 rows at once on 48A.
-Past n = 2048 the budget shrinks as 1/n (``decoders.LANE_WORDS``): 52
-lanes at the vertex cap, where README's cap table gives the peak RSS of
-10,000 Gallager A trials.  The element budget was read from in-process
-sweeps on a 2-CPU machine: from 2^12 to 2^15 elements a block,
-``simulate-ga-w2``'s sweep took 11.5-12.5 ms and ``simulate-sp``'s
-15.4-16.7 ms at every size, while the sweep's traced peak grew from
-2^14 on (0.56 MB at 2^13, 1.42 MB at 2^15 on 48A); 2^13 was the fastest
-Gallager A size at the smallest peak.
+temporaries, one trial block of noise, and the decoder input of the
+block being admitted and of the next one while it is built.  For
+sum-product that is 128 rows of state; for Gallager A up to 8192 rows at
+1 + d bits of state per bit and row: all of ``simulate-ga-w2``'s 6000
+rows at once on 48A.  Past n = 2048 the budget shrinks as 1/n
+(``decoders.LANE_WORDS``): 52 lanes at the vertex cap, where README's
+cap table gives the peak RSS of 10,000 Gallager A trials.  The element
+budget was read from in-process sweeps on a 2-CPU machine (min of 15
+runs, 3 rounds): from 2^12 to 2^15 elements a block, ``simulate-ga-w2``'s
+sweep took 24.2-25.9, 21.5-22.0, 20.4-20.8 and 19.6-20.3 ms and
+``simulate-sp``'s 31.6-31.9, 30.5-31.1, 27.7-27.9 and 27.2-28.0 ms,
+while the sweep's traced peak grew from 0.55 to 0.63 MB on 48A and from
+0.63 to 0.98 MB on 90A; 2^15, the top of that range, was the fastest
+size for both.
 
 ``trial_rng`` is the seeding contract, but building its generator takes
 ~11 us (in process, min of 5 x 20,000 calls), against ~1.3 us for a
@@ -132,10 +140,9 @@ RNG_FAMILY = "numpy PCG64 seeded via SeedSequence((master_seed, trial_index))"
 # each --decoder name and the class that decodes under it, in DECODER_NAMES' order
 DECODERS = dict(zip(DECODER_NAMES, (GallagerADecoder, SumProductDecoder)))
 
-# noise elements (trials x n) per block of a sweep: _decoder_inputs draws
-# its noise, and feeds every config's decoder input, _block_rows(n) trials
-# at a time
-BLOCK_ELEMENTS = 1 << 13
+# decoder-input elements (configs x trials x n) per block that
+# _decoder_inputs yields, past a floor of one 64-row lane (_block_shape)
+BLOCK_ELEMENTS = 1 << 15
 
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20
@@ -335,29 +342,35 @@ class ExperimentResult:
     undetected: int
 
 
-def _block_rows(n: int) -> int:
-    """Trials per noise block for words of n bits: ``BLOCK_ELEMENTS`` // n,
-    but at least one Gallager A lane of 64."""
-    return max(64, BLOCK_ELEMENTS // max(n, 1))
+def _block_shape(n: int, configs: int) -> tuple[int, int]:
+    """(trials, configs) of one block a sweep of ``configs`` configs on
+    n-bit words yields: ``BLOCK_ELEMENTS`` // (configs x n) trials, but at
+    least one Gallager A lane of 64, and as many configs as keep its
+    decoder input within ``BLOCK_ELEMENTS``, but at least one.  So a block
+    never holds more than max(64 n, ``BLOCK_ELEMENTS``) elements, however
+    many configs the sweep has."""
+    n = max(n, 1)
+    rows = max(64, BLOCK_ELEMENTS // (configs * n))
+    return rows, max(1, BLOCK_ELEMENTS // (rows * n))
 
 
 def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, checks: ParityChecks, moments: np.ndarray):
-    """Yield, for each ``_block_rows(n)``-trial block of [start, stop), one
-    (labels, y) pair: every config's decoder input for that block, config
-    after config, each row labelled with its config's index.  Each
-    config's sum w and sum w^2 of received syndrome weights go into its
-    row of ``moments``.
+    """Yield (labels, y) pairs that hold every config's decoder input for
+    trials [start, stop), in blocks of ``_block_shape`` trials and configs:
+    for each block of trials, config after config, each row labelled with
+    its config's index.  Each config's sum w and sum w^2 of received
+    syndrome weights go into its row of ``moments``.
 
-    The sweep has one channel type, so the block's noise is drawn once,
-    row r from trial lo + r's ``_trial_generators`` generator, and each
-    config applies its own rho or sigma to that one draw.  One
-    ``syndrome`` call then takes every config's hard words.
+    The sweep has one channel type, so a block's noise is drawn once, row
+    r from trial lo + r's ``_trial_generators`` generator, and each config
+    applies its own rho or sigma to that one draw.  One ``syndrome`` call
+    per yielded block then takes its configs' hard words.
     """
     first = cfgs[0]
     bsc = isinstance(first.channel, BscChannel)
     hard_only = first.decoder == "gallager-a"
     n = first.h.ncols
-    rows = _block_rows(n)
+    rows, group = _block_shape(n, len(cfgs))
     generators = _trial_generators(first.master_seed, start, stop)
     zero_block = np.zeros((rows, n), dtype=np.uint8)
     for lo in range(start, stop, rows):
@@ -367,23 +380,27 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
         # rows first: zip stops at the block's last row without taking the next generator
         for row, generator in zip(noise, generators):
             (generator.random if bsc else generator.standard_normal)(out=row)
-        hard = np.empty((len(cfgs) * size, n), dtype=np.uint8)
-        y = hard if hard_only else np.empty(hard.shape)
-        for c, cfg in enumerate(cfgs):
-            part = slice(c * size, (c + 1) * size)
-            received = apply_noise(sent, cfg.channel, noise)
-            hard[part] = received if bsc else received < 0
-            if hard_only:
-                continue
-            if bsc:
-                y[part] = llr_from_bsc(hard[part], cfg.channel.rho)
-            else:
-                y[part] = llr_from_awgn(received, cfg.channel.sigma)
-        del noise, received  # so the stream's passes can reuse their memory
-        _, w = syndrome(checks, hard)
-        w = w.reshape(len(cfgs), size)
-        moments += np.stack((w.sum(axis=1), np.einsum("ij,ij->i", w, w)), axis=1)
-        yield np.repeat(np.arange(len(cfgs)), size), y
+        for c0 in range(0, len(cfgs), group):
+            part = cfgs[c0:c0 + group]
+            hard = np.empty((len(part) * size, n), dtype=np.uint8)
+            y = hard if hard_only else np.empty(hard.shape)
+            for c, cfg in enumerate(part):
+                at = slice(c * size, (c + 1) * size)
+                received = apply_noise(sent, cfg.channel, noise)
+                hard[at] = received if bsc else received < 0
+                if hard_only:
+                    continue
+                if bsc:
+                    y[at] = llr_from_bsc(hard[at], cfg.channel.rho)
+                else:
+                    y[at] = llr_from_awgn(received, cfg.channel.sigma)
+            del received
+            if c0 + group >= len(cfgs):
+                del noise  # so the stream's passes can reuse its memory
+            _, w = syndrome(checks, hard)
+            w = w.reshape(len(part), size)
+            moments[c0:c0 + group] += np.stack((w.sum(axis=1), np.einsum("ij,ij->i", w, w)), axis=1)
+            yield np.repeat(np.arange(c0, c0 + len(part)), size), y
 
 
 def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.ndarray:
@@ -392,9 +409,9 @@ def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.nd
     undetected decoder failures, sum w and sum w^2.
 
     The configs decode as one block-major stream: each block of the span
-    is drawn once and enters the stream once, holding every config's
-    rows in config order (``_decoder_inputs``), so one config's slow rows
-    step alongside the fresh rows of the next.  Every sum is over integers, so
+    is drawn once and enters the stream in config order, as many configs'
+    rows at once as ``_block_shape`` allows (``_decoder_inputs``), so one
+    config's slow rows step alongside the fresh rows of the next.  Every sum is over integers, so
     the order in which rows finish cannot change it.
     """
     first = cfgs[0]

@@ -335,57 +335,39 @@ def test_yielded_arrays_stay_valid(nauru_code, decoder_type, in_flight):
 
 @pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
 def test_lane_budget_changes_no_row(data_dir, decoder_type):
-    # LANE_WORDS = 2n holds 48A's stream to exactly 2 lanes, so with
-    # 8-row blocks at most 2 lanes step at once where the default budget
-    # lets every block in; each row still comes back once, with the same
-    # word, iteration count and flag
+    # LANE_WORDS = 2n holds 48A's stream to exactly 2 lanes, where the
+    # default budget lets many blocks in.  Blocks of 8 rows fill that
+    # budget from several blocks; the uneven blocks are wider than it for
+    # either decoder (a Gallager A lane holds 64 rows), so the stream
+    # admits them over several passes, cut at lane edges.  Under either
+    # budget and layout each row comes back once, under its label, as
+    # decode gives it
     h = parity_check_of(load_graph_file(data_dir / "48A.edges"))
-    words = (np.random.default_rng(61).random((320, h.ncols)) < 0.12).astype(np.uint8)
+    words = (np.random.default_rng(61).random((600, h.ncols)) < 0.12).astype(np.uint8)
     block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.12)
-    decoder = decoder_type(h)
-    lanes = []
-    decoder._step = lambda *state: lanes.append(state[0].shape[-1]) or decoder_type._step(decoder, *state)
-
-    def run():
-        lanes.clear()
-        got = Counter()
-        for labels, out, iterations, syndrome_zero in decoder.decode_stream(_split(block, range(8, 320, 8)), 20):
-            got.update(zip(labels.tolist(), map(bytes, out), iterations.tolist(), syndrome_zero.tolist()))
-        return got, max(lanes)
-
-    free, free_lanes = run()
-    with patch.object(decoders, "LANE_WORDS", 2 * h.ncols):
-        capped, capped_lanes = run()
-    assert capped == free and sorted(label for label, *_ in free) == list(range(len(block)))
-    assert capped_lanes <= 2 < free_lanes
-
-
-@pytest.mark.parametrize("decoder_type", [GallagerADecoder, SumProductDecoder])
-def test_stream_never_steps_more_lanes_than_its_budget(data_dir, decoder_type):
-    # with LANE_WORDS = 2n the budget is 2 lanes, and every block but the
-    # one-row one is wider than that for either decoder (a Gallager A lane
-    # holds 64 rows): the stream admits a block's rows over several
-    # passes, cut at lane edges, and never steps more than 2 lanes; each
-    # row still comes back once, under its label, as decode gives it
-    h = parity_check_of(load_graph_file(data_dir / "48A.edges"))
-    words = (np.random.default_rng(67).random((600, h.ncols)) < 0.1).astype(np.uint8)
-    block = words if decoder_type is GallagerADecoder else llr_from_bsc(words, 0.1)
     labels = np.arange(len(block)) * 3 + 5
     decoder = decoder_type(h)
     expected = Counter()
     for label, y in zip(labels.tolist(), block):
-        result = decoder.decode(y, max_iter=6)
+        result = decoder.decode(y, max_iter=20)
         expected[label, result.word.tobytes(), result.iterations, result.syndrome_zero] += 1
     lanes = []
     decoder._step = lambda *state: lanes.append(state[0].shape[-1]) or decoder_type._step(decoder, *state)
-    edges = [0, 1, 131, 331, 600]
-    got = Counter()
-    with patch.object(decoders, "LANE_WORDS", 2 * h.ncols):
+
+    def run(pieces):
+        lanes.clear()
+        got = Counter()
+        for out_labels, out, iterations, syndrome_zero in decoder.decode_stream(pieces, 20):
+            got.update(zip(out_labels.tolist(), map(bytes, out), iterations.tolist(), syndrome_zero.tolist()))
+        return got, max(lanes)
+
+    for edges in ([*range(0, 600, 8), 600], [0, 1, 131, 331, 600]):
         pieces = [(labels[a:b], block[a:b]) for a, b in zip(edges, edges[1:])]
-        for out_labels, out, iterations, syndrome_zero in decoder.decode_stream(pieces, max_iter=6):
-            got.update(zip(out_labels.tolist(), (w.tobytes() for w in out), iterations.tolist(), syndrome_zero.tolist()))
-    assert got == expected
-    assert lanes and max(lanes) == 2
+        free, free_lanes = run(pieces)
+        with patch.object(decoders, "LANE_WORDS", 2 * h.ncols):
+            capped, capped_lanes = run(pieces)
+        assert capped == free == expected
+        assert capped_lanes == 2 < free_lanes
 
 
 def test_block_wider_than_in_flight_matches_oracles(data_dir):

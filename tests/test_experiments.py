@@ -470,7 +470,7 @@ def test_counts_match_per_word_decoding(heawood_h, channel, decoder):
     assert detected > 0 and undetected > 0
 
 
-@pytest.mark.parametrize("elements", [1, 97 * 7, experiments.BLOCK_ELEMENTS])
+@pytest.mark.parametrize("elements", [1, 1000, experiments.BLOCK_ELEMENTS])
 @pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
 @pytest.mark.parametrize("channels", [
     (BscChannel(0.12),),
@@ -479,12 +479,15 @@ def test_counts_match_per_word_decoding(heawood_h, channel, decoder):
     (AwgnChannel(0.6), AwgnChannel(0.8), AwgnChannel(1.0)),
 ])
 def test_decoder_inputs_equal_per_trial_transmit_across_block_edges(heawood_h, monkeypatch, channels, decoder, elements):
-    # elements = 1 gives the 64-row floor and 97 n blocks of 97 rows; the
-    # real budget puts each span in one block.  The spans start off a
-    # block edge and hold no whole number of blocks
+    # elements = 1 gives the 64-row floor, one config a block; 1000 gives
+    # blocks of 142 trials for one config and of 64 trials and 2 of the
+    # 3 configs, so a block's configs split unevenly; the real budget puts
+    # each span in one block.  The spans start off a block edge and hold
+    # no whole number of blocks
     monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", elements)
-    rows = experiments._block_rows(7)
-    assert rows == {1: 64, 97 * 7: 97}.get(elements, experiments.BLOCK_ELEMENTS // 7)
+    rows, group = experiments._block_shape(7, len(channels))
+    expected_shape = {1: (64, 1), 1000: (142, 1) if len(channels) == 1 else (64, 2)}
+    assert (rows, group) == expected_shape.get(elements, (elements // (7 * len(channels)), len(channels)))
     cfgs = [ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=300, master_seed=23,
                              max_iterations=3)
             for channel in channels]
@@ -510,10 +513,14 @@ def test_decoder_inputs_equal_per_trial_transmit_across_block_edges(heawood_h, m
                 table[c] += (errors, errors > 0, not out.syndrome_zero, out.syndrome_zero and errors > 0, w, w * w)
         moments = np.zeros((len(cfgs), 2), dtype=np.int64)
         blocks = list(experiments._decoder_inputs(cfgs, start, stop, engine.checks, moments))
-        # one (labels, y) pair per block, each with every config's rows
-        assert len(blocks) == -(-(stop - start) // rows)
-        for labels, y in blocks:
-            assert len(y) == len(cfgs) * min(rows, len(y) // len(cfgs))
+        # trial block after trial block, each config group's rows in config
+        # order, and never more than max(64 n, BLOCK_ELEMENTS) elements
+        layout = [(lo, c0) for lo in range(start, stop, rows) for c0 in range(0, len(cfgs), group)]
+        assert len(blocks) == len(layout)
+        for (lo, c0), (labels, y) in zip(layout, blocks):
+            size = min(rows, stop - lo)
+            assert labels.tolist() == [c for c in range(c0, min(c0 + group, len(cfgs))) for _ in range(size)]
+            assert y.size <= max(64 * 7, elements)
         for c, expected in enumerate(inputs):
             got = np.concatenate([y[labels == c] for labels, y in blocks])
             assert got.dtype == expected[0].dtype
