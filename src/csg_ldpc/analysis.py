@@ -47,11 +47,8 @@ class AnalysisReport:
     bounds: BoundsReport | None
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_text(self) -> str:
         d_text = str(self.d) if self.d is not None else "not computed"
@@ -168,10 +165,7 @@ def load_graph_file(path: str | Path) -> Graph:
     text = path.read_text()
     if path.suffix == ".edges":
         return load_edge_list(text)
-    content = [
-        ln.strip() for ln in text.splitlines()
-        if ln.split("#", 1)[0].strip()
-    ]
+    content = [line for line in (ln.split("#", 1)[0].strip() for ln in text.splitlines()) if line]
     if len(content) != 1:
         raise ValueError(f"{path}: expected exactly one LCF line")
-    return parse_lcf(content[0].split("#", 1)[0].strip())
+    return parse_lcf(content[0])

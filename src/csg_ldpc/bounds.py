@@ -13,24 +13,21 @@ eigenvalue of the Gram matrix H^T H from LAPACK's ``eigvalsh``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 from .codes import LinearCode
-from .graphs import Graph, adjacency_array
+from .graphs import Graph
 
 __all__ = [
     "BitNodeGraph",
     "BoundsReport",
     "bit_node_graph",
     "gram_matrix",
-    "verify_gram_identity",
     "clique_number",
     "independent_set_lower",
-    "dimension_bound_check",
     "spectrum",
     "tanner_bounds",
     "piecewise_distance_bound",
@@ -83,19 +80,6 @@ def gram_matrix(code: LinearCode) -> np.ndarray:
     for bits in code.H.supports():
         gram[np.ix_(bits, bits)] += 1.0
     return gram
-
-
-def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
-    """Check H^T H = 3I + A(gamma) over the integers.
-
-    Holds exactly when every column of H has weight 3 and no two columns
-    share more than one row, i.e. when the Tanner graph is bit-regular of
-    degree 3 and 4-cycle free.
-    """
-    expected = 3 * np.eye(code.n, dtype=np.int64) + adjacency_array(
-        gamma.graph
-    ).astype(np.int64)
-    return bool(np.array_equal(gram_matrix(code), expected))
 
 
 def clique_number(g: Graph) -> int:
@@ -155,24 +139,6 @@ def independent_set_lower(g: Graph) -> tuple[int, ...]:
                 if x in remaining:
                     deg[x] -= 1
     return tuple(sorted(chosen))
-
-
-def dimension_bound_check(code: LinearCode, s: Sequence[int]) -> bool:
-    """Verify k <= n - |s| and k <= floor(5n/6) for an independent bit set s.
-
-    Bits that pairwise share no check have linearly independent H-columns,
-    so any such set caps the dimension.  Raises ValueError when s is not
-    independent in the bit-adjacency sense.
-    """
-    cols = code.H.column_bits()
-    s = list(s)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if cols[s[i]] & cols[s[j]]:
-                raise ValueError(
-                    f"bits {s[i]} and {s[j]} share a check, set is not independent"
-                )
-    return code.k <= code.n - len(s) and code.k <= (5 * code.n) // 6
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
@@ -249,9 +215,6 @@ class BoundsReport:
     clique_number: int
     independent_set_size: int
     predicted_trivial: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compute_bounds(g: Graph, code: LinearCode) -> BoundsReport:

@@ -20,9 +20,9 @@ syndrome test both call it, and the decoders lay their messages out in
 its check slots.  H is always a ``BitMatrix``; nothing here makes a dense
 copy of it.
 
-The closed-form syndrome moments use f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
-the probability that t independent flips have odd parity.  The variance
-formula assumes every pair of checks shares at most one bit (Tanner girth
+The closed-form syndrome variance uses f_t(rho) = (1 - (1 - 2 rho)^t) / 2,
+the probability that t independent flips have odd parity.  The formula
+assumes every pair of checks shares at most one bit (Tanner girth
 at least 6) and constant check degree 3.
 """
 
@@ -47,7 +47,6 @@ __all__ = [
     "transmit",
     "syndrome",
     "f_t",
-    "syndrome_mean_formula",
     "syndrome_variance_formula",
     "llr_from_bsc",
     "llr_from_awgn",
@@ -220,11 +219,6 @@ def f_t(t: int, rho: float) -> float:
     if not 0.0 <= rho <= 0.5:
         raise ValueError(f"rho {_shown(rho)} outside [0, 1/2]")
     return (1.0 - (1.0 - 2.0 * rho) ** t) / 2.0
-
-
-def syndrome_mean_formula(n: int, rho: float) -> float:
-    """Expected syndrome weight n * f_3(rho) for n checks of degree 3."""
-    return n * f_t(3, rho)
 
 
 def syndrome_variance_formula(n: int, rho: float) -> float:

@@ -31,13 +31,11 @@ __all__ = [
     "parity_check_of",
     "code_from_parity_check",
     "minimum_distance",
-    "tanner_graph",
     "is_even_code",
     "is_self_orthogonal",
     "is_lcd",
     "hull_dimension",
     "extended_parity_check",
-    "extend_parity_check",
 ]
 
 # Hard cap on any requested ceiling.  The walk costs ~170 ns per codeword
@@ -130,13 +128,6 @@ def minimum_distance(code: LinearCode, ceiling: int = MAX_DIMENSION_CEILING) -> 
     return best
 
 
-def tanner_graph(h: BitMatrix) -> Graph:
-    """Bipartite check/bit incidence graph: checks 0..m-1, bits m..m+n-1."""
-    m = h.nrows
-    edges = [(i, m + j) for i, support in enumerate(h.supports()) for j in support]
-    return Graph.from_edges(m + h.ncols, edges)
-
-
 def is_even_code(code: LinearCode) -> bool:
     """True when every generator row (hence every codeword) has even weight."""
     return all(r.bit_count() % 2 == 0 for r in code.G.rows)
@@ -172,9 +163,3 @@ def extended_parity_check(h: BitMatrix, l: int) -> BitMatrix:
         raise ValueError(f"l must be in 1..{h.ncols}, got {l}")
     rows = tuple(r | 1 << (h.ncols + i) if i < l else r for i, r in enumerate(h.rows))
     return BitMatrix(h.nrows, h.ncols + l, rows)
-
-
-def extend_parity_check(code: LinearCode, l: int) -> LinearCode:
-    """The code of ``extended_parity_check(code.H, l)``: one elimination,
-    of the extended H."""
-    return code_from_parity_check(extended_parity_check(code.H, l))

@@ -88,9 +88,6 @@ class BitMatrix:
             raise IndexError("entry out of range")
         return (self.rows[i] >> j) & 1
 
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def supports(self) -> list[list[int]]:
         """Each row's column indices, ascending: its set bits, lowest first."""
         out = []

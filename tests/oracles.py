@@ -4,7 +4,12 @@ Nothing here shares an algorithm with the code under test: distances come
 from a search over parity-check columns instead of a generator-space walk,
 girth from per-edge removal instead of growing balls, decoders from plain
 dict-of-edges loops instead of vectorized gather/scatter, eigenvalues from
-cyclic Jacobi rotations instead of LAPACK.
+cyclic Jacobi rotations instead of LAPACK, a circulant code's dimension
+from a polynomial gcd instead of elimination, and H from an alist's own
+row and column sections instead of ``export_alist``'s supports.
+
+The paper's theorem checks (the Gram identity and the dimension bounds)
+and the test helpers that the package itself never calls live here too.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from csg_ldpc.codes import tanner_graph
+from csg_ldpc.bounds import BitNodeGraph, gram_matrix
+from csg_ldpc.channel import f_t
+from csg_ldpc.codes import LinearCode, code_from_parity_check, extended_parity_check
 from csg_ldpc.gf2 import BitMatrix
-from csg_ldpc.graphs import Graph
+from csg_ldpc.graphs import Graph, adjacency_array
 
 
 def gf2_rank_dense(entries: Sequence[Sequence[int]]) -> int:
@@ -110,6 +117,13 @@ def girth_by_edge_removal(g: Graph) -> int | None:
     return best
 
 
+def tanner_graph(h: BitMatrix) -> Graph:
+    """Bipartite check/bit incidence graph: checks 0..m-1, bits m..m+n-1."""
+    m = h.nrows
+    edges = [(i, m + j) for i, support in enumerate(h.supports()) for j in support]
+    return Graph.from_edges(m + h.ncols, edges)
+
+
 def bit_pairs_by_columns(h: BitMatrix) -> tuple[Graph, bool]:
     """Bit-adjacency graph from every column pair that shares a row, plus
     whether the Tanner graph has no cycle shorter than 6 (a Tanner forest
@@ -119,6 +133,81 @@ def bit_pairs_by_columns(h: BitMatrix) -> tuple[Graph, bool]:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if cols[u] & cols[v]]
     tanner_girth = girth_by_edge_removal(tanner_graph(h))
     return Graph.from_edges(n, pairs), tanner_girth is None or tanner_girth >= 6
+
+
+def verify_gram_identity(code: LinearCode, gamma: BitNodeGraph) -> bool:
+    """Check H^T H = 3I + A(gamma) over the integers.
+
+    Holds exactly when every column of H has weight 3 and no two columns
+    share more than one row, i.e. when the Tanner graph is bit-regular of
+    degree 3 and 4-cycle free.
+    """
+    expected = 3 * np.eye(code.n, dtype=np.int64) + adjacency_array(gamma.graph).astype(np.int64)
+    return bool(np.array_equal(gram_matrix(code), expected))
+
+
+def dimension_bound_check(code: LinearCode, s: Sequence[int]) -> bool:
+    """Verify k <= n - |s| and k <= floor(5n/6) for an independent bit set s.
+
+    Bits that pairwise share no check have linearly independent H-columns,
+    so any such set caps the dimension.  Raises ValueError when s is not
+    independent in the bit-adjacency sense.
+    """
+    cols = code.H.column_bits()
+    s = list(s)
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            if cols[s[i]] & cols[s[j]]:
+                raise ValueError(
+                    f"bits {s[i]} and {s[j]} share a check, set is not independent"
+                )
+    return code.k <= code.n - len(s) and code.k <= (5 * code.n) // 6
+
+
+def syndrome_mean_formula(n: int, rho: float) -> float:
+    """Expected syndrome weight n * f_3(rho) for n checks of degree 3."""
+    return n * f_t(3, rho)
+
+
+def extend_parity_check(code: LinearCode, l: int) -> LinearCode:
+    """The code of ``extended_parity_check(code.H, l)``."""
+    return code_from_parity_check(extended_parity_check(code.H, l))
+
+
+def parse_alist(text: str) -> BitMatrix:
+    """H from an alist's row section, by line position: four header lines,
+    n column lines, m row lines, then nothing but blank lines.  Asserts
+    that the header and the column section agree with those rows."""
+    lines = [[int(t) for t in ln.split()] for ln in text.splitlines()]
+    (n, m), max_weights, col_weights, row_weights = lines[:4]
+    col_lines, row_lines = lines[4:4 + n], lines[4 + n:4 + n + m]
+    assert len(col_lines) == n and len(row_lines) == m and not any(lines[4 + n + m:])
+    rows = [sum(1 << (j - 1) for j in line if j) for line in row_lines]
+    cols = [sum(1 << (i - 1) for i in line if i) for line in col_lines]
+    assert cols == [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(n)]
+    assert col_weights == [c.bit_count() for c in cols] and row_weights == [r.bit_count() for r in rows]
+    assert max_weights == [max(col_weights, default=0), max(row_weights, default=0)]
+    assert all(len(line) == max_weights[0] for line in col_lines)
+    assert all(len(line) == max_weights[1] for line in row_lines)
+    return BitMatrix(m, n, tuple(rows))
+
+
+def gf2_poly_gcd(a: int, b: int) -> int:
+    """gcd of two polynomials over GF(2), each an int whose bit i is the
+    coefficient of x^i."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def circulant_dimension(m: int, connection: Sequence[int]) -> int:
+    """k of the code whose H is the m x m circulant with first row
+    sum_{s in connection} x^s, the biadjacency of the Haar graph of Z_m:
+    deg gcd(x^m + 1, h(x)), since the circulant's rank is m minus it."""
+    h = sum(1 << (s % m) for s in connection)
+    return gf2_poly_gcd((1 << m) | 1, h).bit_length() - 1
 
 
 def codeword_weights(generator_rows: Sequence[int]) -> list[int]:

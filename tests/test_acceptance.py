@@ -17,35 +17,39 @@ import pytest
 from csg_ldpc.bounds import (
     bit_node_graph,
     clique_number,
-    dimension_bound_check,
     independent_set_lower,
     piecewise_distance_bound,
     predict_trivial,
     spectrum,
     tanner_bounds,
-    verify_gram_identity,
 )
 from csg_ldpc.channel import (
     BscChannel,
-    syndrome_mean_formula,
     syndrome_variance_formula,
 )
 from csg_ldpc.cli import main
 from csg_ldpc.codes import (
     build_code,
-    extend_parity_check,
     is_lcd,
     is_self_orthogonal,
     minimum_distance,
-    tanner_graph,
 )
-from csg_ldpc.alist import export_alist, parse_alist
+from csg_ldpc.alist import export_alist
 from csg_ldpc.analysis import load_graph_file
 from csg_ldpc.decoders import GallagerADecoder
 from csg_ldpc.experiments import ExperimentConfig, run_experiment, syndrome_statistics
 from csg_ldpc.graphs import adjacency_array, girth
 
-from oracles import codeword_weights, min_distance_by_column_search
+from oracles import (
+    codeword_weights,
+    dimension_bound_check,
+    extend_parity_check,
+    min_distance_by_column_search,
+    parse_alist,
+    syndrome_mean_formula,
+    tanner_graph,
+    verify_gram_identity,
+)
 
 # reference (n, k, d, girth) per catalog id
 EXPECTED_TABLE = {

@@ -1,13 +1,11 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from csg_ldpc.alist import AlistFormatError, export_alist, parse_alist
-from csg_ldpc.codes import build_code, extend_parity_check
+from csg_ldpc.alist import export_alist
+from csg_ldpc.codes import build_code
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import parse_lcf
 
-from strategies import parity_checks
+from oracles import extend_parity_check, parse_alist
 
 K33_ALIST = (
     "3 3\n"
@@ -67,36 +65,6 @@ def test_round_trip_with_zero_maximum_weight(h):
     assert parse_alist(text + "\n\n") == h
 
 
-def test_parse_rejects_corruption():
-    with pytest.raises(AlistFormatError, match="truncated"):
-        parse_alist("3 3\n3 3\n")
-    with pytest.raises(AlistFormatError, match="n m"):
-        parse_alist("3\n3 3\n3 3 3\n3 3 3\n")
-    with pytest.raises(AlistFormatError, match="non-integer"):
-        parse_alist(K33_ALIST.replace("1 2 3", "1 x 3", 1))
-    with pytest.raises(AlistFormatError, match="weights"):
-        parse_alist("3 3\n3 3\n3 3\n3 3 3\n" + "1 2 3\n" * 6)
-    with pytest.raises(AlistFormatError, match="index lines"):
-        parse_alist("3 3\n3 3\n3 3 3\n3 3 3\n" + "1 2 3\n" * 5)
-    with pytest.raises(AlistFormatError, match="out of range"):
-        parse_alist(K33_ALIST.replace("1 2 3", "1 2 4", 1))
-
-
-def test_parse_detects_section_disagreement():
-    # flip one entry in the row section only
-    lines = K33_ALIST.splitlines()
-    lines[7] = "1 2 2"
-    with pytest.raises(AlistFormatError):
-        parse_alist("\n".join(lines) + "\n")
-
-
-def test_weight_header_mismatch():
-    lines = K33_ALIST.splitlines()
-    lines[4] = "1 2 0"  # column 0 now weight 2, header still says 3
-    with pytest.raises(AlistFormatError, match="weight"):
-        parse_alist("\n".join(lines) + "\n")
-
-
 def test_catalog_round_trips(catalog):
     for gid, (g, _) in catalog.items():
         h = build_code(g).H
@@ -104,34 +72,11 @@ def test_catalog_round_trips(catalog):
         assert parse_alist(text) == h, gid
 
 
-@st.composite
-def corrupted_alists(draw):
-    """The alist of any small 0/1 matrix with one line edited: a token
-    replaced, dropped or added, or the line removed."""
-    lines = [ln.split() for ln in export_alist(draw(parity_checks())).splitlines()]
-    i = draw(st.integers(0, len(lines) - 1))
-    token = draw(st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["9" * 5000, "x", "1.5"])))
-    edit = draw(st.sampled_from(["replace", "drop", "add", "remove"]))
-    if edit == "remove":
-        del lines[i]
-    elif edit == "add":
-        lines[i].append(token)
-    elif lines[i]:
-        j = draw(st.integers(0, len(lines[i]) - 1))
-        if edit == "replace":
-            lines[i][j] = token
-        else:
-            del lines[i][j]
-    return "\n".join(" ".join(ln) for ln in lines) + "\n"
 
-
-TOKEN_GRIDS = st.lists(st.lists(st.integers(-2, 9).map(str), max_size=5).map(" ".join), max_size=12).map("\n".join)
-
-
-@given(st.one_of(st.text(max_size=60), TOKEN_GRIDS, corrupted_alists()))
-@settings(max_examples=200, deadline=None)
-def test_parse_alist_raises_only_alist_format_error(text):
-    try:
-        parse_alist(text)
-    except AlistFormatError:
-        pass
+def test_reader_checks_the_column_section():
+    # the reader builds H from the row section alone, so the round trips
+    # above hold export_alist's column section to it only through this check
+    lines = K33_ALIST.splitlines()
+    lines[4] = "1 2 0"
+    with pytest.raises(AssertionError):
+        parse_alist("\n".join(lines) + "\n")

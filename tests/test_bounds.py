@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -11,22 +12,26 @@ from csg_ldpc.bounds import (
     bit_node_graph,
     clique_number,
     compute_bounds,
-    dimension_bound_check,
     gram_matrix,
     independent_set_lower,
     piecewise_distance_bound,
     predict_trivial,
     spectrum,
     tanner_bounds,
-    verify_gram_identity,
 )
 from csg_ldpc.analysis import load_graph_file
-from csg_ldpc.codes import build_code, code_from_parity_check, extend_parity_check, parity_check_of
+from csg_ldpc.codes import build_code, code_from_parity_check, parity_check_of
 from csg_ldpc.constructions import generalized_petersen
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import Graph, adjacency_array, parse_lcf
 
-from oracles import bit_pairs_by_columns, jacobi_eigenvalues
+from oracles import (
+    bit_pairs_by_columns,
+    dimension_bound_check,
+    extend_parity_check,
+    jacobi_eigenvalues,
+    verify_gram_identity,
+)
 from strategies import irregular_checks_and_blocks, parity_checks
 
 
@@ -247,7 +252,7 @@ def test_heawood_spectral_quantities(heawood_code):
     assert report.independent_set_size == 1
     assert not report.predicted_trivial
     assert report.dim_bound == pytest.approx(35.0 / 6.0)
-    keys = list(report.to_dict())
+    keys = list(dataclasses.asdict(report))
     assert keys[0] == "lambda2" and "piecewise_bound" in keys
 
 

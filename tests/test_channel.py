@@ -16,7 +16,6 @@ from csg_ldpc.channel import (
     llr_from_awgn,
     llr_from_bsc,
     syndrome,
-    syndrome_mean_formula,
     syndrome_variance_formula,
     transmit,
 )
@@ -25,7 +24,7 @@ from csg_ldpc.cli import main
 from csg_ldpc.codes import build_code, parity_check_of
 from csg_ldpc.gf2 import BitMatrix
 
-from oracles import check_columns_from_dense, exact_syndrome_variance, support_lists
+from oracles import check_columns_from_dense, exact_syndrome_variance, support_lists, syndrome_mean_formula
 from strategies import cubic_bipartite_girth6_checks, irregular_checks_and_blocks
 
 

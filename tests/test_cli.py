@@ -12,12 +12,13 @@ import pytest
 
 import csg_ldpc
 from csg_ldpc import cli, codes, experiments
-from csg_ldpc.alist import parse_alist
 from csg_ldpc.analysis import MAX_GRAPH_BYTES, load_graph_file
 from csg_ldpc.cli import CATALOG_HEADER, SIMULATE_HEADER, VARIANCE_HEADER, main
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import MAX_VERTICES, parse_lcf
 from csg_ldpc.sweep import MAX_TRIAL_POINTS
+
+from oracles import parse_alist
 
 
 def lcf_file(tmp_path, name, text):

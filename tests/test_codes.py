@@ -6,14 +6,12 @@ from csg_ldpc.codes import (
     EnumerationLimitExceeded,
     build_code,
     code_from_parity_check,
-    extend_parity_check,
     hull_dimension,
     is_even_code,
     is_lcd,
     is_self_orthogonal,
     minimum_distance,
     parity_check_of,
-    tanner_graph,
 )
 from csg_ldpc import graphs
 from csg_ldpc.gf2 import BitMatrix
@@ -28,7 +26,14 @@ from csg_ldpc.graphs import (
 )
 from csg_ldpc.constructions import generalized_petersen
 
-from oracles import codeword_weights, gf2_rank_dense, min_distance_by_column_search
+from oracles import (
+    circulant_dimension,
+    codeword_weights,
+    extend_parity_check,
+    gf2_rank_dense,
+    min_distance_by_column_search,
+    tanner_graph,
+)
 from strategies import parity_checks
 
 
@@ -134,6 +139,29 @@ def test_minimum_distance_ceiling_holds_after_a_full_walk(catalog):
 def test_enumeration_ceiling():
     with pytest.raises(EnumerationLimitExceeded):
         minimum_distance(build_code(parse_lcf("[5,-5]^7")), ceiling=2)
+
+
+def test_lcf_5_minus_5_dimension_matches_the_circulant_gcd():
+    # [5,-5]^m is the Haar graph of Z_m with connection set {0, 1, 3}
+    for m in range(4, 301):
+        k = build_code(parse_lcf(f"[5,-5]^{m}")).k
+        assert k == circulant_dimension(m, (0, 1, 3)), m
+        assert (k > 0) == (m % 7 == 0), m
+
+
+def test_order_2p_haar_graph_dimensions_match_the_circulant_gcd():
+    # Cheng and Oxley's cubic symmetric graphs of order 2p: the Haar graph
+    # of Z_p with {0, 1, 1 + r}, r^2 + r + 1 = 0 (mod p), for p = 1 (mod 3)
+    primes = [p for p in range(7, 100, 6) if all(p % q for q in range(2, p))]
+    assert len(primes) == 11
+    dims = {}
+    for p in primes:
+        r = next(r for r in range(2, p) if (r * r + r + 1) % p == 0)
+        connection = (0, 1, 1 + r)
+        g = Graph.from_edges(2 * p, [(i, p + (i + s) % p) for i in range(p) for s in connection])
+        dims[p] = build_code(g).k
+        assert dims[p] == circulant_dimension(p, connection), p
+    assert {p: k for p, k in dims.items() if k} == {7: 3, 73: 9}
 
 
 def test_tanner_graph_is_source_graph(heawood_code):

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from csg_ldpc import decoders
 from csg_ldpc.analysis import load_graph_file
 from csg_ldpc.channel import AwgnChannel, BscChannel, ParityChecks, llr_from_awgn, llr_from_bsc, transmit
-from csg_ldpc.codes import build_code, extend_parity_check, parity_check_of
+from csg_ldpc.codes import build_code, parity_check_of
 from csg_ldpc.decoders import GallagerADecoder, SumProductDecoder
 from csg_ldpc.gf2 import BitMatrix
 from csg_ldpc.graphs import parse_lcf
 
 from oracles import (
     _syndrome_zero,
+    extend_parity_check,
     leave_one_out_products_loop,
     reference_gallager_a,
     reference_sum_product,

@@ -16,7 +16,6 @@ from csg_ldpc.channel import (
     llr_from_awgn,
     llr_from_bsc,
     syndrome,
-    syndrome_mean_formula,
     transmit,
 )
 from csg_ldpc.cli import main
@@ -30,6 +29,8 @@ from csg_ldpc.experiments import (
     trial_rng,
 )
 from csg_ldpc.graphs import parse_lcf
+
+from oracles import syndrome_mean_formula
 from test_package import loaded_after
 
 

@@ -1,8 +1,11 @@
-"""The package's import graph: the root re-exports nothing, so each module
-loads only what it imports, and every public name has one home."""
+"""The package's import graph and public surface: the root re-exports
+nothing, so each module loads only what it imports, and every public name
+has one home and a caller outside the tests."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import csg_ldpc
 
@@ -41,3 +44,22 @@ def test_every_public_name_resolves_and_has_one_home():
             assert hasattr(module, public), (name, public)
             homes.setdefault(public, []).append(name)
     assert {public: found for public, found in homes.items() if len(found) > 1} == {}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # every name, attribute and imported name in the package, its scripts
+    # and perfbench; a public name none of them uses belongs in tests/
+    root = Path(__file__).resolve().parents[1]
+    used: set[str] = set()
+    for path in (p for top in ("src", "scripts", "perfbench") for p in (root / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = {
+        name: sorted(set(importlib.import_module(f"csg_ldpc.{name}").__all__) - used) for name in MODULES
+    }
+    assert {name: names for name, names in unused.items() if names} == {}

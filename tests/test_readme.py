@@ -47,5 +47,5 @@ def test_cap_budgets_match_ci():
     table = re.findall(r"^\| .+ \| .+ \| (\S+) s / (\S+) MB \|$", README.read_text(), re.M)
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     ci = re.findall(r"^\s+cap (\S+) (\S+) \S", workflow, re.M)
-    assert len(table) == 8
+    assert len(table) == 9
     assert ci == table
