@@ -55,6 +55,15 @@ stepping alone.  Construct a decoder once per matrix and hand it blocks
 when decoding many words: a lone word pays the full per-iteration numpy
 overhead.
 
+At the catalog's sizes a step costs numpy's per-call floor as much as
+arithmetic: on 90A at 50 lanes, about half of sum-product's step is its
+tanh and arctanh pair and the rest some twenty calls of a few us each
+(2-CPU machine).  So a step makes no call that cannot change a bit: a
+padding write runs only where there is padding, sum-product's clip into
+(-1, 1) only where a check of 0 or 1 bits can reach 1, each leave-one-out
+product is written where the next call reads it, and a bit's total is
+one add a plane, in ``np.add.reduce``'s order and from its 0.0 start.
+
 The lane budget is ``IN_FLIGHT`` (128) lanes, cut to ``LANE_WORDS // n``
 for n above 2048: a lane's state and step temporaries grow with n (a
 Gallager A lane carries (1 + d) n words and a sum-product lane (2 + d) n
@@ -95,17 +104,21 @@ def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     """out[p] is the product of x[q] over every q != p along axis 0, taken
     left to right (the empty product is 1).  Each one starts from the
     product of the slots before p, shared with the next, so a degree-d
-    check takes about d^2 / 2 multiplies rather than d (d - 1)."""
+    check takes about d^2 / 2 multiplies rather than d (d - 1).  Every
+    multiply writes into ``out``: out[p] holds that prefix until its own
+    product replaces it, so no product is copied."""
     out = np.empty_like(x)
     degree = len(x)
-    prefix = None  # x[0] * ... * x[p - 1]
     for p in range(degree):
-        if p:
-            prefix = x[0] if p == 1 else prefix * x[p - 1]
-        product = prefix
+        row = out[p]
+        # x[0] * ... * x[p - 1], from p = 2 on already in out[p]
+        product = None if p == 0 else x[0] if p == 1 else row
+        if 1 <= p < degree - 1:
+            np.multiply(product, x[p], out=out[p + 1])
         for q in range(p + 1, degree):
-            product = x[q] if product is None else product * x[q]
-        out[p] = 1.0 if product is None else product
+            product = x[q] if product is None else np.multiply(product, x[q], out=row)
+        if product is not row:
+            row[...] = 1.0 if product is None else product
     return out
 
 
@@ -451,7 +464,19 @@ class SumProductDecoder(_EdgeStructure):
     Check messages are 2 atanh(prod tanh(m/2)) over the other edges,
     messages are clamped to +-30, and a total LLR of exactly zero decodes
     to bit 0.  Early exit on zero syndrome.
+
+    A product of tanh factors reaches arctanh's pole at 1 only in a check
+    of 0 or 1 bits, where a slot's product can be of padding alone
+    (exactly 1.0): every factor of a real bit has |tanh(m/2)| <= tanh(15)
+    < 1 - 2^-53, and a product with other factors of magnitude at most 1
+    never grows.  So products are clipped into (-1, 1) only when H has
+    such a check (``has_short_check``), and no catalog code has one.
     """
+
+    def __init__(self, h: BitMatrix):
+        super().__init__(h)
+        # only a check of 0 or 1 bits can send a product of 1.0 (the class docstring)
+        self.has_short_check = bool(((self.checks.columns < self.n).sum(axis=0) < 2).any())
 
     def _start(self, labels: np.ndarray, llr: np.ndarray):
         """Channel LLRs, which must be finite, one row to a lane: the
@@ -466,18 +491,21 @@ class SumProductDecoder(_EdgeStructure):
     def _step(self, llr: np.ndarray, total: np.ndarray, c2b: np.ndarray):
         """One iteration from the last iteration's (total, c2b), c2b (d, n,
         L) in the bit view.  A bit's incoming messages add in ascending
-        check order, then its channel LLR."""
+        check order, then its channel LLR: ``np.add.reduce``'s order along
+        axis 0, one add a plane without its per-call setup."""
         lanes = llr.shape[1]
         # bit-to-check messages, written over the check messages they replace
         b2c = np.subtract(total, c2b, out=c2b)
         np.clip(b2c, -LLR_CLAMP, LLR_CLAMP, out=b2c)
-        b2c /= 2.0
+        b2c *= 0.5
         np.tanh(b2c, out=b2c)
         th = b2c.reshape(-1, lanes).take(self.slot_entry, axis=0)
-        th[self.pad_slots] = 1.0
+        if len(self.pad_slots):
+            th[self.pad_slots] = 1.0
         products = _leave_one_out_products(th.reshape(*self.view, lanes))
         del th
-        np.clip(products, -_ONE_MINUS, _ONE_MINUS, out=products)
+        if self.has_short_check:
+            np.clip(products, -_ONE_MINUS, _ONE_MINUS, out=products)
         np.arctanh(products, out=products)
         products *= 2.0
         np.clip(products, -LLR_CLAMP, LLR_CLAMP, out=products)
@@ -485,6 +513,9 @@ class SumProductDecoder(_EdgeStructure):
         del products
         if self.has_bit_pad:
             c2b[self.bit_pad] = 0.0
-        total = np.add.reduce(c2b, axis=0)
+        # 0.0 first, as np.add.reduce starts, so planes of -0.0 sum to +0.0
+        total = c2b[0] + 0.0
+        for plane in c2b[1:]:
+            total += plane
         total += llr
         return total < 0, (llr, total, c2b)

@@ -55,21 +55,25 @@ size for both.
 hashing.  That hash is a fixed sequence of uint32 steps whose constants
 do not depend on the seed, so ``_pcg64_seeds`` runs numpy's steps in
 numpy's order on whole rows of words, one word per trial, for up to
-``_SEED_CHUNK`` (1024) trials per pass of ``_trial_generators``.  Each
-trial's 4 words then seed a new ``PCG64`` through
+``_SEED_CHUNK`` (1024) trials per pass of ``_seed_chunks`` (~0.17 us a
+trial).  Each trial's 4 words then seed a new ``PCG64`` through
 numpy's own routine, the one ``default_rng`` runs: ``_trial_seed_type``
 is a minimal ``ISeedSequence`` that hands them over.  So every trial
-has a generator of its own, equal to ``trial_rng``'s bit for bit, and
-``_decoder_inputs`` still makes every draw: it takes the generators one
-row at a time and never one past the block.  On ``simulate-ga-w2``'s
-inputs (48A, a 24-value normal draw per trial, 2-CPU machine, min of
-7 x 20,000), seeding plus draw takes ~2.4-2.7 us per trial, paid once
-per trial, however many points the sweep has.
+has a generator of its own, equal to ``trial_rng``'s bit for bit.
+``_decoder_inputs`` builds them in one loop that walks a noise block's
+rows and the seed chunks' rows together, with the classes, the seed
+type and the draw method bound once, so a row pays for its generator
+and its draw and for no generator ``yield``, bound-method lookup or
+cached call.  On ``simulate-ga-w2``'s inputs (48A, a 24-value normal
+draw per trial) that loop takes ~2.5 us a trial against ~2.8 us through
+``_trial_generators``, and on ``simulate-sp``'s (90A, 45 uniforms)
+~2.3 against ~2.6 us (2-CPU machine, min of 5 x 5 passes), paid once per
+trial, however many points the sweep has.
 
 ``run_experiments`` runs a sweep: configs that differ only in their
 channel's parameter, as ``simulate`` builds one per ``--param`` value.
 Their one trial range splits into ``min(worker_count, trials, usable
-CPUs, 1 + bit-decodes // 1,296,000)`` spans, one task per worker, and worker w
+CPUs, 1 + bit-decodes // 1,152,000)`` spans, one task per worker, and worker w
 decodes span w of every config; the usable CPUs are the process's
 affinity mask where the OS has one, not the host's count, and the
 bit-decodes are trials x configs x n, for either decoder.  So a
@@ -77,8 +81,8 @@ bit-decodes are trials x configs x n, for either decoder.  So a
 builds one decoder and ends one stream tail, not one per channel
 parameter.  Results do not depend on the worker count, so
 ``worker_count`` is a ceiling, and a process past the first starts only
-when the sweep's work pays for its fork.  1,296,000 bit-decodes per
-extra process is the smallest measured size at which two processes beat one
+when the sweep's work pays for its fork.  1,152,000 bit-decodes per
+extra process is the smallest measured size from which two processes beat one
 for both decoders on a 2-CPU machine.  README's Python API section holds
 the table it was read from.  With one span the task runs in-process.
 ``run_experiment`` is the one-config case.
@@ -147,13 +151,17 @@ BLOCK_ELEMENTS = 1 << 15
 # noise elements (rows x columns) drawn per block by syndrome_statistics
 _SAMPLE_ELEMENTS = 1 << 20
 
-# trials whose PCG64 seeds _trial_generators derives in one numpy pass
+# trials whose PCG64 seeds _seed_chunks derives in one numpy pass
 _SEED_CHUNK = 1024
+
+# finished rows whose counts _run_share holds before one np.add.at adds
+# them to its table: ~17 bytes a row
+_TALLY_ROWS = 1 << 12
 
 # bit-decodes (trials x configs x n) of a sweep per process past the first:
 # a second process pays from about this much work, one rule for both
 # decoders (_pool_size)
-_WORK_PER_EXTRA_PROCESS = 1_296_000
+_WORK_PER_EXTRA_PROCESS = 1_152_000
 
 
 # numpy's SeedSequence hash constants
@@ -253,16 +261,15 @@ def _trial_seed_type() -> type:
     return TrialSeed
 
 
-def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """Yield, for each trial i in [start, stop), a new generator equal to
-    ``trial_rng(master_seed, i)`` bit for bit.  Each is independent, so
-    earlier ones may be held while later ones are taken.
+def _seed_chunks(master_seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Yield the PCG64 seeds of trials [start, stop) in order, chunk by
+    chunk, each a (B, 4) uint64 array of ``_pcg64_seeds``: one row a
+    trial, the 4 words its ``trial_rng`` generator is seeded with.
 
     Seeds are derived ``_SEED_CHUNK`` trials at a time.  Entropy is the
     seed's words followed by the index's; a chunk stops at each multiple of
     2^32, so all its indices share every word but the lowest and the
-    entropy array stays rectangular.  ``PCG64`` then seeds itself from
-    each trial's words (``_trial_seed_type``) as ``default_rng`` does.
+    entropy array stays rectangular.
     """
     seed_words = _words(master_seed)
     lo = start
@@ -272,9 +279,22 @@ def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.ra
         columns = [np.full(hi - lo, w, np.uint32) for w in seed_words]
         columns.append(np.arange(low, low + hi - lo, dtype=np.uint32))
         columns += [np.full(hi - lo, w, np.uint32) for w in _words(lo)[1:]]
-        for words in _pcg64_seeds(np.vstack(columns)):
-            yield np.random.Generator(np.random.PCG64(_trial_seed_type()(words)))
+        yield _pcg64_seeds(np.vstack(columns))
         lo = hi
+
+
+def _trial_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """Yield, for each trial i in [start, stop), a new generator equal to
+    ``trial_rng(master_seed, i)`` bit for bit.  Each is independent, so
+    earlier ones may be held while later ones are taken.  ``PCG64`` seeds
+    itself from each trial's row of ``_seed_chunks`` (``_trial_seed_type``)
+    as ``default_rng`` does.  ``_decoder_inputs`` builds the same
+    generators in its own loop over the same chunks.
+    """
+    seed_type = _trial_seed_type()
+    for seeds in _seed_chunks(master_seed, start, stop):
+        for words in seeds:
+            yield np.random.Generator(np.random.PCG64(seed_type(words)))
 
 
 @dataclass(frozen=True)
@@ -362,24 +382,35 @@ def _decoder_inputs(cfgs: Sequence[ExperimentConfig], start: int, stop: int, che
     syndrome weights go into its row of ``moments``.
 
     The sweep has one channel type, so a block's noise is drawn once, row
-    r from trial lo + r's ``_trial_generators`` generator, and each config
-    applies its own rho or sigma to that one draw.  One ``syndrome`` call
-    per yielded block then takes its configs' hard words.
+    r from a new generator of trial lo + r, and each config applies its
+    own rho or sigma to that one draw.  The row loop walks the block's rows
+    and the rows of ``_seed_chunks`` together, with the draw method and the
+    classes it calls bound once: each row builds a generator of its own as
+    ``_trial_generators`` does and draws into its row of the block.  One
+    ``syndrome`` call per yielded block then takes its configs' hard words.
     """
     first = cfgs[0]
     bsc = isinstance(first.channel, BscChannel)
     hard_only = first.decoder == "gallager-a"
     n = first.h.ncols
     rows, group = _block_shape(n, len(cfgs))
-    generators = _trial_generators(first.master_seed, start, stop)
+    Generator, PCG64, seed_type = np.random.Generator, np.random.PCG64, _trial_seed_type()
+    draw = Generator.random if bsc else Generator.standard_normal
+    chunks = _seed_chunks(first.master_seed, start, stop)
+    seeds = np.empty((0, 4), dtype=np.uint64)  # the current chunk's rows not yet drawn
     zero_block = np.zeros((rows, n), dtype=np.uint8)
     for lo in range(start, stop, rows):
         sent = zero_block[:stop - lo]
         size = len(sent)
         noise = np.empty(sent.shape)
-        # rows first: zip stops at the block's last row without taking the next generator
-        for row, generator in zip(noise, generators):
-            (generator.random if bsc else generator.standard_normal)(out=row)
+        drawn = 0
+        while drawn < size:
+            if not len(seeds):
+                seeds = next(chunks)
+            for words, row in zip(seeds, noise[drawn:]):
+                draw(Generator(PCG64(seed_type(words))), out=row)
+            taken = min(len(seeds), size - drawn)
+            seeds, drawn = seeds[taken:], drawn + taken
         for c0 in range(0, len(cfgs), group):
             part = cfgs[c0:c0 + group]
             hard = np.empty((len(part) * size, n), dtype=np.uint8)
@@ -411,17 +442,33 @@ def _run_share(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> np.nd
     The configs decode as one block-major stream: each block of the span
     is drawn once and enters the stream in config order, as many configs'
     rows at once as ``_block_shape`` allows (``_decoder_inputs``), so one
-    config's slow rows step alongside the fresh rows of the next.  Every sum is over integers, so
-    the order in which rows finish cannot change it.
+    config's slow rows step alongside the fresh rows of the next.  Each
+    hand-out's labels, per-row bit errors and zero-syndrome flags are held
+    until ``_TALLY_ROWS`` rows are, then added to the table with one
+    ``np.add.at``, and the rest once the stream ends.  Every sum is over
+    integers, so neither the order in which rows finish nor where the
+    tallies fall can change it.
     """
     first = cfgs[0]
     decoder = DECODERS[first.decoder](first.h)
     table = np.zeros((len(cfgs), 6), dtype=np.int64)
-    blocks = _decoder_inputs(cfgs, start, stop, decoder.checks, table[:, 4:])
-    for config, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
-        errs = words.sum(axis=1, dtype=np.int64)
+    held, held_rows = [], 0
+
+    def tally():
+        config, errs, syndrome_zero = (np.concatenate(parts) for parts in zip(*held))
         wrong = errs > 0
         np.add.at(table[:, :4], config, np.stack((errs, wrong, ~syndrome_zero, syndrome_zero & wrong), axis=1))
+        held.clear()
+
+    blocks = _decoder_inputs(cfgs, start, stop, decoder.checks, table[:, 4:])
+    for config, words, _, syndrome_zero in decoder.decode_stream(blocks, max_iter=first.max_iterations):
+        held.append((config, words.sum(axis=1, dtype=np.int64), syndrome_zero))
+        held_rows += len(config)
+        if held_rows >= _TALLY_ROWS:
+            tally()
+            held_rows = 0
+    if held:
+        tally()
     return table
 
 
@@ -437,18 +484,18 @@ def _usable_cpus() -> int:
 def _pool_size(worker_count: int, trials: int, bit_decodes: int) -> int:
     """Processes worth starting: never more than the trials, the CPUs this
     process may run on (``_usable_cpus``), or one plus one per
-    ``_WORK_PER_EXTRA_PROCESS`` (1,296,000) of the sweep's ``bit_decodes``
+    ``_WORK_PER_EXTRA_PROCESS`` (1,152,000) of the sweep's ``bit_decodes``
     (trials x configs x n), whichever the decoder.  ``worker_count`` is
     only a ceiling.
 
     The constant is the crossover of one process against two, measured
     on a 2-CPU machine with 3-point sweeps as fresh ``simulate`` CLI
     calls, the path a user runs: it is the smallest measured size at
-    which two processes won more than half of 40 alternating pairs for
-    both decoders (1296k: Gallager A 24 and sum-product 32 of 40; at
-    1152k Gallager A won 18).  README's Python API section holds the
-    table it was read from, and the lower in-process crossover for
-    library callers.
+    which, and at every larger one, two processes won more than half of
+    40 alternating pairs for both decoders (1152k: Gallager A 29 and
+    sum-product 35 of 40; from 720k to 1008k Gallager A won 19 to 21).
+    README's Python API section holds the table it was read from, and
+    the lower in-process crossover for library callers.
     """
     return min(worker_count, trials, _usable_cpus(), 1 + bit_decodes // _WORK_PER_EXTRA_PROCESS)
 
@@ -482,7 +529,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
     one stream (``_run_share``), so a sweep starts its processes once and
     each worker ends one stream tail, not one per point.  The k spans are
     [trials w // k, trials (w + 1) // k), none empty since k <= trials.
-    With one span, which every sweep below 1,296,000 bit-decodes gets, that
+    With one span, which every sweep below 1,152,000 bit-decodes gets, that
     task runs in this process and no pool starts.  A pool's parent imports
     ``numpy.random`` first, so ``fork``ed workers inherit it rather than
     import it each.

@@ -6,7 +6,9 @@ girth from per-edge removal instead of growing balls, decoders from plain
 dict-of-edges loops instead of vectorized gather/scatter, eigenvalues from
 cyclic Jacobi rotations instead of LAPACK, a circulant code's dimension
 from a polynomial gcd instead of elimination, and H from an alist's own
-row and column sections instead of ``export_alist``'s supports.
+row and column sections instead of ``export_alist``'s supports.  One
+sum-product iteration is kept as the decoder ran it before its no-op
+calls were dropped, so the leaner step is pinned to it bit for bit.
 
 The paper's theorem checks (the Gram identity and the dimension bounds)
 and the test helpers that the package itself never calls live here too.
@@ -423,3 +425,26 @@ def leave_one_out_products_loop(x: np.ndarray) -> np.ndarray:
                 product = product * x[..., q]
         out[..., p] = product
     return out
+
+
+def sum_product_step_unpruned(decoder, llr: np.ndarray, total: np.ndarray, c2b: np.ndarray):
+    """One iteration of ``SumProductDecoder._step`` as it ran before its
+    no-op calls went: halving by division, a write to the padding slots
+    even when there are none, each leave-one-out product formed afresh
+    left to right, the clip of every product into (-1, 1), whatever the
+    check degrees, and the totals from ``np.add.reduce`` along axis 0.
+    Reads the decoder's tables only; its inputs stay as they are.
+    Returns (estimate, total, c2b)."""
+    one_minus = float(np.nextafter(1.0, 0.0))
+    lanes = llr.shape[1]
+    b2c = np.clip(total - c2b, -30.0, 30.0) / 2.0
+    th = np.tanh(b2c).reshape(-1, lanes).take(decoder.slot_entry, axis=0)
+    th[decoder.pad_slots] = 1.0
+    th = th.reshape(*decoder.view, lanes)
+    products = np.moveaxis(leave_one_out_products_loop(np.moveaxis(th, 0, -1)), -1, 0)
+    products = np.clip(products, -one_minus, one_minus)
+    products = np.clip(np.arctanh(products) * 2.0, -30.0, 30.0)
+    c2b = products.reshape(decoder.slots, lanes).take(decoder.bit_slots, axis=0)
+    c2b[decoder.bit_pad] = 0.0
+    total = np.add.reduce(c2b, axis=0) + llr
+    return total < 0, total, c2b

@@ -21,7 +21,6 @@ from csg_ldpc.graphs import (
     NotConnectedError,
     NotCubicError,
     girth,
-    load_edge_list,
     parse_lcf,
 )
 from csg_ldpc.constructions import generalized_petersen

@@ -1,9 +1,10 @@
+import warnings
 from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csg_ldpc import decoders
@@ -20,6 +21,7 @@ from oracles import (
     leave_one_out_products_loop,
     reference_gallager_a,
     reference_sum_product,
+    sum_product_step_unpruned,
     support_lists,
 )
 from strategies import irregular_checks_and_blocks, parity_checks
@@ -298,6 +300,54 @@ def test_leave_one_out_products_equal_the_double_loop(degree, rows, checks, seed
     assert got.shape == x.shape and got.dtype == x.dtype
     expected = np.moveaxis(leave_one_out_products_loop(np.moveaxis(x, 0, -1)), -1, 0)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _saturated(rng, shape):
+    """Messages spread past the +-30 clamp, with exact +-30, +-45 and
+    zeros of either sign among them, as a saturated decode has them."""
+    x = rng.normal(0.0, 20.0, size=shape)
+    pick = rng.integers(0, 8, size=shape)
+    for k, value in enumerate((30.0, -30.0, 45.0, -45.0, 0.0, -0.0)):
+        x[pick == k] = value
+    return x
+
+
+def _assert_step_equals_unpruned(h, seed, lanes):
+    """A few chained steps from a random saturated state equal
+    ``sum_product_step_unpruned`` bit for bit, and none warns: a skipped
+    clip would show as arctanh's divide-by-zero warning."""
+    decoder = SumProductDecoder(h)
+    assert decoder.has_short_check == any(len(bits) < 2 for bits in support_lists(h)[0])
+    rng = np.random.default_rng(seed)
+    state = (_saturated(rng, (h.ncols, lanes)), _saturated(rng, (h.ncols, lanes)),
+             _saturated(rng, decoder.bit_slots.shape + (lanes,)))
+    for _ in range(3):
+        expected = sum_product_step_unpruned(decoder, *state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, (llr, total, c2b) = decoder._step(*(a.copy() for a in state))
+        assert np.array_equal(est, expected[0])
+        for got, want in zip((total, c2b), expected[1:]):
+            assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        state = (llr, total, c2b)
+
+
+def test_step_equals_the_unpruned_step_on_named_checks(catalog):
+    named = [EXTENDED_HEAWOOD, DEGREE_140, *(parity_check_of(g) for g, _ in catalog.values())]
+    for seed, h in enumerate(named):
+        for lanes in (1, 50, 128):
+            _assert_step_equals_unpruned(h, seed, lanes)
+
+
+@given(irregular_checks_and_blocks(), st.integers(1, 9), st.integers(0, 2**16))
+@example(case=(BitMatrix.from_dense([[1, 1, 0], [0, 0, 1], [0, 0, 0]]), None), lanes=3, seed=0)
+@settings(max_examples=120, deadline=None)
+def test_step_equals_the_unpruned_step_on_drawn_checks(case, lanes, seed):
+    # zero rows and checks of one bit keep the clip; a matrix with no edge
+    # is never stepped, since every word has a zero syndrome
+    h = case[0]
+    assume(any(h.column_bits()))
+    _assert_step_equals_unpruned(h, seed, lanes)
 
 
 @pytest.mark.parametrize("in_flight", [1, decoders.IN_FLIGHT])

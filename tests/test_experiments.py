@@ -13,6 +13,7 @@ from csg_ldpc import experiments
 from csg_ldpc.channel import (
     AwgnChannel,
     BscChannel,
+    ParityChecks,
     llr_from_awgn,
     llr_from_bsc,
     syndrome,
@@ -377,18 +378,18 @@ def test_sweep_draws_each_trial_once_per_noise_kind(heawood_h, monkeypatch, chan
     ]
     alone = [run_experiment(cfg) for cfg in cfgs]
     starts, states = [], []
-    generators = experiments._trial_generators
+    chunks = experiments._seed_chunks
 
     def counted(*args):
         starts.append(args)
-        for generator in generators(*args):
-            states.append(generator)
-            yield generator
+        for seeds in chunks(*args):
+            states.extend(seeds)
+            yield seeds
 
-    monkeypatch.setattr(experiments, "_trial_generators", counted)
+    monkeypatch.setattr(experiments, "_seed_chunks", counted)
     assert run_experiments(cfgs) == alone
-    # one generator stream for the whole sweep, and every point reads the
-    # same per-trial draw
+    # one seed stream for the whole sweep, one seed and so one draw a
+    # trial, and every point reads the same per-trial draw
     assert starts == [(5, 0, trials)]
     assert len(states) == trials
 
@@ -530,6 +531,53 @@ def test_decoder_inputs_equal_per_trial_transmit_across_block_edges(heawood_h, m
         assert np.array_equal(experiments._run_share(cfgs, start, stop), table)
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 100, experiments._SEED_CHUNK])
+def test_noise_rows_cross_seed_chunks_and_2_32(heawood_h, monkeypatch, chunk):
+    # 64-row blocks against seed chunks of other widths, and a span across
+    # 2^32, where a chunk is cut short: every row is still its own trial's
+    # draw, whichever chunk and block it falls in
+    monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(experiments, "_SEED_CHUNK", chunk)
+    channel = AwgnChannel(0.8)
+    cfgs = [ExperimentConfig(h=heawood_h, channel=channel, decoder="sum-product", trials=1, master_seed=2**64 + 3)]
+    zero = np.zeros(7, dtype=np.uint8)
+    for start, stop in ((3, 200), (2**32 - 70, 2**32 + 61)):
+        moments = np.zeros((1, 2), dtype=np.int64)
+        blocks = list(experiments._decoder_inputs(cfgs, start, stop, ParityChecks(heawood_h), moments))
+        assert [len(y) for _, y in blocks] == [min(64, stop - lo) for lo in range(start, stop, 64)]
+        got = np.concatenate([y for _, y in blocks])
+        expected = [llr_from_awgn(transmit(zero, channel, trial_rng(2**64 + 3, t)), channel.sigma)
+                    for t in range(start, stop)]
+        assert np.array_equal(got.view(np.uint64), np.stack(expected).view(np.uint64))
+
+
+@pytest.mark.parametrize("decoder", ["gallager-a", "sum-product"])
+@pytest.mark.parametrize("channels", [
+    (BscChannel(0.05), BscChannel(0.1), BscChannel(0.2)),
+    (AwgnChannel(0.6), AwgnChannel(0.8), AwgnChannel(1.0)),
+])
+def test_batched_tally_equals_a_tally_per_hand_out(heawood_h, monkeypatch, channels, decoder):
+    # a bound of 1 tallies every hand-out on its own, 5 to 300 fall inside
+    # and across hand-outs, and the default holds the whole share to its end
+    cfgs = [ExperimentConfig(h=heawood_h, channel=channel, decoder=decoder, trials=400, master_seed=29,
+                             max_iterations=3)
+            for channel in channels]
+    start, stop = 11, 400
+    engine = experiments.DECODERS[decoder](heawood_h)
+    expected = np.zeros((len(cfgs), 6), dtype=np.int64)
+    blocks = experiments._decoder_inputs(cfgs, start, stop, engine.checks, expected[:, 4:])
+    handouts = 0
+    for config, words, _, syndrome_zero in engine.decode_stream(blocks, max_iter=3):
+        for c, word, ok in zip(config.tolist(), words, syndrome_zero.tolist()):
+            errors = int(word.sum())
+            expected[c, :4] += (errors, errors > 0, not ok, ok and errors > 0)
+        handouts += 1
+    assert handouts > 1 and expected[:, :4].any()
+    for bound in (1, 5, 64, 300, experiments._TALLY_ROWS):
+        monkeypatch.setattr(experiments, "_TALLY_ROWS", bound)
+        assert np.array_equal(experiments._run_share(cfgs, start, stop), expected), bound
+
+
 def test_max_iter_zero_detects_every_nonzero_syndrome(heawood_h):
     cfg = ExperimentConfig(
         h=heawood_h, channel=BscChannel(0.1), decoder="sum-product",
@@ -557,19 +605,19 @@ def test_pool_size_never_exceeds_trials_or_cpus(monkeypatch):
 def test_pool_size_adds_a_process_per_crossover_of_work(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
     # one crossover for both decoders: one-shot 3-point sweeps of 48A
-    # gain from a second process in more than half their pairs first at
-    # 1296k bit-decodes (3 x 18000) for both decoders; Gallager A still
-    # loses at 1152k (README's fan-out table)
+    # gain from a second process in more than half their pairs from
+    # 1152k bit-decodes (3 x 16000) on for both decoders; Gallager A is
+    # even from 720k to 1008k (README's fan-out table)
     per = experiments._WORK_PER_EXTRA_PROCESS
-    assert per == 1_296_000
+    assert per == 1_152_000
     trials = 10**9
-    for work, size in ((0, 1), (1, 1), (288_000, 1), (720_000, 1), (1_152_000, 1), (per - 1, 1), (per, 2),
-                       (per + 1, 2), (1_440_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
+    for work, size in ((0, 1), (1, 1), (288_000, 1), (720_000, 1), (1_008_000, 1), (per - 1, 1), (per, 2),
+                       (per + 1, 2), (1_296_000, 2), (2 * per - 1, 2), (2 * per, 3), (10 * per, 11)):
         assert experiments._pool_size(64, trials, work) == size, work
-    # the CI sweep, 3 x 36000 trials of 48A's 24 bits (twice the
+    # the CI sweep, 4 x 36000 trials of 48A's 24 bits (three times the
     # crossover), still starts a pool at 2 CPUs
-    assert 3 * 36_000 * 24 >= 2 * per
-    assert experiments._pool_size(2, 36_000, 3 * 36_000 * 24) == 2
+    assert 4 * 36_000 * 24 >= 2 * per
+    assert experiments._pool_size(2, 36_000, 4 * 36_000 * 24) == 2
     # --workers stays a ceiling: an absurd count starts no more than the work pays for
     assert experiments._pool_size(10**12, trials, per - 1) == 1
     assert experiments._pool_size(10**12, trials, 3 * per) == 4

@@ -83,6 +83,17 @@ GOLDEN = [
         "bsc,0.08,sum-product,301,17,0.0031007751937984496,0.046511627906976744,9.129568106312293,15.83982281284607\n"
         "bsc,0.12,sum-product,301,17,0.014913252122554448,0.16611295681063123,12.524916943521594,17.210210409745294\n",
     ),
+    # sum-product past iteration 0 on AWGN: at sigma = 0.3 one channel LLR
+    # in eight clamps at +-30 and 3 rows step from them, at 0.8 rows take up
+    # to 8 iterations; recorded while every check's leave-one-out products
+    # were clipped into (-1, 1)
+    (
+        "simulate 56C.edges --channel awgn --param 0.3,0.8 --decoder sum-product"
+        " --trials 301 --seed 19 --workers 2",
+        "channel,param,decoder,trials,seed,ber,fer,syndrome_mean,syndrome_var\n"
+        "awgn,0.3,sum-product,301,19,0.0,0.0,0.029900332225913623,0.0891029900332226\n"
+        "awgn,0.8,sum-product,301,19,0.0009492168960607499,0.0033222591362126247,7.292358803986711,12.4209080841639\n",
+    ),
     # girth 6; recorded with blocks of 200000 words, while 200001 trials span
     # three blocks of 2^20 // 12 words, so a block-size dependence shows here
     (
@@ -97,7 +108,7 @@ GOLDEN = [
 IDS = [
     "bsc-sp-w2", "awgn-ga-w2", "bsc-ga-iter0", "awgn-sp-iter0",
     "bsc-sp-w2-wide-seed", "awgn-ga-w2-wide-seed", "awgn-ga-w2-three-points",
-    "awgn-ga-w2-capped", "bsc-sp-w2-capped", "variance",
+    "awgn-ga-w2-capped", "bsc-sp-w2-capped", "awgn-sp-w2-iterating", "variance",
 ]
 
 
